@@ -13,11 +13,11 @@
 //! answer cache exists for, and what a real marketplace sees when many
 //! buyers ask the popular queries.
 //!
-//! A second section benchmarks the merged prefix-rank query index
-//! ([`RankIndex`]) against the per-node scan across a grid of node
-//! counts and per-epoch query counts, checks both paths release the
-//! same bits, and writes the trajectory to `BENCH_rank_index.json` at
-//! the repository root.
+//! A second section benchmarks the merged prefix-rank query index (a
+//! fresh single-segment [`SegmentedRankIndex`]) against the per-node
+//! scan across a grid of node counts and per-epoch query counts, checks
+//! both paths release the same bits, and writes the trajectory to
+//! `BENCH_rank_index.json` at the repository root.
 //!
 //! A third section times the shared `prc-runtime` pool against the
 //! spawn-per-call pattern it replaced (fresh scoped threads on every
@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use prc_core::broker::{BatchStats, DataBroker};
-use prc_core::estimator::{BuildAccrual, CostModel, RangeCountEstimator, RankCounting, RankIndex};
+use prc_core::estimator::{BuildAccrual, RangeCountEstimator, RankCounting, SegmentedRankIndex};
 use prc_core::optimizer::OptimizerConfig;
 use prc_core::query::{Accuracy, QueryRequest, RangeQuery};
 use prc_net::base_station::BaseStation;
@@ -282,7 +282,7 @@ fn index_trajectory() -> Vec<IndexCell> {
     for &k in node_counts {
         let station = trajectory_station(k, per_node, p);
         let build_start = Instant::now();
-        let index = RankIndex::build(&station).expect("uniform station builds");
+        let index = SegmentedRankIndex::build(&station).expect("uniform station builds");
         let build_seconds = build_start.elapsed().as_secs_f64();
         for &count in query_counts {
             let queries = trajectory_queries(count, (k * per_node) as f64);
@@ -303,10 +303,9 @@ fn index_trajectory() -> Vec<IndexCell> {
 
             // The decision the adaptive policy would reach seeing this
             // cell's whole workload in one epoch.
-            let model = CostModel::default();
             let mut accrual = BuildAccrual::default();
-            accrual.observe(&model, index.merged_entries(), k, count as u64);
-            let adaptive_build = accrual.should_build(&model, index.merged_entries());
+            accrual.observe(index.merged_entries(), k, count as u64);
+            let adaptive_build = accrual.should_build(index.merged_entries());
 
             cells.push(IndexCell {
                 nodes: k,

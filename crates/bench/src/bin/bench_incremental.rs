@@ -24,8 +24,8 @@
 //! Three strategies answer the identical per-epoch workload:
 //!
 //! * `scan` — no index; every query pays the O(k log s) per-node scan;
-//! * `monolithic` — a fresh [`RankIndex`] built every epoch (what the
-//!   broker did before this change);
+//! * `monolithic` — a fresh single-segment [`SegmentedRankIndex`]
+//!   rebuilt every epoch (no delta absorption);
 //! * `segmented` — one [`SegmentedRankIndex`] built at epoch 0 and fed
 //!   each round's [`RoundDelta`] via `absorb_delta`.
 //!
@@ -42,7 +42,7 @@
 
 use std::time::Instant;
 
-use prc_core::estimator::{RangeCountEstimator, RankCounting, RankIndex, SegmentedRankIndex};
+use prc_core::estimator::{RangeCountEstimator, RankCounting, SegmentedRankIndex};
 use prc_core::query::RangeQuery;
 use prc_net::failure::FailurePlan;
 use prc_net::message::NodeId;
@@ -221,7 +221,7 @@ fn run_once<N: Network>(
     let last_epoch = rounds.len() - 1;
 
     let mut segmented: Option<SegmentedRankIndex> = None;
-    let mut monolithic: Option<RankIndex> = None;
+    let mut monolithic: Option<SegmentedRankIndex> = None;
     let mut run = StrategyRun {
         bits: Vec::new(),
         incr_maintain_seconds: 0.0,
@@ -244,7 +244,7 @@ fn run_once<N: Network>(
         match strategy {
             Strategy::Scan => {}
             Strategy::Monolithic => {
-                let index = RankIndex::build(station).expect("uniform station builds");
+                let index = SegmentedRankIndex::build(station).expect("uniform station builds");
                 run.maintenance_entries += index.merged_entries();
                 monolithic = Some(index);
             }

@@ -27,8 +27,8 @@
 //! Whether to pay for the first build is decided by the [`IndexPolicy`]:
 //! the default [`IndexPolicy::Adaptive`] runs a ski-rental accrual over
 //! the observed query traffic (build once the scanning it has paid for
-//! would have covered a build), while [`IndexPolicy::Threshold`] keeps
-//! the legacy fixed sample-count cutover. Indexed and scanned paths are
+//! would have covered a build), while [`IndexPolicy::Always`] and
+//! [`IndexPolicy::Never`] pin one path. Indexed and scanned paths are
 //! **bit-identical** by construction, so the policy is unobservable in
 //! released answers.
 
@@ -44,7 +44,7 @@ use prc_pricing::reuse::ReuseGuard;
 
 use crate::error::CoreError;
 use crate::estimator::engine::PlanCache;
-use crate::estimator::{BuildAccrual, CostModel, QueryIndex, RangeCountEstimator, RankCounting};
+use crate::estimator::{BuildAccrual, QueryIndex, RangeCountEstimator, RankCounting};
 use crate::optimizer::{OptimizerConfig, PerturbationPlan};
 use crate::pipeline::{PricedAnswer, QuerySession};
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
@@ -150,21 +150,15 @@ pub struct StageCounters {
     /// Gauge: live segments in the current index (`0` when none).
     #[serde(default)]
     pub segments_live: u64,
-    /// Estimates resolved through the engine's cache-conscious boundary
-    /// resolvers (Eytzinger descent or sorted-batch sweep) — every
-    /// indexed estimate since the engine became the index's resolver.
-    #[serde(default)]
-    pub engine_hits: u64,
     /// Optimizer grid sweeps skipped because the plan cache held a
     /// memoized plan for the same accuracy target, rate tier, and
     /// station revision.
     #[serde(default)]
     pub plan_cache_hits: u64,
-    /// Forward-advance steps the sorted-batch sweep took: gallop
-    /// doublings when probes are sparse, cache-line strides in dense
-    /// merge-scan mode. Diagnostic work meter: depends on how batches
-    /// are chunked across the fan-out (like `fan_out_threads`), never
-    /// on released answers.
+    /// Sum of [`crate::estimator::BatchEstimate::gallop_steps`] over the
+    /// batches an index answered. No index reports search steps, so this
+    /// always reads `0`; it stays only because the end-to-end benchmark
+    /// reads it, and goes with that benchmark's next revision.
     #[serde(default)]
     pub gallop_steps: u64,
     /// Priced transactions settled into the pricing engine's ledger.
@@ -194,18 +188,9 @@ pub struct BatchStats {
     pub index_builds: u64,
     /// Estimates in this batch answered through a query index.
     pub indexed_estimates: u64,
-    /// Estimates in this batch resolved through the engine's boundary
-    /// resolvers.
-    #[serde(default)]
-    pub engine_hits: u64,
     /// Grid sweeps this batch skipped via the optimizer plan cache.
     #[serde(default)]
     pub plan_cache_hits: u64,
-    /// Forward-advance steps the batch's sorted sweeps took — gallop
-    /// doublings or dense-mode cache-line strides (diagnostic; varies
-    /// with fan-out width).
-    #[serde(default)]
-    pub gallop_steps: u64,
 }
 
 /// The outcome of one batched call: per-request results in input order,
@@ -264,23 +249,20 @@ pub(crate) enum IndexState {
 }
 
 /// When the broker pays for a query-index build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IndexPolicy {
     /// Ski-rental: keep scanning while accruing the per-query saving an
     /// index would have delivered; build once the foregone saving covers
-    /// the build cost (2-competitive for any query arrival sequence).
-    /// The decision depends only on observed query counts and the
-    /// station's shape — never on wall-clock time.
-    Adaptive(CostModel),
-    /// Legacy fixed cutover: build whenever the station holds at least
-    /// this many samples (`0` always builds, `usize::MAX` never).
-    Threshold(usize),
-}
-
-impl Default for IndexPolicy {
-    fn default() -> Self {
-        IndexPolicy::Adaptive(CostModel::default())
-    }
+    /// the build cost ([`crate::estimator::CostModel`]; 2-competitive
+    /// for any query arrival sequence). The decision depends only on
+    /// observed query counts and the station's shape — never on
+    /// wall-clock time.
+    #[default]
+    Adaptive,
+    /// Build an index whenever the estimator offers one.
+    Always,
+    /// Never build: every estimate runs the estimator's scan.
+    Never,
 }
 
 /// A detached query index plus the full station state it was
@@ -374,15 +356,6 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// The current index build policy.
     pub fn index_policy(&self) -> IndexPolicy {
         self.index_policy
-    }
-
-    /// Compatibility shim for the pre-cost-model API: installs
-    /// [`IndexPolicy::Threshold`] at the given sample count (`0` always
-    /// builds, `usize::MAX` disables indexing). New code should use
-    /// [`DataBroker::set_index_policy`]; the adaptive default needs no
-    /// tuning.
-    pub fn set_index_threshold(&mut self, threshold: usize) {
-        self.set_index_policy(IndexPolicy::Threshold(threshold));
     }
 
     /// Detaches the current index (if one is live) together with a full
@@ -892,9 +865,9 @@ mod tests {
             request(-10.0, -1.0, 0.15, 0.5),      // below support
             request(1_000.0, 3_000.0, 0.08, 0.7), // duplicate
         ];
-        let run = |threshold: usize| {
+        let run = |policy: IndexPolicy| {
             let mut broker = DataBroker::new(network(8, 700, 21), 21);
-            broker.set_index_threshold(threshold);
+            broker.set_index_policy(policy);
             let report = broker.answer_batch(&workload);
             let bits: Vec<u64> = report
                 .answers
@@ -903,8 +876,8 @@ mod tests {
                 .collect();
             (bits, report.stats)
         };
-        let (indexed_bits, indexed_stats) = run(0);
-        let (scan_bits, scan_stats) = run(usize::MAX);
+        let (indexed_bits, indexed_stats) = run(IndexPolicy::Always);
+        let (scan_bits, scan_stats) = run(IndexPolicy::Never);
         assert_eq!(indexed_bits, scan_bits, "index changed released bits");
         assert!(indexed_stats.index_builds >= 1);
         assert!(indexed_stats.indexed_estimates >= workload.len() as u64 - 1);
@@ -915,14 +888,14 @@ mod tests {
     #[test]
     fn single_answers_use_the_index_and_match_scan() {
         let req = request(200.0, 3_300.0, 0.1, 0.6);
-        let run = |threshold: usize| {
+        let run = |policy: IndexPolicy| {
             let mut broker = DataBroker::new(network(6, 800, 33), 33);
-            broker.set_index_threshold(threshold);
+            broker.set_index_policy(policy);
             let answer = broker.answer(&req).unwrap();
             (answer.value.to_bits(), broker.counters())
         };
-        let (indexed, ic) = run(0);
-        let (scanned, sc) = run(usize::MAX);
+        let (indexed, ic) = run(IndexPolicy::Always);
+        let (scanned, sc) = run(IndexPolicy::Never);
         assert_eq!(indexed, scanned);
         assert_eq!(ic.index_builds, 1);
         assert_eq!(ic.indexed_estimates, 1);
@@ -933,7 +906,7 @@ mod tests {
     #[test]
     fn collection_rounds_absorb_into_the_index() {
         let mut broker = DataBroker::new(network(5, 2_000, 7), 7);
-        broker.set_index_threshold(0);
+        broker.set_index_policy(IndexPolicy::Always);
         broker.answer(&request(0.0, 10_000.0, 0.2, 0.5)).unwrap();
         let after_first = broker.counters();
         assert_eq!(after_first.index_builds, 1);
@@ -959,7 +932,7 @@ mod tests {
         // station never accrues enough foregone scan cost to pay for a
         // build, so the broker stays on the scan path.
         let mut broker = DataBroker::new(network(3, 50, 9), 9);
-        assert!(matches!(broker.index_policy(), IndexPolicy::Adaptive(_)));
+        assert_eq!(broker.index_policy(), IndexPolicy::Adaptive);
         broker.answer(&request(0.0, 100.0, 0.2, 0.5)).unwrap();
         assert_eq!(broker.counters().index_builds, 0);
         assert_eq!(broker.counters().indexed_estimates, 0);
@@ -987,7 +960,7 @@ mod tests {
         let req = request(0.0, 4_000.0, 0.15, 0.5);
         let run = |adopt: Option<IndexCacheHandle>| {
             let mut broker = DataBroker::new(network(6, 800, 21), 21);
-            broker.set_index_threshold(0);
+            broker.set_index_policy(IndexPolicy::Always);
             if let Some(handle) = adopt {
                 broker.install_index_cache(handle);
             }
@@ -997,7 +970,7 @@ mod tests {
         // A donor over the identical network builds once, then detaches
         // its index together with the station it answers for.
         let mut donor = DataBroker::new(network(6, 800, 21), 21);
-        donor.set_index_threshold(0);
+        donor.set_index_policy(IndexPolicy::Always);
         donor.answer(&req).unwrap();
         let handle = donor.take_index_cache().expect("donor built an index");
         assert!(donor.take_index_cache().is_none(), "slot reverts to stale");
@@ -1015,13 +988,13 @@ mod tests {
     fn mismatched_index_handles_are_never_adopted() {
         let req = request(0.0, 4_000.0, 0.15, 0.5);
         let mut donor = DataBroker::new(network(6, 800, 21), 21);
-        donor.set_index_threshold(0);
+        donor.set_index_policy(IndexPolicy::Always);
         donor.answer(&req).unwrap();
         let handle = donor.take_index_cache().expect("donor built an index");
         // A different seed collects a different station, so the handle's
         // fingerprint never matches and the broker builds for itself.
         let mut other = DataBroker::new(network(6, 800, 22), 22);
-        other.set_index_threshold(0);
+        other.set_index_policy(IndexPolicy::Always);
         other.install_index_cache(handle);
         other.answer(&req).unwrap();
         assert_eq!(other.counters().index_builds, 1);
@@ -1078,22 +1051,22 @@ mod tests {
     #[test]
     fn fixed_epsilon_hook_matches_bits_across_paths() {
         let q = RangeQuery::new(0.0, 2_500.0).unwrap();
-        let run = |threshold: usize| {
+        let run = |policy: IndexPolicy| {
             let mut broker = DataBroker::new(network(5, 1_000, 5), 5);
-            broker.set_index_threshold(threshold);
+            broker.set_index_policy(policy);
             broker
                 .answer_with_epsilon(q, Epsilon::new(2.0).unwrap(), 0.4)
                 .unwrap()
                 .value
                 .to_bits()
         };
-        assert_eq!(run(0), run(usize::MAX));
+        assert_eq!(run(IndexPolicy::Always), run(IndexPolicy::Never));
     }
 
     #[test]
     fn estimators_without_an_index_never_build_one() {
         let mut broker = DataBroker::with_estimator(network(5, 1_000, 4), BasicCounting, 4);
-        broker.set_index_threshold(0);
+        broker.set_index_policy(IndexPolicy::Always);
         broker.answer(&request(0.0, 2_500.0, 0.1, 0.6)).unwrap();
         assert_eq!(broker.counters().index_builds, 0);
         assert_eq!(broker.counters().indexed_estimates, 0);

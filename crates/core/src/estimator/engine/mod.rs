@@ -1,26 +1,14 @@
-//! The cache-conscious batched query engine.
+//! The query engine: boundary resolution plus the optimizer plan cache.
 //!
 //! Every estimator path in this crate answers a range query by locating
 //! the same two boundaries in a value-sorted sequence: the first
-//! position whose value is `>= lower` and the first `> upper`. The
-//! engine owns that resolution step in three forms, all returning
-//! *exactly* the indices `slice::partition_point` would:
-//!
-//! * [`boundary_ranks`] / [`entry_boundary_ranks`] — the shared
-//!   two-`partition_point` baseline every scan-path estimator calls (and
-//!   the reference the other two forms are proven against);
-//! * [`EytzingerSearcher`] — a BFS-order (Eytzinger) relayout of the
-//!   sorted values with a branchless descent, built once per merged
-//!   index segment, so a single query's two searches touch a
-//!   cache-friendly prefix instead of random-walking the whole array;
-//! * [`resolve_batch`] — the sorted-batch sweep for `answer_batch`: all
-//!   `2q` boundaries of a query batch are sorted once (an index-stable,
-//!   total order) and resolved in one forward pass, galloping from the
-//!   previous hit instead of restarting at the root.
-//!
-//! Because every form resolves to identical indices, the downstream
-//! `(ΣA, ΣB)` integer aggregation is untouched and released answers
-//! stay bit-identical across the scan, indexed, and batched paths.
+//! position whose value is `>= lower` and the first `> upper`.
+//! [`boundary_ranks`] / [`entry_boundary_ranks`] resolve them with two
+//! `slice::partition_point`s — the one resolver the per-node scan and
+//! every index segment share, so the downstream `(ΣA, ΣB)` integer
+//! aggregation sees identical positions on every path and released
+//! answers stay bit-identical across the scan, indexed, and batched
+//! paths.
 //!
 //! The module also houses the optimizer [`PlanCache`](plan_cache): the
 //! grid sweep of problem (3) is a pure function of the accuracy target,
@@ -28,11 +16,7 @@
 //! under the same revision stamps that pin the query index to an epoch.
 
 mod boundary;
-mod eytzinger;
 mod plan_cache;
-mod sweep;
 
 pub use boundary::{boundary_ranks, boundary_ranks_by, entry_boundary_ranks};
-pub use eytzinger::EytzingerSearcher;
 pub(crate) use plan_cache::PlanCache;
-pub use sweep::{resolve_batch, resolve_batch_with, ResolvedBoundaries};

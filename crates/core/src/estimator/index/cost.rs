@@ -16,21 +16,15 @@
 //! steps via `ilog2`), not timings, so the decision is reproducible
 //! across machines and drivers (prc-lint D002 holds).
 
+/// Multiplier on the `O(S log S)` build work relative to query
+/// comparisons (merging an entry costs about one heap sift plus the
+/// accumulation pass).
+const BUILD_FACTOR: u64 = 2;
+
 /// Abstract costs of answering and indexing a station, in units of one
 /// entry comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CostModel {
-    /// Multiplier on the `O(S log S)` build work relative to query
-    /// comparisons (merging an entry costs about one heap sift plus the
-    /// accumulation pass).
-    pub build_factor: u64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel { build_factor: 2 }
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CostModel;
 
 fn log2_ceil(n: u64) -> u64 {
     if n <= 1 {
@@ -57,7 +51,7 @@ impl CostModel {
 
     /// Comparisons to build (or absorb into) an index over `entries`.
     pub fn build_cost(&self, entries: usize) -> u64 {
-        self.build_factor * (entries as u64) * log2_ceil(entries as u64)
+        BUILD_FACTOR * (entries as u64) * log2_ceil(entries as u64)
     }
 
     /// What one query saves when indexed instead of scanned (0 when the
@@ -79,16 +73,18 @@ pub struct BuildAccrual {
 impl BuildAccrual {
     /// Records `queries` answered by scanning a station with the given
     /// shape, accruing the saving an index would have delivered.
-    pub fn observe(&mut self, model: &CostModel, entries: usize, nodes: usize, queries: u64) {
-        self.foregone = self
-            .foregone
-            .saturating_add(model.query_saving(entries, nodes).saturating_mul(queries));
+    pub fn observe(&mut self, entries: usize, nodes: usize, queries: u64) {
+        self.foregone = self.foregone.saturating_add(
+            CostModel
+                .query_saving(entries, nodes)
+                .saturating_mul(queries),
+        );
     }
 
     /// True once the foregone saving has paid for a build: renting now
     /// costs more than buying would have.
-    pub fn should_build(&self, model: &CostModel, entries: usize) -> bool {
-        entries > 0 && self.foregone >= model.build_cost(entries)
+    pub fn should_build(&self, entries: usize) -> bool {
+        entries > 0 && self.foregone >= CostModel.build_cost(entries)
     }
 
     /// Accrued foregone saving, in comparisons.
@@ -108,7 +104,7 @@ mod tests {
 
     #[test]
     fn costs_scale_with_shape() {
-        let m = CostModel::default();
+        let m = CostModel;
         // Many small nodes scan expensively; one merged structure is cheap.
         assert!(m.scan_query_cost(4096, 256) > m.indexed_query_cost(4096));
         // A single node *is* a merged structure: no saving to be had.
@@ -119,45 +115,41 @@ mod tests {
 
     #[test]
     fn accrual_buys_after_enough_rent() {
-        let m = CostModel::default();
+        let m = CostModel;
         let (entries, nodes) = (8192, 64);
         let mut accrual = BuildAccrual::default();
-        assert!(!accrual.should_build(&m, entries), "no queries yet");
+        assert!(!accrual.should_build(entries), "no queries yet");
 
         let saving = m.query_saving(entries, nodes);
         assert!(saving > 0);
         let needed = m.build_cost(entries).div_ceil(saving);
-        accrual.observe(&m, entries, nodes, needed - 1);
-        assert!(!accrual.should_build(&m, entries), "one query short");
-        accrual.observe(&m, entries, nodes, 1);
-        assert!(accrual.should_build(&m, entries));
+        accrual.observe(entries, nodes, needed - 1);
+        assert!(!accrual.should_build(entries), "one query short");
+        accrual.observe(entries, nodes, 1);
+        assert!(accrual.should_build(entries));
 
         accrual.reset();
         assert_eq!(accrual.foregone(), 0);
-        assert!(!accrual.should_build(&m, entries));
+        assert!(!accrual.should_build(entries));
     }
 
     #[test]
     fn single_node_stations_never_buy() {
-        let m = CostModel::default();
         let mut accrual = BuildAccrual::default();
-        accrual.observe(&m, 10_000, 1, u64::MAX);
-        assert!(!accrual.should_build(&m, 10_000));
+        accrual.observe(10_000, 1, u64::MAX);
+        assert!(!accrual.should_build(10_000));
     }
 
     #[test]
     fn empty_stations_never_buy() {
-        let m = CostModel::default();
-        let accrual = BuildAccrual::default();
-        assert!(!accrual.should_build(&m, 0));
+        assert!(!BuildAccrual::default().should_build(0));
     }
 
     #[test]
     fn accrual_saturates_instead_of_overflowing() {
-        let m = CostModel::default();
         let mut accrual = BuildAccrual::default();
-        accrual.observe(&m, 1 << 20, 1 << 10, u64::MAX);
-        accrual.observe(&m, 1 << 20, 1 << 10, u64::MAX);
+        accrual.observe(1 << 20, 1 << 10, u64::MAX);
+        accrual.observe(1 << 20, 1 << 10, u64::MAX);
         assert_eq!(accrual.foregone(), u64::MAX);
     }
 }

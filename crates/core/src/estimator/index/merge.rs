@@ -1,6 +1,5 @@
-//! Shared merge machinery: per-node runs, deterministic k-way merge,
-//! and the prefix/suffix structure-of-arrays every index variant
-//! queries.
+//! Merge machinery: per-node runs, deterministic k-way merge, and the
+//! prefix/suffix structure-of-arrays every index segment queries.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -8,7 +7,7 @@ use std::collections::BinaryHeap;
 use prc_net::message::SampleEntry;
 use prc_runtime::{CutoffPolicy, Runtime};
 
-use crate::estimator::engine::{self, EytzingerSearcher};
+use crate::estimator::engine;
 use crate::query::RangeQuery;
 
 /// One source of a merge: a node's rank-sorted entry slice plus its
@@ -184,7 +183,7 @@ fn parallel_merge(sources: &[RunSource<'_>]) -> Vec<MergedEntry> {
 }
 
 /// The value-sorted prefix/suffix structure-of-arrays at the heart of
-/// every index variant: five integer aggregates plus the merged values,
+/// every index segment: five integer aggregates plus the merged values,
 /// answering `(ΣA, ΣB)` over its sources with two `partition_point`s and
 /// five lookups.
 #[derive(Debug, Clone)]
@@ -206,9 +205,6 @@ pub(crate) struct MergedArrays {
     suf_pop: Vec<i64>,
     /// Σ `n_i` over all sources (entry-less sources included).
     total_population: i64,
-    /// Eytzinger relayout of `values`, built once with the arrays: the
-    /// engine's single-query boundary resolver.
-    searcher: EytzingerSearcher,
 }
 
 impl MergedArrays {
@@ -242,7 +238,6 @@ impl MergedArrays {
             suf_pop[j] = suf_pop[j + 1] + e.pop;
         }
 
-        let searcher = EytzingerSearcher::from_sorted(&values);
         MergedArrays {
             values,
             cum_pred_rank,
@@ -251,103 +246,23 @@ impl MergedArrays {
             suf_last,
             suf_pop,
             total_population,
-            searcher,
         }
     }
 
     /// The exact integer aggregates `(ΣA, ΣB)` over every source, for
-    /// one query: two Eytzinger boundary searches, five lookups. The
-    /// searcher returns exactly the `partition_point` indices (see
-    /// [`MergedArrays::rank_terms_baseline`]), so the aggregates — and
-    /// every released answer — are bit-identical to the baseline.
+    /// one query: two `partition_point`s ([`engine::boundary_ranks`]),
+    /// five lookups, one combine.
     pub fn rank_terms(&self, query: RangeQuery) -> (i64, i64) {
-        let (pos_l, pos_u) = self.searcher.boundary_ranks(query);
-        self.rank_terms_at(pos_l, pos_u)
-    }
-
-    /// The reference resolver: the shared two-`partition_point`
-    /// baseline ([`engine::boundary_ranks`]) the engine paths are
-    /// proven against, kept for equivalence tests and benchmarks.
-    pub fn rank_terms_baseline(&self, query: RangeQuery) -> (i64, i64) {
         let (pos_l, pos_u) = engine::boundary_ranks(&self.values, query);
-        self.rank_terms_at(pos_l, pos_u)
-    }
-
-    /// One `(ΣA, ΣB)` per query, the batch's boundaries resolved in a
-    /// single sorted forward sweep ([`engine::resolve_batch_with`]);
-    /// returns the per-query aggregates in submission order plus the
-    /// sweep's gallop-step meter.
-    ///
-    /// The five aggregate lookups happen *inside* the sweep, at
-    /// monotonically non-decreasing positions — the prefix and suffix
-    /// arrays are walked forward instead of probed in submission order,
-    /// which is where a large epoch's cache misses live.
-    pub fn rank_terms_batch(&self, queries: &[RangeQuery]) -> (Vec<(i64, i64)>, u64) {
-        // `(cum_pred_rank, cum_first)` at each lower boundary and
-        // `(suf_succ_rank, suf_last, suf_pop)` at each upper one,
-        // scattered back to submission slots.
-        let mut lower = vec![(0i64, 0i64); queries.len()];
-        let mut upper = vec![(0i64, 0i64, 0i64); queries.len()];
-        let gallop_steps =
-            engine::resolve_batch_with(&self.values, queries, |slot, is_lower, pos| {
-                if is_lower {
-                    lower[slot] = (self.cum_pred_rank[pos], self.cum_first[pos]);
-                } else {
-                    upper[slot] = (
-                        self.suf_succ_rank[pos],
-                        self.suf_last[pos],
-                        self.suf_pop[pos],
-                    );
-                }
-            });
-        let terms = lower
-            .into_iter()
-            .zip(upper)
-            .map(|((pred_rank, first), (succ_rank, last, pop))| {
-                combine_terms(
-                    self.total_population,
-                    pred_rank,
-                    first,
-                    succ_rank,
-                    last,
-                    pop,
-                )
-            })
-            .collect();
-        (terms, gallop_steps)
-    }
-
-    /// The five aggregate lookups for already-resolved boundary
-    /// positions, feeding the shared combine.
-    fn rank_terms_at(&self, pos_l: usize, pos_u: usize) -> (i64, i64) {
-        combine_terms(
-            self.total_population,
-            self.cum_pred_rank[pos_l],
-            self.cum_first[pos_l],
-            self.suf_succ_rank[pos_u],
-            self.suf_last[pos_u],
-            self.suf_pop[pos_u],
-        )
+        let sum_a = self.suf_succ_rank[pos_u] - self.cum_pred_rank[pos_l]
+            + self.cum_first[pos_l]
+            + (self.total_population - self.suf_pop[pos_u]);
+        let sum_b = self.cum_first[pos_l] + self.suf_last[pos_u];
+        (sum_a, sum_b)
     }
 
     /// Number of merged sample entries (`S`).
     pub fn len(&self) -> usize {
         self.values.len()
     }
-}
-
-/// The `(ΣA, ΣB)` combine over the five aggregate values at a query's
-/// two boundaries — the one place this arithmetic exists, shared by
-/// every resolver so a faster boundary search can never change it.
-fn combine_terms(
-    total_population: i64,
-    pred_rank: i64,
-    first: i64,
-    succ_rank: i64,
-    last: i64,
-    pop: i64,
-) -> (i64, i64) {
-    let sum_a = succ_rank - pred_rank + first + (total_population - pop);
-    let sum_b = first + last;
-    (sum_a, sum_b)
 }

@@ -1,14 +1,14 @@
-//! The merged prefix-rank query index family: `O(log S)` RankCounting,
-//! monolithic and incrementally-maintained.
+//! The merged prefix-rank query index: `O(log S)` RankCounting,
+//! maintained incrementally.
 //!
 //! The per-node RankCounting path answers a query `[l, u]` with **two
 //! binary searches per node** — `O(k·log s)` over `k` nodes. That is fine
 //! for one query, but the broker's whole value proposition is amortizing
 //! one collection epoch across many priced queries, and at `k` in the tens
-//! of thousands the per-node scan dominates every batch. [`RankIndex`]
-//! removes the `k` factor: after a collection epoch it merges all `S`
-//! sample entries into one value-sorted structure-of-arrays whose prefix
-//! sums encode *every* node's boundary state at every threshold, so one
+//! of thousands the per-node scan dominates every batch.
+//! [`SegmentedRankIndex`] removes the `k` factor: after a collection
+//! epoch it merges all `S` sample entries into one value-sorted
+//! structure-of-arrays whose prefix sums encode *every* node's boundary state at every threshold, so one
 //! query costs **two binary searches total** — `O(log S)`.
 //!
 //! ## The per-case decomposition
@@ -48,11 +48,11 @@
 //!
 //! ## Bit-exact agreement with the per-node path
 //!
-//! Every indexed path and the per-node scan ([`scan_rank_terms`])
+//! The index and the per-node scan ([`scan_rank_terms`])
 //! accumulate the *same* exact integers `(ΣA, ΣB)` and apply the *same*
 //! final float expression ([`finish_rank_terms`]), so their results are
 //! bit-identical by construction — the broker may switch between them
-//! freely without perturbing PR 1's determinism and cross-driver identity
+//! freely without perturbing its determinism and cross-driver identity
 //! guarantees. The decomposition requires one shared `1/p`, so an index
 //! only exists for stations whose data-bearing nodes report one uniform
 //! positive sampling probability ([`BaseStation::uniform_probability`]);
@@ -60,9 +60,9 @@
 //!
 //! ## Incremental maintenance (LSM-style segments)
 //!
-//! [`SegmentedRankIndex`] generalizes the monolithic structure into a
-//! sequence of immutable sorted *segments*, each covering a disjoint
-//! subset of nodes. Because `(ΣA, ΣB)` are plain integer sums over
+//! A fresh build is one merged segment over every node. The index
+//! generalizes it into a sequence of immutable sorted *segments*, each
+//! covering a disjoint subset of nodes. Because `(ΣA, ΣB)` are plain integer sums over
 //! nodes, a query fans the same pair of `partition_point`s across every
 //! segment and adds the per-segment aggregates — still bit-identical.
 //! A collection round's [`RoundDelta`](prc_net::network::RoundDelta)
@@ -82,7 +82,7 @@
 //! | path                   | per query       | build / maintain          |
 //! |------------------------|-----------------|---------------------------|
 //! | per-node scan          | `O(k log s)`    | —                         |
-//! | [`RankIndex`]          | `O(log S)`      | `O(S log S)` per epoch    |
+//! | fresh build (`m = 1`)  | `O(log S)`      | `O(S log S)`              |
 //! | [`SegmentedRankIndex`] | `O(m log S)`    | `O(Δ log Δ)` per delta    |
 //!
 //! (`m` = live segments, bounded logarithmically by compaction; `Δ` =
@@ -95,13 +95,11 @@
 pub mod compaction;
 pub mod cost;
 mod merge;
-mod monolithic;
 mod segment;
 mod segmented;
 
 pub use compaction::CompactionPolicy;
 pub use cost::{BuildAccrual, CostModel};
-pub use monolithic::RankIndex;
 pub use segmented::SegmentedRankIndex;
 
 use prc_net::base_station::BaseStation;
@@ -155,9 +153,9 @@ pub(crate) fn node_rank_terms(
 /// `(ΣA, ΣB)` with two binary searches per data-bearing node.
 ///
 /// [`crate::estimator::RankCounting::estimate`] uses this whenever the
-/// station reports a uniform sampling probability; every index must
-/// agree with it bit-for-bit on every query (enforced by the property
-/// tests and the benches' self-checks).
+/// station reports a uniform sampling probability; the index must agree
+/// with it bit-for-bit on every query (enforced by the property tests
+/// and the benches' self-checks) — it is the one oracle.
 pub fn scan_rank_terms(station: &BaseStation, query: RangeQuery) -> (i64, i64) {
     let mut sum_a: i64 = 0;
     let mut sum_b: i64 = 0;

@@ -91,43 +91,6 @@ impl Segment {
         (sum_a, sum_b)
     }
 
-    /// [`Segment::rank_terms`] through the plain two-`partition_point`
-    /// resolver instead of the Eytzinger descent (equivalence testing).
-    pub fn rank_terms_baseline(&self, query: RangeQuery) -> (i64, i64) {
-        let (mut sum_a, mut sum_b) = self.arrays.rank_terms_baseline(query);
-        for m in self
-            .dead_members
-            .iter()
-            .filter_map(|&i| self.members.get(i))
-        {
-            let (a, b) = node_rank_terms(&m.entries, m.population, query);
-            sum_a -= a;
-            sum_b -= b;
-        }
-        (sum_a, sum_b)
-    }
-
-    /// One `(ΣA, ΣB)` per query over this segment's live members, the
-    /// batch's boundaries resolved in one sorted forward sweep; returns
-    /// the aggregates in submission order plus the sweep's gallop-step
-    /// meter. Tombstone subtraction stays per query: node snapshots are
-    /// tiny next to the merged arrays, so the sweep targets the arrays.
-    pub fn rank_terms_batch(&self, queries: &[RangeQuery]) -> (Vec<(i64, i64)>, u64) {
-        let (mut terms, gallop_steps) = self.arrays.rank_terms_batch(queries);
-        for m in self
-            .dead_members
-            .iter()
-            .filter_map(|&i| self.members.get(i))
-        {
-            for (term, &query) in terms.iter_mut().zip(queries) {
-                let (a, b) = node_rank_terms(&m.entries, m.population, query);
-                term.0 -= a;
-                term.1 -= b;
-            }
-        }
-        (terms, gallop_steps)
-    }
-
     /// Tombstones `node` if it is a live member; returns the number of
     /// entries newly deadened (0 when the node is absent or already
     /// dead).

@@ -8,18 +8,20 @@ use prc_net::message::NodeId;
 use super::compaction::{CompactionPolicy, CompactionStep, SegmentStats};
 use super::finish_rank_terms;
 use super::segment::{Segment, SegmentMember};
-use crate::estimator::{BatchEstimate, DeltaOutcome, QueryIndex};
+use crate::estimator::{DeltaOutcome, QueryIndex};
 use crate::query::RangeQuery;
 
-/// An incrementally-maintained merged prefix-rank index.
+/// RankCounting's merged prefix-rank query index, maintained
+/// incrementally.
 ///
 /// Invariant: every data-bearing node of the station the index was last
 /// synchronized with appears as a *live* member of exactly one segment.
 /// `(ΣA, ΣB)` are integer sums over nodes, so a query fans the same two
 /// `partition_point`s across every segment and adds the per-segment
-/// aggregates — bit-identical to the monolithic [`super::RankIndex`] and
-/// to the per-node scan, at `O(m log S)` per query for `m` live
-/// segments.
+/// aggregates — bit-identical to the per-node scan
+/// ([`super::scan_rank_terms`]), at `O(m log S)` per query for `m` live
+/// segments. A fresh [`SegmentedRankIndex::build`] is a single segment:
+/// the `O(log S)` monolithic index.
 ///
 /// On a collection round, [`SegmentedRankIndex::absorb_delta`] takes the
 /// round's changed-node set, tombstones those nodes in older segments,
@@ -32,6 +34,29 @@ use crate::query::RangeQuery;
 /// [`finish_rank_terms`] combine, never inside a segment, so segments
 /// built before a top-up remain valid after it; `absorb_delta` simply
 /// refreshes the stored probability.
+///
+/// # Examples
+///
+/// ```
+/// use prc_core::estimator::{RangeCountEstimator, RankCounting, SegmentedRankIndex};
+/// use prc_core::query::RangeQuery;
+/// use prc_net::network::FlatNetwork;
+///
+/// # fn main() -> Result<(), prc_core::CoreError> {
+/// let partitions: Vec<Vec<f64>> = (0..8)
+///     .map(|i| (0..500).map(|j| (i * 500 + j) as f64).collect())
+///     .collect();
+/// let mut network = FlatNetwork::from_partitions(partitions, 11);
+/// network.collect_samples(0.25);
+///
+/// let index = SegmentedRankIndex::build(network.station()).expect("uniform station");
+/// let query = RangeQuery::new(700.0, 2_900.0)?;
+/// // Same bits as the O(k log s) per-node path, at O(log S) cost.
+/// let scanned = RankCounting.estimate(network.station(), query);
+/// assert_eq!(index.estimate(query).to_bits(), scanned.to_bits());
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
 pub struct SegmentedRankIndex {
     /// The station's current uniform sampling probability (refreshed on
@@ -47,9 +72,16 @@ pub struct SegmentedRankIndex {
 }
 
 impl SegmentedRankIndex {
-    /// Builds a single-segment index over the station's current samples;
-    /// `None` when no uniform positive sampling probability exists
-    /// (same contract as [`super::RankIndex::build`]).
+    /// Builds a single-segment index over the station's current samples.
+    ///
+    /// Returns `None` when the station has no uniform positive sampling
+    /// probability across its data-bearing nodes (the `1/p` factoring the
+    /// prefix-sum decomposition needs does not exist) — callers fall back
+    /// to the per-node scan.
+    ///
+    /// The build shards one sorted run per node, merges shards over the
+    /// shared `prc-runtime` pool, and accumulates the prefix and suffix
+    /// arrays in one sequential pass: `O(S log S)` total work.
     pub fn build(station: &BaseStation) -> Option<SegmentedRankIndex> {
         let probability = station.uniform_probability()?;
         let members = members_of(station, station.data_bearing_samples().map(|s| s.node_id));
@@ -160,7 +192,7 @@ impl SegmentedRankIndex {
     }
 
     /// The exact integer aggregates `(ΣA, ΣB)` — must match
-    /// [`super::scan_rank_terms`] and the monolithic index exactly.
+    /// [`super::scan_rank_terms`] exactly.
     pub fn rank_terms(&self, query: RangeQuery) -> (i64, i64) {
         let mut sum_a = 0i64;
         let mut sum_b = 0i64;
@@ -170,45 +202,6 @@ impl SegmentedRankIndex {
             sum_b += b;
         }
         (sum_a, sum_b)
-    }
-
-    /// [`SegmentedRankIndex::estimate`] through the plain
-    /// two-`partition_point` resolver instead of the Eytzinger descent
-    /// (the reference for equivalence tests and benches).
-    pub fn estimate_baseline(&self, query: RangeQuery) -> f64 {
-        let mut sum_a = 0i64;
-        let mut sum_b = 0i64;
-        for segment in &self.segments {
-            let (a, b) = segment.rank_terms_baseline(query);
-            sum_a += a;
-            sum_b += b;
-        }
-        finish_rank_terms(sum_a, sum_b, self.probability)
-    }
-
-    /// Answers a whole batch through the engine's sorted-boundary
-    /// sweep, one forward pass per segment: same bits as calling
-    /// [`SegmentedRankIndex::estimate`] per query (integer addition is
-    /// grouping-independent, and each sweep resolves the exact
-    /// `partition_point` positions).
-    pub fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
-        let mut terms = vec![(0i64, 0i64); queries.len()];
-        let mut gallop_steps = 0u64;
-        for segment in &self.segments {
-            let (segment_terms, steps) = segment.rank_terms_batch(queries);
-            gallop_steps += steps;
-            for (total, part) in terms.iter_mut().zip(segment_terms) {
-                total.0 += part.0;
-                total.1 += part.1;
-            }
-        }
-        BatchEstimate {
-            estimates: terms
-                .into_iter()
-                .map(|(sum_a, sum_b)| finish_rank_terms(sum_a, sum_b, self.probability))
-                .collect(),
-            gallop_steps,
-        }
     }
 
     /// Live merged entries across all segments (`S`).
@@ -265,10 +258,6 @@ impl QueryIndex for SegmentedRankIndex {
         SegmentedRankIndex::estimate(self, query)
     }
 
-    fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
-        SegmentedRankIndex::estimate_batch(self, queries)
-    }
-
     fn merged_entries(&self) -> usize {
         SegmentedRankIndex::merged_entries(self)
     }
@@ -289,7 +278,8 @@ impl QueryIndex for SegmentedRankIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::estimator::index::{scan_rank_terms, RankIndex};
+    use crate::estimator::index::scan_rank_terms;
+    use crate::estimator::{RangeCountEstimator, RankCounting};
     use prc_net::failure::FailurePlan;
     use prc_net::message::{SampleEntry, SampleMessage};
     use prc_net::network::FlatNetwork;
@@ -310,16 +300,20 @@ mod tests {
         });
     }
 
-    /// Asserts the segmented index agrees bit-for-bit with the scan and
-    /// with a freshly built monolithic index on a spread of queries.
+    /// Asserts the index agrees bit-for-bit with the per-node scan on a
+    /// spread of queries, and covers exactly the station's entries.
     fn assert_synchronized(index: &SegmentedRankIndex, station: &BaseStation) {
-        let fresh = RankIndex::build(station).expect("reference index should build");
-        assert_eq!(index.merged_entries(), fresh.merged_entries());
+        let entries: usize = station
+            .data_bearing_samples()
+            .map(|s| s.entries().len())
+            .sum();
+        assert_eq!(index.merged_entries(), entries);
         for (l, u) in [
             (-1.0e9, 1.0e9),
             (-5.0, 3.0),
             (0.0, 10.0),
             (2.5, 2.5),
+            (4.9, 5.1),
             (7.0, 40.0),
             (100.0, 200.0),
             (-20.0, -10.0),
@@ -331,20 +325,65 @@ mod tests {
             );
             assert_eq!(
                 index.estimate(q(l, u)).to_bits(),
-                fresh.estimate(q(l, u)).to_bits(),
-                "monolithic mismatch on ({l}, {u})"
+                RankCounting.estimate(station, q(l, u)).to_bits(),
+                "estimate mismatch on ({l}, {u})"
             );
         }
     }
 
     #[test]
-    fn build_matches_monolithic_bit_for_bit() {
+    fn build_matches_the_scan_bit_for_bit() {
         let mut station = BaseStation::new();
         ingest(&mut station, 0, 10, 0.5, &[(2.0, 2), (5.0, 5), (9.0, 9)]);
-        ingest(&mut station, 1, 8, 0.5, &[(1.0, 1), (5.0, 3), (8.0, 7)]);
-        ingest(&mut station, 2, 6, 0.5, &[]);
+        ingest(
+            &mut station,
+            1,
+            8,
+            0.5,
+            &[(1.0, 1), (5.0, 3), (5.0, 4), (8.0, 7)],
+        );
+        ingest(&mut station, 2, 6, 0.5, &[]); // sampled nothing: always case 4
         let index = SegmentedRankIndex::build(&station).unwrap();
         assert_eq!(index.segments(), 1);
+        assert_eq!(index.probability(), 0.5);
+        assert_synchronized(&index, &station);
+    }
+
+    #[test]
+    fn p_one_index_is_exact() {
+        let values: Vec<f64> = vec![1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 8.0, 9.0];
+        let mut net = FlatNetwork::from_partitions(vec![values.clone()], 1);
+        net.collect_samples(1.0);
+        let index = SegmentedRankIndex::build(net.station()).unwrap();
+        for (l, u) in [(2.0, 5.0), (1.0, 9.0), (4.0, 4.5), (10.0, 20.0)] {
+            let truth = values.iter().filter(|&&v| v >= l && v <= u).count() as f64;
+            assert_eq!(index.estimate(q(l, u)), truth, "({l}, {u})");
+        }
+        assert_eq!(finish_rank_terms(42, 6, 1.0), 36.0);
+        assert_eq!(finish_rank_terms(-3, 0, 0.25), -3.0);
+    }
+
+    #[test]
+    fn heterogeneous_or_empty_stations_decline_to_build() {
+        let mut mixed = BaseStation::new();
+        ingest(&mut mixed, 0, 4, 0.5, &[(1.0, 1)]);
+        ingest(&mut mixed, 1, 4, 0.25, &[(2.0, 2)]);
+        assert!(SegmentedRankIndex::build(&mixed).is_none());
+        // The scan path still answers (per-node fallback in the estimator).
+        assert!(RankCounting.estimate(&mixed, q(0.0, 3.0)).is_finite());
+
+        assert!(SegmentedRankIndex::build(&BaseStation::new()).is_none());
+        let mut all_empty = BaseStation::new();
+        ingest(&mut all_empty, 0, 0, 0.5, &[]);
+        assert!(SegmentedRankIndex::build(&all_empty).is_none());
+    }
+
+    #[test]
+    fn zero_population_nodes_are_ignored() {
+        let mut station = BaseStation::new();
+        ingest(&mut station, 0, 6, 0.5, &[(1.0, 1), (4.0, 4)]);
+        ingest(&mut station, 1, 0, 0.9, &[]);
+        let index = SegmentedRankIndex::build(&station).unwrap();
         assert_synchronized(&index, &station);
     }
 
@@ -487,12 +526,10 @@ mod tests {
             .absorb_delta(&station, &station.changed_since(rev))
             .expect("segmented trait objects absorb deltas");
         assert_eq!(outcome.appended_entries, 1);
+        assert_eq!(boxed.probability(), 0.5);
         assert_eq!(
             boxed.estimate(q(0.0, 5.0)).to_bits(),
-            RankIndex::build(&station)
-                .unwrap()
-                .estimate(q(0.0, 5.0))
-                .to_bits()
+            RankCounting.estimate(&station, q(0.0, 5.0)).to_bits()
         );
     }
 }

@@ -16,11 +16,10 @@
 //! Estimators may additionally offer a per-epoch [`QueryIndex`]
 //! (via [`RangeCountEstimator::build_index`]): an immutable snapshot built
 //! once after a collection round that answers subsequent queries faster
-//! than the per-node walk. [`RankIndex`] is RankCounting's monolithic
+//! than the per-node walk. [`SegmentedRankIndex`] is RankCounting's
 //! index — a merged prefix-rank structure that turns `O(k log s)` per
-//! query into `O(log S)` with bit-identical results — and
-//! [`SegmentedRankIndex`] is its incrementally-maintained successor,
-//! absorbing per-round collection deltas instead of rebuilding.
+//! query into `O(log S)` with bit-identical results, absorbing
+//! per-round collection deltas instead of rebuilding.
 
 pub mod basic;
 pub mod engine;
@@ -28,7 +27,7 @@ pub mod index;
 pub mod rank;
 
 pub use basic::BasicCounting;
-pub use index::{BuildAccrual, CompactionPolicy, CostModel, RankIndex, SegmentedRankIndex};
+pub use index::{BuildAccrual, CompactionPolicy, CostModel, SegmentedRankIndex};
 pub use rank::RankCounting;
 
 use prc_net::base_station::{BaseStation, NodeSample};
@@ -48,17 +47,15 @@ pub struct DeltaOutcome {
     pub compactions: u64,
 }
 
-/// A batch of estimates resolved in one call, plus the engine's work
-/// meter.
+/// A batch of estimates resolved in one call, plus a work meter.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BatchEstimate {
     /// One estimate per submitted query, in submission order.
     pub estimates: Vec<f64>,
-    /// Forward-advance steps the sorted-batch sweep took — gallop
-    /// doublings when probes are sparse, cache-line strides in dense
-    /// merge-scan mode (`0` on the per-query fallback path).
-    /// Diagnostic: the total depends on how the caller chunks the
-    /// batch, never on the estimates.
+    /// Search steps an implementation chose to report. No index in this
+    /// crate reports any, so it reads `0`; the field stays only because
+    /// the end-to-end benchmark reads it, and goes with its next
+    /// revision.
     pub gallop_steps: u64,
 }
 
@@ -80,11 +77,8 @@ pub trait QueryIndex: std::fmt::Debug + Send + Sync {
     /// Estimates a whole batch of queries in submission order.
     ///
     /// Must return exactly the bits of calling
-    /// [`QueryIndex::estimate`] per query; implementations backed by
-    /// the [`engine`] resolve the batch's sorted boundaries in one
-    /// forward sweep instead ([`engine::resolve_batch`]), which
-    /// preserves the identity by construction. The default falls back
-    /// to the per-query path.
+    /// [`QueryIndex::estimate`] per query, which is what the default
+    /// does.
     fn estimate_batch(&self, queries: &[RangeQuery]) -> BatchEstimate {
         BatchEstimate {
             estimates: queries.iter().map(|&query| self.estimate(query)).collect(),
@@ -98,7 +92,7 @@ pub trait QueryIndex: std::fmt::Debug + Send + Sync {
     /// The uniform sampling probability the index was built at.
     fn probability(&self) -> f64;
 
-    /// Live segment count (`1` for monolithic snapshot indexes).
+    /// Live segment count (`1` for snapshot indexes).
     fn segments(&self) -> usize {
         1
     }

@@ -38,8 +38,8 @@
 //! [`crate::estimator::index`]). When the station reports one uniform
 //! sampling probability, the global [`RangeCountEstimator::estimate`]
 //! accumulates `(ΣA, ΣB)` exactly and combines once — the *same*
-//! computation the `O(log S)` [`crate::estimator::RankIndex`] performs
-//! from its prefix sums, so the scan and indexed paths release
+//! computation the `O(log S)` [`crate::estimator::SegmentedRankIndex`]
+//! performs from its prefix sums, so the scan and indexed paths release
 //! bit-identical answers. Heterogeneous stations (mixed per-node rates)
 //! fall back to summing [`RangeCountEstimator::estimate_node`] floats in
 //! node-id order, which is still deterministic.
@@ -117,7 +117,8 @@ impl RangeCountEstimator for RankCounting {
 
     /// Canonical station-level estimate: exact integer aggregation over
     /// the per-node boundary searches whenever the station has one
-    /// uniform sampling probability (bit-identical to [`RankIndex`]),
+    /// uniform sampling probability (bit-identical to
+    /// [`SegmentedRankIndex`]),
     /// falling back to the per-node float sum otherwise.
     fn estimate(&self, station: &BaseStation, query: RangeQuery) -> f64 {
         match station.uniform_probability() {

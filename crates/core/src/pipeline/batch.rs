@@ -158,9 +158,6 @@ where
             fan_out_threads = fan_out_threads.max(runtime.lanes_for(pending.len()) as u64);
             // Chunk results flatten in submission order, so the released
             // answers are independent of worker count and scheduling.
-            // Each chunk resolves its boundaries in one sorted sweep
-            // through the engine's batch path (gallop-step meter rides
-            // along; the estimates themselves are chunk-invariant).
             let chunked: Vec<(Vec<f64>, u64)> = runtime.map_chunked(
                 &pending,
                 pending.len(),
@@ -192,7 +189,6 @@ where
                 .collect();
             if index.is_some() {
                 broker.counters.indexed_estimates += pending.len() as u64;
-                broker.counters.engine_hits += pending.len() as u64;
                 broker.counters.gallop_steps += gallop_steps;
             }
 
@@ -258,9 +254,7 @@ where
             fan_out_threads,
             index_builds: counters_after.index_builds - counters_before.index_builds,
             indexed_estimates: counters_after.indexed_estimates - counters_before.indexed_estimates,
-            engine_hits: counters_after.engine_hits - counters_before.engine_hits,
             plan_cache_hits: counters_after.plan_cache_hits - counters_before.plan_cache_hits,
-            gallop_steps: counters_after.gallop_steps - counters_before.gallop_steps,
         },
     }
 }

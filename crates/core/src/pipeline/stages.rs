@@ -340,7 +340,6 @@ impl Estimate {
         let sample_estimate = match &broker.index {
             IndexState::Ready(_, index) => {
                 broker.counters.indexed_estimates += 1;
-                broker.counters.engine_hits += 1;
                 index.estimate(self.query)
             }
             _ => broker
@@ -550,10 +549,9 @@ fn plan<E: RangeCountEstimator, N: Network>(
 /// 3. a pending cross-broker [`crate::broker::IndexCacheHandle`] whose
 ///    station matches structurally is adopted instead of building;
 /// 4. otherwise the [`IndexPolicy`] decides whether to build from
-///    scratch now: a threshold policy compares sample counts, the
-///    adaptive policy accrues the scanning cost of `upcoming_queries`
-///    into its ski-rental meter and builds once scanning has foregone a
-///    build's worth of savings.
+///    scratch now: the adaptive policy accrues the scanning cost of
+///    `upcoming_queries` into its ski-rental meter and builds once
+///    scanning has foregone a build's worth of savings.
 pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     broker: &mut DataBroker<E, N>,
     upcoming_queries: u64,
@@ -613,13 +611,14 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     // 4: build-from-scratch decision.
     let entries = station.total_samples();
     let should_build = match broker.index_policy {
-        IndexPolicy::Threshold(threshold) => entries >= threshold,
-        IndexPolicy::Adaptive(model) => {
+        IndexPolicy::Always => true,
+        IndexPolicy::Never => false,
+        IndexPolicy::Adaptive => {
             let nodes = station.data_bearing_samples().count();
             broker
                 .build_accrual
-                .observe(&model, entries, nodes, upcoming_queries);
-            broker.build_accrual.should_build(&model, entries)
+                .observe(entries, nodes, upcoming_queries);
+            broker.build_accrual.should_build(entries)
         }
     };
     if !should_build {

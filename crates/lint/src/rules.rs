@@ -604,15 +604,15 @@ mod tests {
         // The engine owns boundary resolution for every estimator path;
         // a clock read or unordered map there would let resolved
         // positions drift between runs and break the bit-identity
-        // contract the batched sweep is proven against.
-        for file in ["mod.rs", "sweep.rs", "eytzinger.rs", "plan_cache.rs"] {
+        // contract between the scan and the index.
+        for file in ["mod.rs", "boundary.rs", "plan_cache.rs"] {
             let path = format!("crates/core/src/estimator/engine/{file}");
             assert!(scope::is_deterministic_path(&path), "{path}");
         }
         let clock = "fn f() { let t = std::time::Instant::now(); }\n";
         assert_eq!(
             rules_of(&lint_source(
-                "crates/core/src/estimator/engine/sweep.rs",
+                "crates/core/src/estimator/engine/boundary.rs",
                 clock
             )),
             vec!["D002"]

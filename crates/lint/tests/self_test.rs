@@ -26,10 +26,21 @@ fn every_fixture_behaves_as_labelled() {
 #[test]
 fn corpus_covers_every_rule() {
     let results = self_test(&fixtures_dir()).expect("fixture corpus must be readable");
-    // One pair per rule, plus the extra D001 pairs pinning the pipeline
-    // modules and the tree driver into the deterministic scope, plus the
-    // D002 pair pinning the segmented index's compaction policy.
-    assert_eq!(results.len(), 2 * RULE_IDS.len() + 6);
+    // Every `.rs` file under `pass/` and `fail/` is one fixture: the
+    // self-test must run all of them, and the corpus holds at least one
+    // pass/fail pair per rule.
+    let on_disk: usize = ["pass", "fail"]
+        .iter()
+        .map(|sub| {
+            std::fs::read_dir(fixtures_dir().join(sub))
+                .expect("fixture directory must be readable")
+                .filter_map(Result::ok)
+                .filter(|e| e.path().extension().is_some_and(|ext| ext == "rs"))
+                .count()
+        })
+        .sum();
+    assert_eq!(results.len(), on_disk);
+    assert!(results.len() >= 2 * RULE_IDS.len());
     for rule in RULE_IDS {
         let prefix = rule.to_lowercase();
         assert!(

@@ -217,7 +217,15 @@ impl Pool {
 
 impl Drop for Pool {
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::Release);
+        // Set the flag under the queue lock: a worker checks it and parks
+        // on `work_ready` while holding that lock, so it either sees the
+        // flag or is already parked when `notify_all` fires. A store
+        // outside the lock can land between its check and its park, and
+        // the lost wakeup leaves the join below waiting forever.
+        {
+            let _queue = lock(&self.shared.queue);
+            self.shared.shutdown.store(true, Ordering::Release);
+        }
         self.shared.work_ready.notify_all();
         for handle in self.workers.drain(..) {
             // A worker panic has already been captured and re-raised by
@@ -249,5 +257,41 @@ fn worker_loop(shared: &Shared) {
         // Wrapped tasks never unwind (they `catch_unwind` internally),
         // so one batch's panic cannot kill the lane another batch needs.
         task();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// Builds and drops pools of 1..=8 workers hundreds of times, some
+    /// right after spawn (workers racing to their first park), some after
+    /// a batch. A lost shutdown wakeup hangs a drop; the watchdog turns
+    /// that hang into a failure.
+    #[test]
+    fn pools_always_shut_down() {
+        let (done, finished) = mpsc::channel();
+        let churn = std::thread::spawn(move || {
+            for round in 0..40 {
+                for workers in 1..=8 {
+                    let pool = Pool::new(workers);
+                    if round % 2 == 1 {
+                        let tasks: Vec<ScopedTask<'_>> = (0..workers)
+                            .map(|_| Box::new(|| {}) as ScopedTask<'_>)
+                            .collect();
+                        pool.run_batch(tasks);
+                    }
+                    drop(pool);
+                }
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(120)).is_ok(),
+            "a pool drop hung: a worker missed the shutdown wakeup"
+        );
+        churn.join().expect("pool churn thread panicked");
     }
 }

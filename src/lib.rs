@@ -68,7 +68,7 @@ pub mod prelude {
     };
     pub use prc_core::consumer::AnswerBundle;
     pub use prc_core::estimator::{
-        BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, RankIndex, SegmentedRankIndex,
+        BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, SegmentedRankIndex,
     };
     pub use prc_core::histogram::{private_argmax_bucket, private_histogram, PrivateHistogram};
     pub use prc_core::optimizer::{

@@ -1,13 +1,14 @@
 //! Property-based tests for the segmented incremental index.
 //!
-//! The [`SegmentedRankIndex`] contract extends the monolithic one: after
-//! *any* interleaving of collection rounds — partial revivals at a
+//! The [`SegmentedRankIndex`] contract extends the fresh-build one:
+//! after *any* interleaving of collection rounds — partial revivals at a
 //! constant target, global top-ups to a higher target, and the
 //! compactions they trigger — the index fed only the per-round deltas
-//! must release exactly the bits of a monolithic [`RankIndex`] rebuilt
-//! from scratch on the current station, and of the raw per-node scan.
-//! The sweep drives random schedules over all three network drivers and
-//! additionally pins the three drivers to each other bit-for-bit.
+//! must release exactly the bits of a single-segment index rebuilt from
+//! scratch on the current station, and of the raw per-node scan, on
+//! both the single-query and the batch entry points. The sweep drives
+//! random schedules over all three network drivers and additionally pins
+//! the three drivers to each other bit-for-bit.
 //!
 //! Only *leaf* nodes of the aggregation tree are ever killed, so the
 //! tree driver's delivered sample set equals the flat driver's (a dead
@@ -73,7 +74,7 @@ fn probes(step: usize) -> Vec<RangeQuery> {
 }
 
 /// Runs one schedule on one driver, absorbing each round's delta and
-/// checking the segmented index against a fresh monolithic rebuild and
+/// checking the segmented index against a fresh rebuild and
 /// the scan after every step. Returns the segmented bits released.
 fn run_driver<N: Network>(mut net: N, ops: &[Op], p0: f64) -> Result<Vec<u64>, TestCaseError> {
     let mut target = p0;
@@ -143,21 +144,30 @@ fn absorb_or_build(
     Ok(())
 }
 
-/// Bit-identity after one step: segmented vs fresh monolithic rebuild vs
-/// the per-node scan, on every probe.
+/// Bit-identity after one step: segmented (single query and batch) vs
+/// a fresh single-segment rebuild vs the per-node scan, on every probe.
 fn check_step(
     index: &SegmentedRankIndex,
     station: &BaseStation,
     step: usize,
     bits: &mut Vec<u64>,
 ) -> Result<(), TestCaseError> {
-    let fresh = RankIndex::build(station).expect("uniform station");
-    for query in probes(step) {
+    let fresh = SegmentedRankIndex::build(station).expect("uniform station");
+    prop_assert_eq!(fresh.segments(), 1);
+    let queries = probes(step);
+    let batch = index.estimate_batch(&queries);
+    for (query, batched) in queries.into_iter().zip(batch.estimates) {
         let segmented = index.estimate(query).to_bits();
         prop_assert_eq!(
             segmented,
+            batched.to_bits(),
+            "batch vs single at step {}",
+            step
+        );
+        prop_assert_eq!(
+            segmented,
             fresh.estimate(query).to_bits(),
-            "segmented vs fresh monolithic rebuild at step {}",
+            "segmented vs fresh rebuild at step {}",
             step
         );
         prop_assert_eq!(
@@ -178,7 +188,7 @@ proptest! {
 
     /// Any interleaving of revivals, top-ups, and the compactions they
     /// trigger leaves the delta-fed segmented index bit-identical to a
-    /// fresh monolithic rebuild on every driver — and the three drivers
+    /// fresh rebuild on every driver — and the three drivers
     /// bit-identical to each other.
     #[test]
     fn delta_fed_index_matches_fresh_rebuild_under_any_schedule(

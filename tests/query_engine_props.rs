@@ -1,20 +1,19 @@
-//! Property-based tests for the batched query engine.
+//! Property-based tests for the query engine's answer paths.
 //!
-//! The engine's contract is *bit-identity*: the Eytzinger descent, the
-//! sorted-batch sweep, and the plain two-`partition_point` baseline must
-//! resolve exactly the same boundary indices on any sorted array — so
-//! every downstream `(ΣA, ΣB)` aggregate, and therefore every released
-//! answer, is independent of which resolver ran and of how a driver
-//! chunked the batch across workers. The sweep drives random arrays
-//! (duplicate-heavy, empty, all-equal, zero-valued samples), bounds
-//! including explicit signed zeros, chunk widths standing in for worker
-//! counts 1..=8, segmented indexes through 1..=5 delta rounds, and the
-//! three network drivers against each other.
+//! The engine's contract is *bit-identity*: a single-query estimate, a
+//! batch estimate, the exact integer aggregates `(ΣA, ΣB)` an index
+//! accumulates, and the per-node scan oracle must agree on every query —
+//! so every released answer is independent of which path ran and of
+//! which network driver collected the samples. The sweep drives random
+//! stations (duplicate-heavy, zero-valued samples), batches whose bounds
+//! include explicit signed zeros, segmented indexes through 0..=4 delta
+//! rounds, and the three network drivers against each other.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use prc::core::estimator::engine::{boundary_ranks, resolve_batch, EytzingerSearcher};
+use prc::core::broker::IndexPolicy;
+use prc::core::estimator::index::scan_rank_terms;
 use prc::net::base_station::BaseStation;
 use prc::prelude::*;
 
@@ -29,16 +28,9 @@ fn collected_station(mut partitions: Vec<Vec<f64>>, seed: u64, p: f64) -> BaseSt
     network.station().clone()
 }
 
-/// Quantizes raw values into a narrow grid so duplicates are common.
-fn quantize(raw: &[f64], buckets: f64) -> Vec<f64> {
-    raw.iter().map(|v| (v * buckets).floor()).collect()
-}
-
 /// A query bound: usually a value from the wrapped range, one time in
 /// five an explicit signed zero. `-0.0` and `+0.0` are distinct under
-/// `total_cmp` but equal under the resolution predicates — the sweep's
-/// probe sort must collapse them (the original keys stranded its
-/// forward-only cursor).
+/// `total_cmp` but equal under the boundary predicates.
 #[derive(Debug, Clone)]
 struct SignedBound(std::ops::Range<f64>);
 
@@ -58,18 +50,10 @@ fn signed_bound(range: std::ops::Range<f64>) -> SignedBound {
     SignedBound(range)
 }
 
-/// Appends `zeros` zero-valued samples (alternating sign) so signed-zero
-/// bounds land *on* stored values, then re-sorts by `total_cmp`.
-fn with_zero_samples(mut values: Vec<f64>, zeros: usize) -> Vec<f64> {
-    values.extend((0..zeros).map(|i| if i % 2 == 0 { 0.0 } else { -0.0 }));
-    values.sort_by(f64::total_cmp);
-    values
-}
-
 /// Query batch probing below, inside, across, and above the support,
 /// built from consecutive pairs of a flat bound list: each pair yields
 /// the spanning range plus a point query pinned to the integer grid
-/// (where quantized values live, so boundaries land *on* duplicates).
+/// (where the stored values live, so boundaries land *on* duplicates).
 fn queries_from(bounds: &[f64]) -> Vec<RangeQuery> {
     bounds
         .chunks_exact(2)
@@ -84,136 +68,80 @@ fn queries_from(bounds: &[f64]) -> Vec<RangeQuery> {
         .collect()
 }
 
+/// Checks every engine path of `index` against the scan oracle on
+/// `station`: single query, batch, and the exact integer aggregates.
+fn check_paths(
+    index: &SegmentedRankIndex,
+    station: &BaseStation,
+    queries: &[RangeQuery],
+) -> Result<(), TestCaseError> {
+    let batch = index.estimate_batch(queries);
+    prop_assert_eq!(batch.estimates.len(), queries.len());
+    for (&query, batched) in queries.iter().zip(batch.estimates) {
+        let single = index.estimate(query);
+        let scanned = RankCounting.estimate(station, query);
+        prop_assert_eq!(
+            index.rank_terms(query),
+            scan_rank_terms(station, query),
+            "aggregates on {:?}",
+            query
+        );
+        prop_assert_eq!(
+            single.to_bits(),
+            scanned.to_bits(),
+            "single {} vs scan {} on {:?}",
+            single,
+            scanned,
+            query
+        );
+        prop_assert_eq!(
+            batched.to_bits(),
+            single.to_bits(),
+            "batch {} vs single {} on {:?}",
+            batched,
+            single,
+            query
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// The Eytzinger descent returns exactly `partition_point`'s indices
-    /// on any sorted array — duplicate-heavy, empty, or all-equal — for
-    /// probes on, between, below, and above the stored values.
-    #[test]
-    fn eytzinger_matches_partition_point(
-        raw in proptest::collection::vec(-1.0f64..1.0, 0..200),
-        buckets in 1.0f64..24.0,
-        probes in proptest::collection::vec(signed_bound(-30.0f64..30.0), 1..40),
-        zeros in 0usize..5,
-    ) {
-        let values = with_zero_samples(quantize(&raw, buckets), zeros);
-        let searcher = EytzingerSearcher::from_sorted(&values);
-        prop_assert_eq!(searcher.len(), values.len());
-        for &x in &probes {
-            prop_assert_eq!(
-                searcher.lower_bound(x),
-                values.partition_point(|&v| v < x),
-                "lower_bound({}) over {} values", x, values.len()
-            );
-            prop_assert_eq!(
-                searcher.upper_bound(x),
-                values.partition_point(|&v| v <= x),
-                "upper_bound({}) over {} values", x, values.len()
-            );
-        }
-    }
-
-    /// An all-equal array is the degenerate worst case for both the
-    /// descent (every comparison ties) and the gallop (one run): both
-    /// still land on the exact partition points.
-    #[test]
-    fn all_equal_arrays_resolve_exactly(
-        value in -5.0f64..5.0,
-        len in 0usize..120,
-        bounds in proptest::collection::vec(signed_bound(-10.0f64..10.0), 2..24),
-    ) {
-        let values = vec![value; len];
-        let searcher = EytzingerSearcher::from_sorted(&values);
-        let queries = queries_from(&bounds);
-        let resolved = resolve_batch(&values, &queries);
-        for (i, &query) in queries.iter().enumerate() {
-            let (pos_l, pos_u) = boundary_ranks(&values, query);
-            prop_assert_eq!(searcher.boundary_ranks(query), (pos_l, pos_u));
-            prop_assert_eq!((resolved.pos_l[i], resolved.pos_u[i]), (pos_l, pos_u));
-        }
-    }
-
-    /// The sorted-batch sweep scatters exactly the baseline's indices
-    /// back into submission order, and chunking the batch (how a driver
-    /// splits it across 1..=8 workers) never changes a single position.
-    #[test]
-    fn sweep_is_baseline_exact_and_chunk_invariant(
-        raw in proptest::collection::vec(-1.0f64..1.0, 0..160),
-        buckets in 1.0f64..16.0,
-        bounds in proptest::collection::vec(signed_bound(-20.0f64..20.0), 2..64),
-        zeros in 0usize..5,
-    ) {
-        let values = with_zero_samples(quantize(&raw, buckets), zeros);
-        let queries = queries_from(&bounds);
-
-        let whole = resolve_batch(&values, &queries);
-        for (i, &query) in queries.iter().enumerate() {
-            let (pos_l, pos_u) = boundary_ranks(&values, query);
-            prop_assert_eq!(
-                (whole.pos_l[i], whole.pos_u[i]),
-                (pos_l, pos_u),
-                "query {} of {}", i, queries.len()
-            );
-        }
-
-        for workers in 1usize..=8 {
-            let chunk_len = queries.len().div_ceil(workers);
-            let mut pos_l = Vec::new();
-            let mut pos_u = Vec::new();
-            for chunk in queries.chunks(chunk_len) {
-                let part = resolve_batch(&values, chunk);
-                pos_l.extend(part.pos_l);
-                pos_u.extend(part.pos_u);
-            }
-            prop_assert_eq!(&pos_l, &whole.pos_l, "{} workers", workers);
-            prop_assert_eq!(&pos_u, &whole.pos_u, "{} workers", workers);
-        }
-    }
-
-    /// On a collected station, every engine path through the monolithic
-    /// index — Eytzinger single queries, the batch sweep, the
-    /// `partition_point` baseline — and the raw per-node scan release
-    /// identical bits.
+    /// On a collected station with zero-valued samples of either sign,
+    /// every engine path through a fresh index — single queries, the
+    /// batch entry point, the integer aggregates — and the raw per-node
+    /// scan release identical bits for batches with signed-zero bounds.
     #[test]
     fn rank_index_engine_paths_are_bit_identical(
         seed in 0u64..1_000,
         p in 0.05f64..1.0,
         sizes in proptest::collection::vec(0usize..40, 1..10),
-        bounds in proptest::collection::vec(-20.0f64..120.0, 2..48),
+        zeros in 0usize..5,
+        bounds in proptest::collection::vec(signed_bound(-20.0f64..120.0), 2..48),
     ) {
         let partitions: Vec<Vec<f64>> = sizes
             .iter()
             .enumerate()
-            .map(|(i, &s)| (0..s).map(|j| ((i * 13 + j * 7) % 97) as f64).collect())
+            .map(|(i, &s)| {
+                let values = (0..s).map(|j| ((i * 13 + j * 7) % 97) as f64);
+                let zero_samples = (0..zeros).map(|z| if z % 2 == 0 { 0.0 } else { -0.0 });
+                values.chain(zero_samples).collect()
+            })
             .collect();
         let station = collected_station(partitions, seed, p);
         prop_assume!(station.total_population() > 0);
-        let index = RankIndex::build(&station).expect("uniform station");
-        let queries = queries_from(&bounds);
-
-        let batch = index.estimate_batch(&queries);
-        prop_assert_eq!(batch.estimates.len(), queries.len());
-        for (i, &query) in queries.iter().enumerate() {
-            let eytzinger = index.estimate(query);
-            let baseline = index.estimate_baseline(query);
-            let scanned = RankCounting.estimate(&station, query);
-            prop_assert_eq!(
-                eytzinger.to_bits(), baseline.to_bits(),
-                "descent {} vs baseline {}", eytzinger, baseline
-            );
-            prop_assert_eq!(
-                batch.estimates[i].to_bits(), baseline.to_bits(),
-                "batch {} vs baseline {}", batch.estimates[i], baseline
-            );
-            prop_assert_eq!(eytzinger.to_bits(), scanned.to_bits());
-        }
+        let index = SegmentedRankIndex::build(&station).expect("uniform station");
+        prop_assert_eq!(index.segments(), 1);
+        check_paths(&index, &station, &queries_from(&bounds))?;
     }
 }
 
 /// Absorbs `rounds` incremental top-ups into a segmented index so its
 /// layout spans multiple segments, checking every engine path against
-/// the baseline after each round. Returns the segment count reached.
+/// the scan and a fresh rebuild after each round. Returns the segment
+/// count reached.
 fn run_segmented_rounds(
     seed: u64,
     rounds: usize,
@@ -236,42 +164,49 @@ fn run_segmented_rounds(
                 "top-ups keep the station uniform"
             );
         }
-        let fresh = RankIndex::build(net.station()).expect("uniform station");
-        let batch = index.estimate_batch(queries);
-        for (i, &query) in queries.iter().enumerate() {
-            let baseline = index.estimate_baseline(query);
-            prop_assert_eq!(index.estimate(query).to_bits(), baseline.to_bits());
-            prop_assert_eq!(batch.estimates[i].to_bits(), baseline.to_bits());
-            prop_assert_eq!(baseline.to_bits(), fresh.estimate(query).to_bits());
+        check_paths(&index, net.station(), queries)?;
+        let fresh = SegmentedRankIndex::build(net.station()).expect("uniform station");
+        for &query in queries {
+            prop_assert_eq!(
+                index.estimate(query).to_bits(),
+                fresh.estimate(query).to_bits(),
+                "segmented vs fresh rebuild after round {}",
+                round
+            );
         }
     }
     Ok(index.segments())
 }
 
 proptest! {
-    // Each case replays several collection rounds with a monolithic
-    // rebuild per round; keep the case count moderate.
+    // Each case replays several collection rounds with a fresh rebuild
+    // per round; keep the case count moderate.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A segmented index carried through 0..=4 delta rounds (so 1..=5
-    /// segments before compaction) answers every engine path — descent,
-    /// batch sweep, baseline — bit-identically to a fresh monolithic
-    /// rebuild after every round.
+    /// A segmented index carried through 0..=4 delta rounds answers
+    /// every engine path — single query, batch, integer aggregates —
+    /// bit-identically to the scan and to a fresh rebuild after every
+    /// round.
     #[test]
     fn segmented_engine_paths_survive_delta_rounds(
         seed in 0u64..1_000,
         rounds in 0usize..=4,
-        bounds in proptest::collection::vec(-10.0f64..100.0, 2..24),
+        bounds in proptest::collection::vec(signed_bound(-10.0f64..100.0), 2..24),
     ) {
         let queries = queries_from(&bounds);
         let segments = run_segmented_rounds(seed, rounds, &queries)?;
         prop_assert!(segments >= 1);
     }
+}
+
+proptest! {
+    // Fewer cases: each one runs four full broker batches.
+    #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// End to end across drivers: flat, threaded, and tree brokers
     /// forced onto the indexed batch path release identical bits — and
-    /// identical bits to a scan-forced flat broker — while the engine
-    /// and plan-cache counters confirm which path ran.
+    /// identical bits to a scan-forced flat broker — while the counters
+    /// confirm which path each run took.
     #[test]
     fn drivers_release_identical_batch_bits(
         seed in 0u64..1_000,
@@ -290,54 +225,59 @@ proptest! {
                 )
             })
             .collect();
-
-        let released_bits = |report: &BatchReport| -> Vec<u64> {
-            report
+        fn run<N: Network>(
+            net: N,
+            seed: u64,
+            policy: IndexPolicy,
+            workload: &[QueryRequest],
+        ) -> (Vec<u64>, BatchStats) {
+            let mut broker = DataBroker::new(net, seed);
+            broker.set_index_policy(policy);
+            let report = broker.answer_batch(workload);
+            let bits = report
                 .answers
                 .iter()
                 .map(|a| a.as_ref().expect("batch member released").value.to_bits())
-                .collect()
-        };
+                .collect();
+            (bits, report.stats)
+        }
 
-        let mut broker =
-            DataBroker::new(FlatNetwork::from_partitions(partitions.clone(), seed), seed);
-        broker.set_index_threshold(0);
-        let flat = broker.answer_batch(&workload);
-
-        let mut broker = DataBroker::new(
+        let (flat, flat_stats) = run(
+            FlatNetwork::from_partitions(partitions.clone(), seed),
+            seed,
+            IndexPolicy::Always,
+            &workload,
+        );
+        let (threaded, threaded_stats) = run(
             ThreadedNetwork::from_partitions(partitions.clone(), seed),
             seed,
+            IndexPolicy::Always,
+            &workload,
         );
-        broker.set_index_threshold(0);
-        let threaded = broker.answer_batch(&workload);
+        let (tree, tree_stats) = run(
+            TreeNetwork::from_partitions(partitions.clone(), 2, seed),
+            seed,
+            IndexPolicy::Always,
+            &workload,
+        );
+        let (scanned, scan_stats) = run(
+            FlatNetwork::from_partitions(partitions, seed),
+            seed,
+            IndexPolicy::Never,
+            &workload,
+        );
 
-        let mut broker =
-            DataBroker::new(TreeNetwork::from_partitions(partitions.clone(), 2, seed), seed);
-        broker.set_index_threshold(0);
-        let tree = broker.answer_batch(&workload);
+        prop_assert_eq!(&flat, &threaded, "flat vs threaded");
+        prop_assert_eq!(&flat, &tree, "flat vs tree");
+        prop_assert_eq!(&flat, &scanned, "indexed vs scanned");
 
-        let mut broker = DataBroker::new(FlatNetwork::from_partitions(partitions, seed), seed);
-        broker.set_index_threshold(usize::MAX);
-        let scanned = broker.answer_batch(&workload);
-
-        let flat_bits = released_bits(&flat);
-        prop_assert_eq!(&flat_bits, &released_bits(&threaded), "flat vs threaded");
-        prop_assert_eq!(&flat_bits, &released_bits(&tree), "flat vs tree");
-        prop_assert_eq!(&flat_bits, &released_bits(&scanned), "indexed vs scanned");
-
-        // The indexed runs went through the engine; the scan run did not.
-        prop_assert_eq!(flat.stats.engine_hits, workload.len() as u64);
-        prop_assert_eq!(scanned.stats.engine_hits, 0);
-        prop_assert_eq!(scanned.stats.gallop_steps, 0);
-        // All members share one accuracy target and one rate tier, so
-        // after the first grid sweep the remaining plans are memo hits
-        // (exact count left open: an infeasibility retry re-sweeps).
-        if workload.len() >= 2 {
-            prop_assert!(
-                flat.stats.plan_cache_hits >= 1,
-                "no plan-cache hit across {} same-accuracy members",
-                workload.len()
-            );
-        }
+        // Every indexed run answered every member through the index;
+        // the scan run never did.
+        let members = workload.len() as u64;
+        prop_assert_eq!(flat_stats.indexed_estimates, members);
+        prop_assert_eq!(threaded_stats.indexed_estimates, members);
+        prop_assert_eq!(tree_stats.indexed_estimates, members);
+        prop_assert_eq!(scan_stats.indexed_estimates, 0);
+        prop_assert_eq!(scan_stats.index_builds, 0);
     }
 }

@@ -1,15 +1,18 @@
 //! Property-based tests for the merged prefix-rank query index.
 //!
-//! The [`RankIndex`] contract is *bit-identity*: for any station with a
-//! uniform sampling probability, `index.estimate(q)` must return exactly
-//! the bits of the direct `RankCounting::estimate(station, q)` scan — the
-//! broker switches between the two paths purely on size, so any
-//! divergence would make released answers depend on an internal cutover.
-//! These properties drive both paths over random populations, sampling
-//! rates, duplicate-heavy values, and degenerate ranges.
+//! The [`SegmentedRankIndex`] contract is *bit-identity*: for any station
+//! with a uniform sampling probability, `index.estimate(q)` must return
+//! exactly the bits of the direct `RankCounting::estimate(station, q)`
+//! scan — the broker switches between the two paths on its index policy,
+//! so any divergence would make released answers depend on an internal
+//! cutover. These properties drive both paths over random populations,
+//! sampling rates, duplicate-heavy and zero-valued samples, signed-zero
+//! bounds, and degenerate ranges — and pin the flat, threaded, and tree
+//! drivers to each other on the indexed batch path.
 
 use proptest::prelude::*;
 
+use prc::core::broker::IndexPolicy;
 use prc::net::base_station::BaseStation;
 use prc::net::message::{NodeId, SampleEntry, SampleMessage};
 use prc::prelude::*;
@@ -36,34 +39,58 @@ proptest! {
 
     /// Indexed and scan estimates agree bit-for-bit over random
     /// populations, sampling rates, and ranges — including ranges fully
-    /// below/above the support and point queries.
+    /// below/above the support, point queries, zero-valued samples of
+    /// either sign, and explicit `±0.0` bounds (equal under the boundary
+    /// predicates, distinct under `total_cmp`). The batch entry point the
+    /// broker's fan-out calls releases the same bits.
     #[test]
     fn index_is_bit_identical_to_the_scan(
         seed in 0u64..1_000,
         p in 0.05f64..1.0,
         sizes in proptest::collection::vec(0usize..40, 1..12),
+        zeros in 0usize..5,
+        signed_zero in 0usize..5,
         lower in -20.0f64..120.0,
         width in 0.0f64..140.0,
     ) {
         let partitions: Vec<Vec<f64>> = sizes
             .iter()
             .enumerate()
-            .map(|(i, &s)| (0..s).map(|j| (i * 13 + j * 7) as f64 % 97.0).collect())
+            .map(|(i, &s)| {
+                let values = (0..s).map(|j| (i * 13 + j * 7) as f64 % 97.0);
+                // Alternating-sign zero samples, so `±0.0` bounds land
+                // *on* stored values.
+                let zero_samples = (0..zeros).map(|z| if z % 2 == 0 { 0.0 } else { -0.0 });
+                values.chain(zero_samples).collect()
+            })
             .collect();
         let station = collected_station(partitions, seed, p);
         prop_assume!(station.total_population() > 0);
         let index = RankCounting.build_index(&station);
         prop_assert!(index.is_some(), "uniform station must build an index");
         let index = index.unwrap();
-        let query = RangeQuery::new(lower, lower + width).unwrap();
-        let indexed = index.estimate(query);
-        let scanned = RankCounting.estimate(&station, query);
-        prop_assert_eq!(
-            indexed.to_bits(),
-            scanned.to_bits(),
-            "indexed {} vs scanned {} on [{}, {}]",
-            indexed, scanned, lower, lower + width
-        );
+        let lower = match signed_zero {
+            0 => 0.0,
+            1 => -0.0,
+            _ => lower,
+        };
+        let queries = [
+            RangeQuery::new(lower, lower + width).unwrap(),
+            RangeQuery::new(lower, lower).unwrap(),
+            RangeQuery::new(-0.0, 0.0).unwrap(),
+        ];
+        let batch = index.estimate_batch(&queries);
+        for (query, batched) in queries.into_iter().zip(batch.estimates) {
+            let indexed = index.estimate(query);
+            let scanned = RankCounting.estimate(&station, query);
+            prop_assert_eq!(
+                indexed.to_bits(),
+                scanned.to_bits(),
+                "indexed {} vs scanned {} on {:?}",
+                indexed, scanned, query
+            );
+            prop_assert_eq!(batched.to_bits(), indexed.to_bits());
+        }
     }
 
     /// Duplicate-heavy values (a handful of distinct values across every
@@ -165,11 +192,13 @@ proptest! {
 }
 
 proptest! {
-    // Fewer cases: each one runs two full broker batches.
+    // Fewer cases: each one runs four full broker batches.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// End to end: a broker forced onto the indexed path releases the
-    /// same bits as one forced onto the scan path, over random workloads.
+    /// End to end: flat, threaded, and tree brokers forced onto the
+    /// indexed batch path release the same bits as a flat broker forced
+    /// onto the scan path, over random workloads — and the plan cache
+    /// serves the members sharing one accuracy target.
     #[test]
     fn indexed_brokers_release_identical_bits(
         seed in 0u64..1_000,
@@ -188,19 +217,47 @@ proptest! {
                 )
             })
             .collect();
-        let run = |threshold: usize| {
-            let mut broker = DataBroker::new(
-                FlatNetwork::from_partitions(partitions.clone(), seed),
-                seed,
-            );
-            broker.set_index_threshold(threshold);
-            broker
-                .answer_batch(&workload)
+        fn run<N: Network>(net: N, seed: u64, policy: IndexPolicy, workload: &[QueryRequest]) -> (Vec<u64>, BatchStats) {
+            let mut broker = DataBroker::new(net, seed);
+            broker.set_index_policy(policy);
+            let report = broker.answer_batch(workload);
+            let bits = report
                 .answers
-                .into_iter()
-                .map(|r| r.unwrap().value.to_bits())
-                .collect::<Vec<u64>>()
-        };
-        prop_assert_eq!(run(0), run(usize::MAX));
+                .iter()
+                .map(|r| r.as_ref().expect("batch member released").value.to_bits())
+                .collect();
+            (bits, report.stats)
+        }
+        let flat_net = || FlatNetwork::from_partitions(partitions.clone(), seed);
+        let (flat, flat_stats) = run(flat_net(), seed, IndexPolicy::Always, &workload);
+        let (threaded, _) = run(
+            ThreadedNetwork::from_partitions(partitions.clone(), seed),
+            seed,
+            IndexPolicy::Always,
+            &workload,
+        );
+        let (tree, _) = run(
+            TreeNetwork::from_partitions(partitions.clone(), 2, seed),
+            seed,
+            IndexPolicy::Always,
+            &workload,
+        );
+        let (scanned, scan_stats) = run(flat_net(), seed, IndexPolicy::Never, &workload);
+
+        prop_assert_eq!(&flat, &threaded, "flat vs threaded");
+        prop_assert_eq!(&flat, &tree, "flat vs tree");
+        prop_assert_eq!(&flat, &scanned, "indexed vs scanned");
+        prop_assert_eq!(flat_stats.indexed_estimates, workload.len() as u64);
+        prop_assert_eq!(scan_stats.indexed_estimates, 0);
+        // All members share one accuracy target and one rate tier, so
+        // after the first grid sweep the remaining plans are memo hits
+        // (exact count left open: an infeasibility retry re-sweeps).
+        if workload.len() >= 2 {
+            prop_assert!(
+                flat_stats.plan_cache_hits >= 1,
+                "no plan-cache hit across {} same-accuracy members",
+                workload.len()
+            );
+        }
     }
 }
