@@ -2,11 +2,11 @@
 //!
 //! Answers the same 64-query mixed-accuracy workload three ways —
 //! sequential `answer()` calls over a `FlatNetwork`, `answer_batch` over
-//! a `FlatNetwork`, and `answer_batch` over a `ThreadedNetwork` — and
-//! emits a JSON report with queries/sec for each mode, the speedups over
-//! the sequential baseline, the batch's per-stage counters, and a
-//! determinism check (two batched flat runs with the same seed must
-//! release bit-identical answers).
+//! a `FlatNetwork`, and `answer_batch` over a `TreeNetwork` — and emits
+//! a JSON report with queries/sec for each mode, the speedups over the
+//! sequential baseline, the batch's per-stage counters, and two identity
+//! checks: two batched flat runs with the same seed, and the flat and
+//! tree runs, must release bit-identical answers.
 //!
 //! The workload repeats each of 16 distinct `(range, α, δ)` requests four
 //! times: repeats are what the batched engine's arbitrage-consistent
@@ -37,7 +37,8 @@ use prc_core::estimator::{BuildAccrual, RangeCountEstimator, RankCounting, Segme
 use prc_core::optimizer::OptimizerConfig;
 use prc_core::query::{Accuracy, QueryRequest, RangeQuery};
 use prc_net::base_station::BaseStation;
-use prc_net::network::{FlatNetwork, Network, ThreadedNetwork};
+use prc_net::network::{FlatNetwork, Network};
+use prc_net::tree::TreeNetwork;
 use prc_pricing::functions::InverseVariancePricing;
 use prc_pricing::reuse::{PostedPriceReuse, ReuseGuard};
 use prc_pricing::variance::ChebyshevVariance;
@@ -430,25 +431,25 @@ fn main() {
         FlatNetwork::from_partitions(partitions(), SEED),
         &requests,
     );
-    let batched_threaded = run_batched(
-        "batched_threaded",
-        ThreadedNetwork::from_partitions(partitions(), SEED),
+    let batched_tree = run_batched(
+        "batched_tree",
+        TreeNetwork::from_partitions(partitions(), 4, SEED),
         &requests,
     );
 
     let deterministic = batched_flat.values == batched_flat_again.values;
-    let drivers_agree = batched_flat.values == batched_threaded.values;
+    let drivers_agree = batched_flat.values == batched_tree.values;
     let seq_qps = queries_per_sec(total, sequential.seconds);
     let speedup_flat = queries_per_sec(total, batched_flat.seconds) / seq_qps;
-    let speedup_threaded = queries_per_sec(total, batched_threaded.seconds) / seq_qps;
+    let speedup_tree = queries_per_sec(total, batched_tree.seconds) / seq_qps;
 
-    let modes = [&sequential, &batched_flat, &batched_threaded]
+    let modes = [&sequential, &batched_flat, &batched_tree]
         .iter()
         .map(|m| mode_json(m, total))
         .collect::<Vec<_>>()
         .join(",\n");
     let json = format!(
-        "{{\n  \"workload\": {{\"requests\": {total}, \"distinct\": {DISTINCT_QUERIES}, \"nodes\": {NODES}, \"population\": {}, \"seed\": {SEED}}},\n  \"modes\": [\n{modes}\n  ],\n  \"speedup_vs_sequential\": {{\"batched_flat\": {speedup_flat:.2}, \"batched_threaded\": {speedup_threaded:.2}}},\n  \"deterministic_flat\": {deterministic},\n  \"flat_threaded_identical\": {drivers_agree}\n}}",
+        "{{\n  \"workload\": {{\"requests\": {total}, \"distinct\": {DISTINCT_QUERIES}, \"nodes\": {NODES}, \"population\": {}, \"seed\": {SEED}}},\n  \"modes\": [\n{modes}\n  ],\n  \"speedup_vs_sequential\": {{\"batched_flat\": {speedup_flat:.2}, \"batched_tree\": {speedup_tree:.2}}},\n  \"deterministic_flat\": {deterministic},\n  \"flat_tree_identical\": {drivers_agree}\n}}",
         NODES * per_node(),
     );
     println!("{json}");
@@ -464,7 +465,7 @@ fn main() {
     assert!(deterministic, "batched flat runs must be bit-identical");
     assert!(
         drivers_agree,
-        "flat and threaded drivers must release identical answers"
+        "flat and tree drivers must release identical answers"
     );
 
     // Scan-vs-indexed trajectory: the perf record this PR sequence tracks.

@@ -12,7 +12,7 @@
 //! 1. *revival catch-up* — the tree's leaf nodes start dead and come
 //!    back a few per epoch, catching up to the constant target, so each
 //!    round's delta is exactly the revived nodes (leaves only, so the
-//!    flat, threaded, and tree drivers hold byte-identical stations);
+//!    flat and tree drivers hold byte-identical stations);
 //! 2. a final *global top-up* to a higher target — a full delta that
 //!    mass-tombstones the old segments and lets compaction collapse the
 //!    index back to a single segment (the steady state the q=4096
@@ -46,7 +46,7 @@ use prc_core::estimator::{RangeCountEstimator, RankCounting, SegmentedRankIndex}
 use prc_core::query::RangeQuery;
 use prc_net::failure::FailurePlan;
 use prc_net::message::NodeId;
-use prc_net::network::{FlatNetwork, Network, ThreadedNetwork};
+use prc_net::network::{FlatNetwork, Network};
 use prc_net::tree::TreeNetwork;
 
 const SEED: u64 = 4019;
@@ -179,9 +179,8 @@ struct StrategyRun {
 }
 
 /// Whole-run repetitions per strategy: timings are the element-wise
-/// minimum across repetitions (the threaded and tree drivers spawn
-/// collection threads right before each maintenance window, so a single
-/// pass is noise-prone), bits must be identical across repetitions.
+/// minimum across repetitions (a single pass is noise-prone), bits must
+/// be identical across repetitions.
 const REPS: usize = 3;
 
 fn run_strategy<N: Network>(
@@ -388,11 +387,9 @@ impl Cell {
 
 fn run_cell(driver: &'static str, shape: &Shape, q: usize) -> Cell {
     let build_flat = || FlatNetwork::from_partitions(partitions(shape), SEED);
-    let build_threaded = || ThreadedNetwork::from_partitions(partitions(shape), SEED);
     let build_tree = || TreeNetwork::from_partitions(partitions(shape), TREE_BRANCHING, SEED);
     let run = |strategy: Strategy| match driver {
         "flat" => run_strategy(build_flat, shape, q, strategy),
-        "threaded" => run_strategy(build_threaded, shape, q, strategy),
         _ => run_strategy(build_tree, shape, q, strategy),
     };
     Cell {
@@ -409,12 +406,12 @@ fn main() {
     let shape = shape();
     let mut cells: Vec<Cell> = Vec::new();
     for &q in query_counts() {
-        for driver in ["flat", "threaded", "tree"] {
+        for driver in ["flat", "tree"] {
             cells.push(run_cell(driver, &shape, q));
         }
     }
 
-    // Bit-identity: every strategy agrees within a cell, and the three
+    // Bit-identity: every strategy agrees within a cell, and the two
     // drivers release identical bits for the same workload.
     let all_identical = cells.iter().all(Cell::identical)
         && query_counts().iter().all(|&q| {

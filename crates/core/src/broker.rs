@@ -46,6 +46,7 @@ use crate::error::CoreError;
 use crate::estimator::engine::PlanCache;
 use crate::estimator::{BuildAccrual, QueryIndex, RangeCountEstimator, RankCounting};
 use crate::optimizer::{OptimizerConfig, PerturbationPlan};
+use crate::pipeline::stages::Request;
 use crate::pipeline::{PricedAnswer, QuerySession};
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
 
@@ -155,10 +156,9 @@ pub struct StageCounters {
     /// station revision.
     #[serde(default)]
     pub plan_cache_hits: u64,
-    /// Sum of [`crate::estimator::BatchEstimate::gallop_steps`] over the
-    /// batches an index answered. No index reports search steps, so this
-    /// always reads `0`; it stays only because the end-to-end benchmark
-    /// reads it, and goes with that benchmark's next revision.
+    /// Always `0`: no index reports search steps and no stage adds to
+    /// it. It stays only because the end-to-end benchmark reads it, and
+    /// goes with that benchmark's next revision.
     #[serde(default)]
     pub gallop_steps: u64,
     /// Priced transactions settled into the pricing engine's ledger.
@@ -555,7 +555,13 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
         epsilon: Epsilon,
         p: f64,
     ) -> Result<PrivateAnswer, CoreError> {
-        QuerySession::new(self).run_fixed(query, epsilon, p)
+        QuerySession::new(self)
+            .drive(Request::Fixed {
+                query,
+                epsilon,
+                probability: p,
+            })
+            .map(|priced| priced.answer)
     }
 }
 
@@ -563,7 +569,7 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
 mod tests {
     use super::*;
     use crate::estimator::BasicCounting;
-    use prc_net::network::ThreadedNetwork;
+    use prc_net::tree::TreeNetwork;
     use prc_pricing::functions::InverseVariancePricing;
     use prc_pricing::reuse::PostedPriceReuse;
     use prc_pricing::variance::ChebyshevVariance;
@@ -736,8 +742,8 @@ mod tests {
     }
 
     #[test]
-    fn broker_runs_over_threaded_networks() {
-        let net = ThreadedNetwork::from_partitions(partitions(6, 500), 11);
+    fn broker_runs_over_tree_networks() {
+        let net = TreeNetwork::from_partitions(partitions(6, 500), 2, 11);
         let mut broker = DataBroker::new(net, 11);
         let answer = broker.answer(&request(500.0, 2_500.0, 0.1, 0.6)).unwrap();
         assert!(answer.value.is_finite());
@@ -814,8 +820,8 @@ mod tests {
                 .map(|r| r.unwrap().value.to_bits())
                 .collect::<Vec<u64>>()
         };
-        let run_threaded = |seed: u64| {
-            let net = ThreadedNetwork::from_partitions(partitions(6, 700), seed);
+        let run_tree = |seed: u64| {
+            let net = TreeNetwork::from_partitions(partitions(6, 700), 2, seed);
             let mut broker = DataBroker::new(net, seed);
             broker
                 .answer_batch(&workload)
@@ -826,7 +832,7 @@ mod tests {
         };
         // Same seed: byte-identical answers, same driver or not.
         assert_eq!(run_flat(9), run_flat(9));
-        assert_eq!(run_flat(9), run_threaded(9));
+        assert_eq!(run_flat(9), run_tree(9));
         // Different seed: different noise.
         assert_ne!(run_flat(9), run_flat(10));
     }

@@ -28,8 +28,8 @@ use crate::error::CoreError;
 use crate::estimator::RangeCountEstimator;
 use crate::optimizer::{NetworkShape, PerturbationPlan};
 use crate::pipeline::stages::{
-    abort, demand_cache_lookup, plan_with_retry, prepare_index, reserve_effective, Collect,
-    Perturb, Settle,
+    abort, cache_lookup, plan_with_retry, prepare_index, reserve_effective, Collect, Perturb,
+    Request, Settle,
 };
 use crate::pipeline::QuerySession;
 use crate::query::QueryRequest;
@@ -92,7 +92,7 @@ where
         let mut deferred: Vec<usize> = Vec::new();
         for &i in &members {
             let request = &requests[i];
-            if let Some(hit) = demand_cache_lookup(broker, request) {
+            if let Some(hit) = cache_lookup(broker, &Request::Demand(*request)) {
                 broker.counters.answers_released += 1;
                 answers[i] = Some(Ok(hit));
                 continue;
@@ -158,38 +158,32 @@ where
             fan_out_threads = fan_out_threads.max(runtime.lanes_for(pending.len()) as u64);
             // Chunk results flatten in submission order, so the released
             // answers are independent of worker count and scheduling.
-            let chunked: Vec<(Vec<f64>, u64)> = runtime.map_chunked(
-                &pending,
-                pending.len(),
-                CutoffPolicy::always_parallel(),
-                |chunk| match index {
-                    Some(index) => {
-                        let queries: Vec<_> = chunk
-                            .items
-                            .iter()
-                            .map(|member| requests[member.slot].query)
-                            .collect();
-                        let batch = index.estimate_batch(&queries);
-                        (batch.estimates, batch.gallop_steps)
-                    }
-                    None => (
-                        chunk
+            let estimates: Vec<f64> = runtime
+                .map_chunked(
+                    &pending,
+                    pending.len(),
+                    CutoffPolicy::always_parallel(),
+                    |chunk| match index {
+                        Some(index) => {
+                            let queries: Vec<_> = chunk
+                                .items
+                                .iter()
+                                .map(|member| requests[member.slot].query)
+                                .collect();
+                            index.estimate_batch(&queries).estimates
+                        }
+                        None => chunk
                             .items
                             .iter()
                             .map(|member| estimator.estimate(station, requests[member.slot].query))
                             .collect(),
-                        0,
-                    ),
-                },
-            );
-            let gallop_steps: u64 = chunked.iter().map(|(_, steps)| steps).sum();
-            let estimates: Vec<f64> = chunked
+                    },
+                )
                 .into_iter()
-                .flat_map(|(estimates, _)| estimates)
+                .flatten()
                 .collect();
             if index.is_some() {
                 broker.counters.indexed_estimates += pending.len() as u64;
-                broker.counters.gallop_steps += gallop_steps;
             }
 
             // Perturb + Settle: sequential in input order so the broker's

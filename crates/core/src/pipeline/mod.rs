@@ -41,12 +41,10 @@ use prc_net::network::Network;
 use crate::broker::{DataBroker, PrivateAnswer};
 use crate::error::CoreError;
 use crate::estimator::RangeCountEstimator;
-use crate::query::{QueryRequest, RangeQuery};
-use prc_dp::budget::Epsilon;
+use crate::query::QueryRequest;
 
 use stages::{
-    abort, Admission, Admit, AdmitFixed, Collect, Estimate, FixedAdmission, Perturb, Reserve,
-    ReserveFixed, Reserved, Settle,
+    abort, Admission, Admit, Collect, Estimate, Perturb, Request, Reserve, Reserved, Settle,
 };
 
 /// A released answer plus the commercial half of its transaction.
@@ -65,9 +63,10 @@ pub struct PricedAnswer {
 ///
 /// Constructed over a broker (plain, via [`QuerySession::new`], or on
 /// behalf of a named buyer via [`QuerySession::for_buyer`]) and consumed
-/// by one driver: [`QuerySession::run`] for `(α, δ)` demands,
-/// [`QuerySession::run_fixed`] for the fixed-ε experiment hook. The
-/// batch engine ([`batch::run_batch`]) composes the same stages with a
+/// by one driver, [`QuerySession::run`]. The fixed-ε experiment hook
+/// ([`DataBroker::answer_with_epsilon`]) runs the same driver with a
+/// fixed `(ε, p)` request in place of an `(α, δ)` demand. The batch
+/// engine ([`batch::run_batch`]) composes the same stages with a
 /// per-tier schedule instead of using a session per request.
 #[derive(Debug)]
 pub struct QuerySession<'b, E, N> {
@@ -100,6 +99,17 @@ impl<'b, E: RangeCountEstimator, N: Network> QuerySession<'b, E, N> {
     /// Any stage's error; on a failure after Reserve the budget hold is
     /// rolled back before the error propagates.
     pub fn run(self, request: &QueryRequest) -> Result<PricedAnswer, CoreError> {
+        self.drive(Request::Demand(*request))
+    }
+
+    /// The single-request driver behind [`QuerySession::run`] and the
+    /// fixed-ε hook: one request of either kind through all six stages.
+    ///
+    /// # Errors
+    ///
+    /// Any stage's error; on a failure after Reserve the budget hold is
+    /// rolled back before the error propagates.
+    pub(crate) fn drive(self, request: Request) -> Result<PricedAnswer, CoreError> {
         let broker = self.broker;
         let admitted = match (Admit {
             request,
@@ -118,22 +128,18 @@ impl<'b, E: RangeCountEstimator, N: Network> QuerySession<'b, E, N> {
             }
             Admission::Fresh(admitted) => admitted,
         };
-        let quote = admitted.quote;
         Collect {
             target_probability: admitted.target_probability,
         }
         .run(broker);
-        let Reserved { plan, reservation } = Reserve {
-            accuracy: admitted.request.accuracy,
-        }
-        .run(broker)?;
+        let Reserved { plan, reservation } = Reserve { request }.run(broker)?;
         let estimated = Estimate {
-            query: admitted.request.query,
+            query: request.query(),
         }
         .run(broker);
         let perturbed = Perturb {
-            query: admitted.request.query,
-            accuracy: Some(admitted.request.accuracy),
+            query: request.query(),
+            accuracy: request.accuracy(),
             plan,
             sample_estimate: estimated.sample_estimate,
         }
@@ -142,63 +148,10 @@ impl<'b, E: RangeCountEstimator, N: Network> QuerySession<'b, E, N> {
             Ok(answer) => Ok(Settle {
                 answer,
                 reservation,
-                quote,
+                quote: admitted.quote,
                 buyer: self.buyer,
             }
             .run(broker)),
-            Err(e) => {
-                abort(broker, reservation);
-                Err(e)
-            }
-        }
-    }
-
-    /// Drives a fixed-ε request (the Fig. 5 / Fig. 6 experiment hook)
-    /// through the same stages, with the fixed-ε Admit/Reserve variants.
-    ///
-    /// # Errors
-    ///
-    /// Any stage's error; on a failure after Reserve the budget hold is
-    /// rolled back before the error propagates.
-    pub fn run_fixed(
-        self,
-        query: RangeQuery,
-        epsilon: Epsilon,
-        p: f64,
-    ) -> Result<PrivateAnswer, CoreError> {
-        let broker = self.broker;
-        match (AdmitFixed {
-            query,
-            epsilon,
-            probability: p,
-        })
-        .run(broker)?
-        {
-            FixedAdmission::Cached(answer) => return Ok(answer),
-            FixedAdmission::Fresh => {}
-        }
-        Collect {
-            target_probability: p,
-        }
-        .run(broker);
-        let Reserved { plan, reservation } = ReserveFixed { epsilon }.run(broker)?;
-        let estimated = Estimate { query }.run(broker);
-        let perturbed = Perturb {
-            query,
-            accuracy: None,
-            plan,
-            sample_estimate: estimated.sample_estimate,
-        }
-        .run(broker);
-        match perturbed {
-            Ok(answer) => Ok(Settle {
-                answer,
-                reservation,
-                quote: None,
-                buyer: None,
-            }
-            .run(broker)
-            .answer),
             Err(e) => {
                 abort(broker, reservation);
                 Err(e)

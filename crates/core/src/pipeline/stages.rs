@@ -6,16 +6,20 @@
 //! pre-pipeline entry points, which is what keeps every released answer
 //! bit-identical across the refactor:
 //!
-//! * [`Admit`] / [`AdmitFixed`] — price quote, cache lookup, admission
-//!   checks (no broker mutation beyond cache counters);
+//! * [`Admit`] — price quote, cache lookup, admission checks (no broker
+//!   mutation beyond cache counters);
 //! * [`Collect`] — sample top-up through
 //!   [`prc_net::network::Network::top_up`] (station mutation, index
 //!   invalidation);
-//! * [`Reserve`] / [`ReserveFixed`] — perturbation planning and the
-//!   two-phase budget **hold** (reserve now, commit or roll back later);
+//! * [`Reserve`] — perturbation planning and the two-phase budget
+//!   **hold** (reserve now, commit or roll back later);
 //! * [`Estimate`] — index-or-scan sample estimate (index build);
 //! * [`Perturb`] — the only stage that consumes broker randomness;
 //! * [`Settle`] — budget commit, cache store, ledger settlement.
+//!
+//! A single request is either an `(α, δ)` demand or a fixed `(ε, p)`
+//! experiment request; both kinds run the same stages, and only Admit's
+//! checks, the cache match rule and Reserve's plan depend on the kind.
 
 use prc_dp::budget::{Epsilon, Reservation};
 use prc_dp::laplace::draw_centered;
@@ -35,7 +39,41 @@ use crate::optimizer::{optimize, NetworkShape, PerturbationPlan, SensitivityPoli
 use crate::pipeline::PricedAnswer;
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
 
-/// Admission decision for one `(α, δ)` request.
+/// What one single request asks for. Private: callers reach it through
+/// [`crate::pipeline::QuerySession::run`] and
+/// [`DataBroker::answer_with_epsilon`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Request {
+    /// An `(α, δ)` demand, planned by the optimizer.
+    Demand(QueryRequest),
+    /// The fixed-ε experiment hook (Fig. 5 / Fig. 6): a Laplace budget
+    /// `epsilon` at sampling probability `probability`, with no demand.
+    Fixed {
+        query: RangeQuery,
+        epsilon: Epsilon,
+        probability: f64,
+    },
+}
+
+impl Request {
+    /// The queried range.
+    pub(crate) fn query(&self) -> RangeQuery {
+        match self {
+            Request::Demand(request) => request.query,
+            Request::Fixed { query, .. } => *query,
+        }
+    }
+
+    /// The customer accuracy (`None` for a fixed-ε request).
+    pub(crate) fn accuracy(&self) -> Option<Accuracy> {
+        match self {
+            Request::Demand(request) => Some(request.accuracy),
+            Request::Fixed { .. } => None,
+        }
+    }
+}
+
+/// Admission decision for one request.
 #[derive(Debug)]
 pub enum Admission {
     /// The cache already holds a reusable answer; skip straight to
@@ -53,8 +91,6 @@ pub enum Admission {
 /// A freshly admitted request, ready for [`Collect`].
 #[derive(Debug)]
 pub struct Admitted {
-    /// The admitted request.
-    pub request: QueryRequest,
     /// Sampling probability the collection stage must reach.
     pub target_probability: f64,
     /// The quote issued for this request, if the session is priced.
@@ -66,9 +102,9 @@ pub struct Admitted {
 #[derive(Debug)]
 pub struct Admit<'r> {
     /// The incoming request.
-    pub request: &'r QueryRequest,
+    pub(crate) request: Request,
     /// The purchasing consumer, when the session is priced.
-    pub buyer: Option<&'r str>,
+    pub(crate) buyer: Option<&'r str>,
 }
 
 impl Admit<'_> {
@@ -76,82 +112,52 @@ impl Admit<'_> {
     ///
     /// # Errors
     ///
+    /// [`CoreError::InvalidProbability`] when a fixed-ε request's `p` is
+    /// outside `(0, 1]` (checked before the cache is consulted);
     /// [`CoreError::Pricing`] when the engine refuses the demand (invalid
     /// or arbitrageable — checked *before* any budget or sample moves);
-    /// [`CoreError::NoSamples`] when the network is empty;
+    /// [`CoreError::NoSamples`] when a demand meets an empty network;
     /// [`CoreError::InvalidAccuracy`] from the sampling-target solver.
     pub fn run<E: RangeCountEstimator, N: Network>(
         self,
         broker: &mut DataBroker<E, N>,
     ) -> Result<Admission, CoreError> {
-        let quote = match (&mut broker.pricing, self.buyer) {
-            (Some(engine), Some(_)) => Some(engine.quote(Demand::new(
-                self.request.accuracy.alpha(),
-                self.request.accuracy.delta(),
-            ))?),
-            _ => None,
+        let quote = match self.request {
+            Request::Demand(request) => match (&mut broker.pricing, self.buyer) {
+                (Some(engine), Some(_)) => Some(engine.quote(Demand::new(
+                    request.accuracy.alpha(),
+                    request.accuracy.delta(),
+                ))?),
+                _ => None,
+            },
+            Request::Fixed { probability: p, .. } => {
+                if !(0.0..=1.0).contains(&p) || p == 0.0 {
+                    return Err(CoreError::InvalidProbability { value: p });
+                }
+                None
+            }
         };
-        if let Some(answer) = demand_cache_lookup(broker, self.request) {
+        if let Some(answer) = cache_lookup(broker, &self.request) {
             broker.counters.answers_released += 1;
             return Ok(Admission::Cached { answer, quote });
         }
-        let k = broker.network.node_count();
-        let n = broker.network.total_data_size();
-        if n == 0 {
-            return Err(CoreError::NoSamples);
-        }
-        let internal = broker
-            .sampling_policy
-            .internal_target(self.request.accuracy);
-        let target_probability = required_probability_clamped(internal, k, n)?;
+        let target_probability = match self.request {
+            Request::Demand(request) => {
+                let k = broker.network.node_count();
+                let n = broker.network.total_data_size();
+                if n == 0 {
+                    return Err(CoreError::NoSamples);
+                }
+                let internal = broker.sampling_policy.internal_target(request.accuracy);
+                required_probability_clamped(internal, k, n)?
+            }
+            // An empty station fails later, at Reserve, after Collect.
+            Request::Fixed { probability, .. } => probability,
+        };
         Ok(Admission::Fresh(Admitted {
-            request: *self.request,
             target_probability,
             quote,
         }))
-    }
-}
-
-/// Admission decision for one fixed-ε request.
-#[derive(Debug)]
-pub enum FixedAdmission {
-    /// A cached fixed-ε answer at this exact ε covers the request.
-    Cached(PrivateAnswer),
-    /// Run the full fixed-ε pipeline.
-    Fresh,
-}
-
-/// Stage 1 (fixed-ε variant) — validate the requested probability and
-/// consult the cache for a prior release at the same range and ε.
-#[derive(Debug)]
-pub struct AdmitFixed {
-    /// The queried range.
-    pub query: RangeQuery,
-    /// The fixed Laplace budget.
-    pub epsilon: Epsilon,
-    /// The sampling probability to top up to.
-    pub probability: f64,
-}
-
-impl AdmitFixed {
-    /// Runs the stage.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidProbability`] when `p` is outside `(0, 1]`.
-    pub fn run<E: RangeCountEstimator, N: Network>(
-        self,
-        broker: &mut DataBroker<E, N>,
-    ) -> Result<FixedAdmission, CoreError> {
-        let p = self.probability;
-        if !(0.0..=1.0).contains(&p) || p == 0.0 {
-            return Err(CoreError::InvalidProbability { value: p });
-        }
-        if let Some(answer) = fixed_cache_lookup(broker, self.query, self.epsilon, p) {
-            broker.counters.answers_released += 1;
-            return Ok(FixedAdmission::Cached(answer));
-        }
-        Ok(FixedAdmission::Fresh)
     }
 }
 
@@ -236,12 +242,14 @@ pub struct Reserved {
     pub reservation: Option<Reservation>,
 }
 
-/// Stage 3 — Reserve: solve problem (3) for the perturbation plan and
-/// place a hold for its effective `ε′` on the accountant.
+/// Stage 3 — Reserve: plan the perturbation and place a hold for its
+/// effective `ε′` on the accountant. A demand's plan solves problem (3);
+/// a fixed-ε request's plan is the degenerate one its `ε` and the
+/// achieved probability determine.
 #[derive(Debug)]
 pub struct Reserve {
-    /// The customer accuracy to plan for.
-    pub accuracy: Accuracy,
+    /// The request to plan for.
+    pub(crate) request: Request,
 }
 
 impl Reserve {
@@ -250,67 +258,53 @@ impl Reserve {
     /// # Errors
     ///
     /// [`CoreError::InfeasibleAccuracy`] when even a full top-up cannot
-    /// meet the demand; [`CoreError::Dp`] when the hold would overdraw
-    /// the budget.
+    /// meet a demand; [`CoreError::NoSamples`] on an empty station;
+    /// [`CoreError::Dp`] from amplification or when the hold would
+    /// overdraw the budget.
     pub fn run<E: RangeCountEstimator, N: Network>(
         self,
         broker: &mut DataBroker<E, N>,
     ) -> Result<Reserved, CoreError> {
-        let plan = plan_with_retry(broker, self.accuracy)?;
+        let plan = match self.request {
+            Request::Demand(request) => plan_with_retry(broker, request.accuracy)?,
+            Request::Fixed { epsilon, .. } => fixed_plan(broker, epsilon)?,
+        };
         let reservation = reserve_effective(broker, plan.effective_epsilon)?;
         Ok(Reserved { plan, reservation })
     }
 }
 
-/// Stage 3 (fixed-ε variant) — derive the degenerate plan from the
-/// achieved probability and the configured sensitivity policy, then hold
-/// the amplified `ε′`.
-#[derive(Debug)]
-pub struct ReserveFixed {
-    /// The fixed Laplace budget.
-    pub epsilon: Epsilon,
-}
-
-impl ReserveFixed {
-    /// Runs the stage.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NoSamples`] on an empty station; [`CoreError::Dp`]
-    /// from amplification or an overdrawing hold.
-    pub fn run<E: RangeCountEstimator, N: Network>(
-        self,
-        broker: &mut DataBroker<E, N>,
-    ) -> Result<Reserved, CoreError> {
-        let shape = NetworkShape::from_station(broker.network.station())?;
-        let achieved = broker.network.station().effective_probability();
-        let sensitivity = match broker.optimizer_config.sensitivity {
-            SensitivityPolicy::Expected => 1.0 / achieved,
-            SensitivityPolicy::WorstCase => shape.max_node_population as f64,
-            // Deliberately unvalidated: the experiment hook sweeps raw
-            // values, and a bad one must fail at the noise draw — after
-            // the hold — so the rollback path stays honest.
-            SensitivityPolicy::Fixed(v) => v,
-        };
-        let noise_scale = sensitivity / self.epsilon.value();
-        let effective = prc_dp::amplification::amplify(self.epsilon, achieved)?;
-        // A degenerate but fully finite plan: the fixed-ε hook has no
-        // intermediate accuracy split, so (α′, δ′) take their vacuous
-        // values (no error bound claimed, confidence 1 that none is
-        // exceeded) and the tail probability is 0.
-        let plan = PerturbationPlan {
-            alpha_prime: 0.0,
-            delta_prime: 1.0,
-            epsilon: self.epsilon,
-            effective_epsilon: effective,
-            sensitivity,
-            noise_scale,
-            probability: achieved,
-            tail_probability: 0.0,
-        };
-        let reservation = reserve_effective(broker, effective)?;
-        Ok(Reserved { plan, reservation })
-    }
+/// The fixed-ε plan: sensitivity from the configured policy at the
+/// achieved probability, noise scale `Δ/ε`, and the amplified `ε′`.
+fn fixed_plan<E, N: Network>(
+    broker: &DataBroker<E, N>,
+    epsilon: Epsilon,
+) -> Result<PerturbationPlan, CoreError> {
+    let shape = NetworkShape::from_station(broker.network.station())?;
+    let achieved = broker.network.station().effective_probability();
+    let sensitivity = match broker.optimizer_config.sensitivity {
+        SensitivityPolicy::Expected => 1.0 / achieved,
+        SensitivityPolicy::WorstCase => shape.max_node_population as f64,
+        // Deliberately unvalidated: the experiment hook sweeps raw
+        // values, and a bad one must fail at the noise draw — after
+        // the hold — so the rollback path stays honest.
+        SensitivityPolicy::Fixed(v) => v,
+    };
+    let effective = prc_dp::amplification::amplify(epsilon, achieved)?;
+    // A degenerate but fully finite plan: the fixed-ε hook has no
+    // intermediate accuracy split, so (α′, δ′) take their vacuous
+    // values (no error bound claimed, confidence 1 that none is
+    // exceeded) and the tail probability is 0.
+    Ok(PerturbationPlan {
+        alpha_prime: 0.0,
+        delta_prime: 1.0,
+        epsilon,
+        effective_epsilon: effective,
+        sensitivity,
+        noise_scale: sensitivity / epsilon.value(),
+        probability: achieved,
+        tail_probability: 0.0,
+    })
 }
 
 /// The pre-noise sample estimate.
@@ -359,7 +353,7 @@ impl Estimate {
 pub struct Perturb {
     /// The queried range.
     pub query: RangeQuery,
-    /// The customer accuracy (`None` on the fixed-ε path).
+    /// The customer accuracy (`None` for a fixed-ε request).
     pub accuracy: Option<Accuracy>,
     /// The plan to perturb under.
     pub plan: PerturbationPlan,
@@ -642,59 +636,47 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     };
 }
 
-/// Looks an `(α, δ)` request up in the answer cache, if caching is
-/// enabled. Only demand-path answers (with a recorded accuracy) are
-/// candidates; the guard decides whether re-serving one can undercut the
-/// posted price curve.
-pub(crate) fn demand_cache_lookup<E, N>(
+/// Looks a request up in the answer cache, if caching is enabled.
+/// Candidates are the answers over the same range, matched per kind:
+///
+/// * a demand reuses a demand-path answer (one with a recorded accuracy)
+///   when the guard decides re-serving it cannot undercut the posted
+///   price curve;
+/// * a fixed-ε request reuses a fixed-ε answer at the *same* ε, sampled
+///   at least as hard as requested — there is no accuracy demand for a
+///   guard to price, so the match is exact.
+pub(crate) fn cache_lookup<E, N>(
     broker: &mut DataBroker<E, N>,
-    request: &QueryRequest,
+    request: &Request,
 ) -> Option<PrivateAnswer> {
     let guard = broker.reuse_guard.as_deref()?;
-    let lower = request.query.lower().to_bits();
-    let upper = request.query.upper().to_bits();
-    let requested = Demand::new(request.accuracy.alpha(), request.accuracy.delta());
-    let hit = broker
-        .cache
-        .range((lower, upper, u64::MIN)..=(lower, upper, u64::MAX))
-        .map(|(_, answer)| answer)
-        .find(|answer| {
-            answer.accuracy.is_some_and(|cached| {
-                guard.allows_reuse(requested, Demand::new(cached.alpha(), cached.delta()))
-            })
-        })
-        .copied();
-    if hit.is_some() {
-        broker.counters.cache_hits += 1;
-    } else {
-        broker.counters.cache_misses += 1;
-    }
-    hit
-}
-
-/// Looks a fixed-ε request up in the answer cache, if caching is
-/// enabled. A cached fixed-ε answer is reusable only for the *same*
-/// range at the *same* ε, sampled at least as hard as requested — there
-/// is no accuracy demand for a guard to price, so the match is exact.
-fn fixed_cache_lookup<E, N>(
-    broker: &mut DataBroker<E, N>,
-    query: RangeQuery,
-    epsilon: Epsilon,
-    p: f64,
-) -> Option<PrivateAnswer> {
-    broker.reuse_guard.as_deref()?;
+    let query = request.query();
     let lower = query.lower().to_bits();
     let upper = query.upper().to_bits();
-    let hit = broker
+    let mut candidates = broker
         .cache
         .range((lower, upper, u64::MIN)..=(lower, upper, u64::MAX))
-        .map(|(_, answer)| answer)
-        .find(|answer| {
+        .map(|(_, answer)| answer);
+    let hit = match *request {
+        Request::Demand(request) => {
+            let requested = Demand::new(request.accuracy.alpha(), request.accuracy.delta());
+            candidates.find(|answer| {
+                answer.accuracy.is_some_and(|cached| {
+                    guard.allows_reuse(requested, Demand::new(cached.alpha(), cached.delta()))
+                })
+            })
+        }
+        Request::Fixed {
+            epsilon,
+            probability,
+            ..
+        } => candidates.find(|answer| {
             answer.accuracy.is_none()
                 && answer.plan.epsilon.value().to_bits() == epsilon.value().to_bits()
-                && answer.plan.probability >= p
-        })
-        .copied();
+                && answer.plan.probability >= probability
+        }),
+    }
+    .copied();
     if hit.is_some() {
         broker.counters.cache_hits += 1;
     } else {

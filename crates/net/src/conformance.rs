@@ -1,11 +1,12 @@
 //! The executable [`Network`] contract: a driver-generic conformance kit.
 //!
-//! PRs grew this workspace three network drivers — flat, threaded, and
-//! tree — and a broker pipeline that is generic over all of them. The
-//! pricing engine's arbitrage-freeness audit is only meaningful if every
-//! driver feeding it produces the *same* sample state for the same seed,
-//! so the contract the drivers share is pinned here as executable checks
-//! rather than prose:
+//! The workspace has two network drivers — flat and tree, which run one
+//! shared collection round over different topologies — and a broker
+//! pipeline that is generic over both. The pricing engine's
+//! arbitrage-freeness audit is only meaningful if every driver feeding
+//! it produces the *same* sample state for the same seed, so the
+//! contract the drivers share is pinned here as executable checks rather
+//! than prose:
 //!
 //! 1. **Seed determinism** — rebuilding and re-running a driver with
 //!    identical construction parameters yields a byte-identical
@@ -41,7 +42,7 @@
 //! The canonical topology is 7 nodes so that a binary [`crate::tree::TreeNetwork`]
 //! over the same partitions has leaves {3, 4, 5, 6}: the shared failure
 //! scenario only kills **leaf** nodes, which keeps tree connectivity
-//! equal to plain liveness and lets all three drivers agree exactly.
+//! equal to plain liveness and lets both drivers agree exactly.
 
 use crate::base_station::BaseStation;
 use crate::failure::{FailurePlan, LossMode};

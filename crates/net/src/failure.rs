@@ -22,10 +22,9 @@
 //! draw and an independent loss stream, both derived from the plan seed
 //! and the node id by a SplitMix64-style mix. The *m*-th transmission
 //! decision for node *i* is therefore a pure function of
-//! `(seed, i, m)` — a threaded driver interleaving nodes arbitrarily,
-//! a flat driver iterating in id order, and a tree driver skipping
-//! cut-off subtrees all see identical failures for the nodes they
-//! actually ask about. The conformance kit
+//! `(seed, i, m)` — a driver interleaving nodes arbitrarily, one
+//! iterating in id order, and one skipping cut-off subtrees all see
+//! identical failures for the nodes they actually ask about. The conformance kit
 //! ([`crate::conformance`]) relies on this to compare drivers
 //! byte-for-byte under one shared plan.
 
@@ -278,7 +277,7 @@ mod tests {
     fn decisions_are_independent_of_query_order() {
         // The same plan consulted forwards, backwards, and interleaved
         // must hand every node the same fate — this is what lets the
-        // flat, threaded, and tree drivers share one plan seed.
+        // flat and tree drivers share one plan seed.
         let mut forward = FailurePlan::new(0.3, 0.3, LossMode::Drop, 77);
         let mut backward = FailurePlan::new(0.3, 0.3, LossMode::Drop, 77);
         let fwd_dead: Vec<bool> = (0..40).map(|i| forward.node_is_dead(NodeId(i))).collect();

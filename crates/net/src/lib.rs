@@ -16,14 +16,14 @@
 //!   routine heartbeats for free);
 //! * [`base_station`] — per-node sample sets and top-up orchestration;
 //! * [`network`] — [`network::FlatNetwork`], the paper's flat model, with
-//!   a [`network::CostMeter`] tracking messages/samples/bytes, plus a
-//!   a pool-backed [`network::ThreadedNetwork`] driver fanning out over
-//!   the shared `prc-runtime` executor; both drivers
-//!   implement the [`network::Network`] trait so generic consumers (the
-//!   `prc-core` broker) run unchanged over either;
+//!   a [`network::CostMeter`] tracking messages/samples/bytes, the
+//!   [`network::Network`] trait generic consumers (the `prc-core` broker)
+//!   are written against, and the one collection round both drivers
+//!   share;
 //! * [`tree`] — the "general tree model" extension: samples are forwarded
-//!   hop-by-hop to the root, multiplying communication cost by depth; a
-//!   full [`network::Network`] driver since the conformance kit landed;
+//!   hop-by-hop to the root, multiplying communication cost by depth. A
+//!   flat node is a one-hop child of the base station, so the tree runs
+//!   the flat driver's round with a deeper topology;
 //! * [`failure`] — node-dropout and message-loss injection, keyed by
 //!   `NodeId` so every driver sees identical failures for one seed;
 //! * [`conformance`] — the executable `Network` contract: a driver-generic
@@ -59,6 +59,6 @@ pub mod tree;
 pub use base_station::{BaseStation, NodeSample};
 pub use conformance::{assert_drivers_agree, check_driver, ConformanceReport};
 pub use message::{Message, NodeId, SampleEntry, SampleMessage};
-pub use network::{CostMeter, FlatNetwork, Network, ThreadedNetwork};
+pub use network::{CostMeter, FlatNetwork, Network};
 pub use node::SensorNode;
 pub use tree::TreeNetwork;

@@ -1,19 +1,19 @@
-//! Network drivers and communication-cost accounting.
+//! The network drivers, their shared collection round, and
+//! communication-cost accounting.
 //!
 //! [`FlatNetwork`] implements the paper's flat model — every node talks
-//! directly to the base station — with a deterministic, single-threaded
-//! round protocol. [`ThreadedNetwork`] runs the same protocol with its
-//! per-node sampling fanned out over the shared [`prc_runtime::Runtime`]
-//! pool, producing byte-identical sample state for the same seed
-//! (per-node RNGs make the outcome independent of scheduling). Both
-//! drivers meter traffic through a shared [`CostMeter`].
+//! directly to the base station — and [`crate::tree::TreeNetwork`] the
+//! general tree model. Both own one private core that runs the round
+//! protocol: a flat node is simply a child of the base station at one
+//! hop, so dead-ancestor cut-off, hop-multiplied metering, both loss
+//! modes and the traced event sequence are written once. Traffic is
+//! charged through a shared [`CostMeter`].
 
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use prc_data::partition::{partition_values, PartitionStrategy};
 use prc_data::record::{AirQualityIndex, Dataset};
-use prc_runtime::{CutoffPolicy, Runtime};
 
 use crate::base_station::BaseStation;
 use crate::failure::{FailurePlan, LossMode};
@@ -121,7 +121,7 @@ impl CostMeter {
 /// bookkeeping: every driver mutates station state exclusively through
 /// [`BaseStation::ingest`], so for byte-identical rounds every driver
 /// reports byte-identical deltas. The conformance kit
-/// ([`crate::conformance`]) pins this across flat/threaded/tree.
+/// ([`crate::conformance`]) pins this across the flat and tree drivers.
 #[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RoundDelta {
     /// Sample entries delivered to the station this round.
@@ -137,11 +137,10 @@ pub struct RoundDelta {
 
 /// A driver-agnostic view of a sampling network.
 ///
-/// All three drivers — [`FlatNetwork`] (single-threaded, one synchronous
-/// round per collection), [`ThreadedNetwork`] (one OS thread per node,
-/// channel rounds), and [`crate::tree::TreeNetwork`] (balanced d-ary
-/// aggregation tree, hop-multiplied costs) — expose the same protocol
-/// surface: a population distributed over `k` nodes, a base station
+/// Both drivers — [`FlatNetwork`] (every node one hop from the base
+/// station) and [`crate::tree::TreeNetwork`] (balanced d-ary aggregation
+/// tree, hop-multiplied costs) — run the same collection round and
+/// expose the same protocol surface: a population distributed over `k` nodes, a base station
 /// accumulating Bernoulli samples, and a [`CostMeter`] charging every
 /// message. Generic consumers — most importantly the broker in
 /// `prc-core` — are written against this trait so the same pipeline runs
@@ -206,7 +205,7 @@ pub trait Network {
     /// Provided for every driver by bracketing
     /// [`Network::collect_samples`] with the station's revision journal;
     /// drivers must not override this with driver-local bookkeeping (the
-    /// journal is what keeps flat/threaded/tree deltas byte-identical).
+    /// journal is what keeps flat and tree deltas byte-identical).
     fn collect_delta(&mut self, target: f64) -> RoundDelta {
         let before = self.station().revision();
         let delivered = self.collect_samples(target);
@@ -230,152 +229,140 @@ pub trait Network {
     }
 }
 
-/// The paper's flat network: `k` sensor nodes reporting directly to one
-/// base station.
+/// The state and round protocol both drivers own: the nodes, each
+/// node's route to the base station, the station itself, the meter, the
+/// failure plan and the tracer.
+///
+/// The flat model is the one-hop case of the tree model (§III-A): a flat
+/// node is a child of the base station at one hop. [`FlatNetwork`] and
+/// [`crate::tree::TreeNetwork`] differ only in the routes they build and
+/// run the same [`Fleet::collect`].
 #[derive(Debug)]
-pub struct FlatNetwork {
-    nodes: Vec<SensorNode>,
-    station: BaseStation,
-    meter: CostMeter,
-    failure: FailurePlan,
-    tracer: Option<Tracer>,
+pub(crate) struct Fleet {
+    pub(crate) nodes: Vec<SensorNode>,
+    /// `parent[i]` is the index of node `i`'s parent, or `None` for a
+    /// child of the base station. A parent always precedes its children.
+    parent: Vec<Option<usize>>,
+    /// `hops[i]` = number of links from node `i` to the base station (≥ 1).
+    pub(crate) hops: Vec<u32>,
+    pub(crate) station: BaseStation,
+    pub(crate) meter: CostMeter,
+    pub(crate) failure: FailurePlan,
+    pub(crate) tracer: Option<Tracer>,
 }
 
-impl FlatNetwork {
-    /// Builds a network with one node per partition.
+impl Fleet {
+    /// Builds one node per partition; `parent_of(i)` names node `i`'s
+    /// parent, which must precede it (`None`: the base station).
     ///
     /// # Panics
     ///
     /// Panics if `partitions` is empty.
-    pub fn from_partitions(partitions: Vec<Vec<f64>>, seed: u64) -> Self {
+    pub(crate) fn new(
+        partitions: Vec<Vec<f64>>,
+        seed: u64,
+        parent_of: impl Fn(usize) -> Option<usize>,
+    ) -> Self {
         assert!(!partitions.is_empty(), "network needs at least one node");
-        let nodes = partitions
-            .into_iter()
-            .enumerate()
-            .map(|(i, data)| SensorNode::new(NodeId(i as u32), data, seed))
-            .collect();
-        FlatNetwork {
-            nodes,
+        let k = partitions.len();
+        let mut fleet = Fleet {
+            nodes: Vec::with_capacity(k),
+            parent: Vec::with_capacity(k),
+            hops: Vec::with_capacity(k),
             station: BaseStation::new(),
             meter: CostMeter::new(),
             failure: FailurePlan::none(),
             tracer: None,
+        };
+        for (i, data) in partitions.into_iter().enumerate() {
+            fleet.push(data, seed, parent_of(i));
         }
+        fleet
     }
 
-    /// Builds a network over one air-quality index of a dataset,
-    /// partitioned across `k` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn from_dataset(
-        dataset: &Dataset,
-        index: AirQualityIndex,
-        k: usize,
-        strategy: PartitionStrategy,
-        seed: u64,
-    ) -> Self {
-        let values = dataset.values(index);
-        FlatNetwork::from_partitions(partition_values(&values, k, strategy), seed)
-    }
-
-    /// Installs a failure plan (replacing any previous plan).
-    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
-        self.failure = plan;
-    }
-
-    /// Attaches an event tracer; subsequent rounds emit [`TraceEvent`]s.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Dynamic membership: adds a node with fresh local data and returns
-    /// its id. The node starts unsampled; it catches up at the next
-    /// collection round, after which the global estimator automatically
-    /// covers the grown population (its `k` and `n` come from the base
-    /// station's live state).
-    pub fn add_node(&mut self, data: Vec<f64>, seed: u64) -> NodeId {
+    /// Adds a node with fresh local data under `parent` (`None`: the base
+    /// station) and returns its id.
+    pub(crate) fn push(&mut self, data: Vec<f64>, seed: u64, parent: Option<usize>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(SensorNode::new(id, data, seed));
+        let hops = parent.map_or(1, |p| self.hops[p] + 1);
+        self.hops.push(hops);
+        self.parent.push(parent);
         id
     }
 
-    /// Number of nodes (dead or alive).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Total data elements across all nodes, `n = |D|`.
-    pub fn total_data_size(&self) -> usize {
+    pub(crate) fn total_data_size(&self) -> usize {
         self.nodes.iter().map(SensorNode::population_size).sum()
     }
 
-    /// The base station's view of collected samples.
-    pub fn station(&self) -> &BaseStation {
-        &self.station
-    }
-
-    /// The cost meter.
-    pub fn meter(&self) -> &CostMeter {
-        &self.meter
-    }
-
-    /// Read access to the nodes (ground-truth computations in tests).
-    pub fn nodes(&self) -> &[SensorNode] {
-        &self.nodes
-    }
-
-    /// Exact global range count `γ(l, u, D)` — ground truth for evaluation.
-    pub fn exact_range_count(&self, l: f64, u: f64) -> usize {
+    /// Exact global range count `γ(l, u, D)`, summed over every node.
+    pub(crate) fn exact_range_count(&self, l: f64, u: f64) -> usize {
         self.nodes.iter().map(|n| n.exact_range_count(l, u)).sum()
     }
 
-    /// Runs one collection round: every live node raises its cumulative
-    /// sampling probability to `target` and ships the new batch.
+    /// Whether each node can reach the base station: it and every
+    /// ancestor are alive. Every node's dropout is decided, cut off or
+    /// not, so the plan's state does not depend on the topology.
+    pub(crate) fn reachable(&mut self) -> Vec<bool> {
+        let mut reachable = Vec::with_capacity(self.nodes.len());
+        for (node, parent) in self.nodes.iter().zip(&self.parent) {
+            let alive = !self.failure.node_is_dead(node.id());
+            let route_up = parent.is_none_or(|p| reachable[p]);
+            reachable.push(alive && route_up);
+        }
+        reachable
+    }
+
+    /// Runs one collection round: every reachable node below `target` is
+    /// asked to top up to it and ships the new batch.
     ///
-    /// Dead nodes stay silent. Message loss follows the installed
-    /// [`FailurePlan`]. Returns the number of sample entries that reached
-    /// the base station this round.
+    /// Requests and delivered batches are charged once per hop (and,
+    /// under retransmission, once per attempt per hop). Nodes that are
+    /// dead or cut off by a dead ancestor are traced as silent. A batch
+    /// lost under [`LossMode::Drop`] dies on its first link (one charged
+    /// transmission), and the node still registers its population and
+    /// probability claim with the station. Returns the number of sample
+    /// entries that reached the base station.
     ///
     /// # Panics
     ///
     /// Panics if `target` is not in `(0, 1]`.
-    pub fn collect_samples(&mut self, target: f64) -> usize {
+    pub(crate) fn collect(&mut self, target: f64) -> usize {
         assert!(
             target > 0.0 && target <= 1.0,
             "sampling probability must be in (0, 1], got {target}"
         );
+        let reachable = self.reachable();
         let mut delivered = 0;
-        for node in &mut self.nodes {
-            if self.failure.node_is_dead(node.id()) {
+        for ((node, &hops), reachable) in self.nodes.iter_mut().zip(&self.hops).zip(reachable) {
+            if !reachable {
                 if let Some(tracer) = &self.tracer {
                     tracer.record(TraceEvent::NodeSilent { node: node.id() });
                 }
                 continue;
             }
-            if node.probability() < target {
-                let request = Message::TopUpRequest {
-                    node_id: node.id(),
-                    target_probability: target,
-                };
-                // Downlink request; retransmitted until heard even in Drop
-                // mode (control traffic is acked in any real protocol).
-                self.meter.record(&request, 1, 1);
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceEvent::TopUpRequested {
-                        node: node.id(),
-                        target,
-                    });
-                }
-            } else {
+            if node.probability() >= target {
                 continue;
+            }
+            let request = Message::TopUpRequest {
+                node_id: node.id(),
+                target_probability: target,
+            };
+            // Downlink request; retransmitted until heard even in Drop
+            // mode (control traffic is acked in any real protocol).
+            self.meter.record(&request, hops, 1);
+            if let Some(tracer) = &self.tracer {
+                tracer.record(TraceEvent::TopUpRequested {
+                    node: node.id(),
+                    target,
+                });
             }
             let batch = node.sample_to(target);
             let message = Message::Sample(batch.clone());
             match self.failure.transmission_attempts(batch.node_id) {
                 Some(attempts) => {
-                    self.meter.record(&message, 1, attempts);
+                    self.meter.record(&message, hops, attempts);
                     delivered += batch.entries.len();
                     if let Some(tracer) = &self.tracer {
                         tracer.record(TraceEvent::BatchDelivered {
@@ -418,6 +405,106 @@ impl FlatNetwork {
     }
 }
 
+/// The paper's flat network: `k` sensor nodes reporting directly to one
+/// base station.
+#[derive(Debug)]
+pub struct FlatNetwork {
+    fleet: Fleet,
+}
+
+impl FlatNetwork {
+    /// Builds a network with one node per partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is empty.
+    pub fn from_partitions(partitions: Vec<Vec<f64>>, seed: u64) -> Self {
+        FlatNetwork {
+            fleet: Fleet::new(partitions, seed, |_| None),
+        }
+    }
+
+    /// Builds a network over one air-quality index of a dataset,
+    /// partitioned across `k` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn from_dataset(
+        dataset: &Dataset,
+        index: AirQualityIndex,
+        k: usize,
+        strategy: PartitionStrategy,
+        seed: u64,
+    ) -> Self {
+        let values = dataset.values(index);
+        FlatNetwork::from_partitions(partition_values(&values, k, strategy), seed)
+    }
+
+    /// Installs a failure plan (replacing any previous plan).
+    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
+        self.fleet.failure = plan;
+    }
+
+    /// Attaches an event tracer; subsequent rounds emit [`TraceEvent`]s.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.fleet.tracer = Some(tracer);
+    }
+
+    /// Dynamic membership: adds a node with fresh local data and returns
+    /// its id. The node starts unsampled; it catches up at the next
+    /// collection round, after which the global estimator automatically
+    /// covers the grown population (its `k` and `n` come from the base
+    /// station's live state).
+    pub fn add_node(&mut self, data: Vec<f64>, seed: u64) -> NodeId {
+        self.fleet.push(data, seed, None)
+    }
+
+    /// Number of nodes (dead or alive).
+    pub fn node_count(&self) -> usize {
+        self.fleet.nodes.len()
+    }
+
+    /// Total data elements across all nodes, `n = |D|`.
+    pub fn total_data_size(&self) -> usize {
+        self.fleet.total_data_size()
+    }
+
+    /// The base station's view of collected samples.
+    pub fn station(&self) -> &BaseStation {
+        &self.fleet.station
+    }
+
+    /// The cost meter.
+    pub fn meter(&self) -> &CostMeter {
+        &self.fleet.meter
+    }
+
+    /// Read access to the nodes (ground-truth computations in tests).
+    pub fn nodes(&self) -> &[SensorNode] {
+        &self.fleet.nodes
+    }
+
+    /// Exact global range count `γ(l, u, D)` — ground truth for evaluation.
+    pub fn exact_range_count(&self, l: f64, u: f64) -> usize {
+        self.fleet.exact_range_count(l, u)
+    }
+
+    /// Runs one collection round: every live node raises its cumulative
+    /// sampling probability to `target` and ships the new batch.
+    ///
+    /// Dead nodes stay silent. Message loss follows the installed
+    /// [`FailurePlan`]. Returns the number of sample entries that reached
+    /// the base station this round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is not in `(0, 1]`.
+    pub fn collect_samples(&mut self, target: f64) -> usize {
+        self.fleet.collect(target)
+    }
+}
+
 impl Network for FlatNetwork {
     fn node_count(&self) -> usize {
         FlatNetwork::node_count(self)
@@ -449,252 +536,6 @@ impl Network for FlatNetwork {
 
     fn exact_range_count(&self, l: f64, u: f64) -> usize {
         FlatNetwork::exact_range_count(self, l, u)
-    }
-}
-
-/// A threaded driver: per-node sampling fanned out over the shared
-/// [`prc_runtime::Runtime`] pool, and the same deterministic per-node
-/// sampling as [`FlatNetwork`].
-///
-/// For the same construction parameters, the base-station state after
-/// [`ThreadedNetwork::collect_samples`] is identical to the flat driver's
-/// (each node owns an independent RNG seeded from the shared seed and the
-/// node id, so pool scheduling cannot change what is sampled). The same
-/// holds under a [`FailurePlan`]: nodes sample concurrently, but failure
-/// decisions are keyed by `NodeId` and applied by the coordinator in
-/// node-id order, so dropout, loss, metering, and tracing replay the
-/// flat protocol exactly.
-#[derive(Debug)]
-pub struct ThreadedNetwork {
-    nodes: Vec<SensorNode>,
-    station: BaseStation,
-    meter: CostMeter,
-    failure: FailurePlan,
-    tracer: Option<Tracer>,
-}
-
-/// Network rounds always amortize their fan-out (per-node sampling and
-/// counting dwarf dispatch); a single-worker pool still degrades to the
-/// caller-side sequential path with identical bytes.
-const NET_CUTOFF: CutoffPolicy = CutoffPolicy::always_parallel();
-
-impl ThreadedNetwork {
-    /// Builds a network with one node per partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is empty.
-    pub fn from_partitions(partitions: Vec<Vec<f64>>, seed: u64) -> Self {
-        assert!(!partitions.is_empty(), "network needs at least one node");
-        let nodes = partitions
-            .into_iter()
-            .enumerate()
-            .map(|(i, data)| SensorNode::new(NodeId(i as u32), data, seed))
-            .collect();
-        ThreadedNetwork {
-            nodes,
-            station: BaseStation::new(),
-            meter: CostMeter::new(),
-            failure: FailurePlan::none(),
-            tracer: None,
-        }
-    }
-
-    /// Installs a failure plan (replacing any previous plan).
-    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
-        self.failure = plan;
-    }
-
-    /// Attaches an event tracer; subsequent rounds emit [`TraceEvent`]s.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Total data elements across all nodes.
-    pub fn total_data_size(&self) -> usize {
-        self.nodes.iter().map(SensorNode::population_size).sum()
-    }
-
-    /// The base station's view of collected samples.
-    pub fn station(&self) -> &BaseStation {
-        &self.station
-    }
-
-    /// The cost meter.
-    pub fn meter(&self) -> &CostMeter {
-        &self.meter
-    }
-
-    /// Exact global range count `γ(l, u, D)` — ground truth for
-    /// evaluation, summed over pool workers and not metered.
-    ///
-    /// # Panics
-    ///
-    /// Only to propagate a pool worker's panic, re-raised through the
-    /// runtime's single panic path ([`Runtime::map_chunked`]).
-    pub fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        Runtime::global()
-            .map_chunked(&self.nodes, self.nodes.len(), NET_CUTOFF, |chunk| {
-                chunk
-                    .items
-                    .iter()
-                    .map(|node| node.exact_range_count(l, u))
-                    .sum::<usize>()
-            })
-            .into_iter()
-            .sum()
-    }
-
-    /// Broadcasts a top-up to `target` and gathers every live node's
-    /// batch, replaying the flat driver's failure, metering, and tracing
-    /// protocol in node-id order.
-    ///
-    /// Returns the number of sample entries that reached the base
-    /// station this round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not in `(0, 1]`. Otherwise only to propagate
-    /// a pool worker's panic, re-raised through the runtime's single
-    /// panic path ([`Runtime::map_chunked_mut`]).
-    pub fn collect_samples(&mut self, target: f64) -> usize {
-        assert!(
-            target > 0.0 && target <= 1.0,
-            "sampling probability must be in (0, 1], got {target}"
-        );
-        // Fan out: dead nodes are never contacted; live nodes top up
-        // concurrently over the shared pool. Dropout draws memoize
-        // through `&mut FailurePlan`, so they are decided here in id
-        // order (matching every other driver) before the fan-out; each
-        // node owns its RNG, so what gets sampled is independent of
-        // chunking and scheduling.
-        let node_count = self.nodes.len();
-        let dead: Vec<bool> = (0..node_count)
-            .map(|i| self.failure.node_is_dead(NodeId(i as u32)))
-            .collect();
-        let dead = &dead;
-        let batches =
-            Runtime::global().map_chunked_mut(&mut self.nodes, node_count, NET_CUTOFF, |chunk| {
-                chunk
-                    .items
-                    .iter_mut()
-                    .filter(|node| !dead[node.id().0 as usize])
-                    .map(|node| {
-                        let lagged = node.probability() < target;
-                        (lagged, node.sample_to(target))
-                    })
-                    .collect::<Vec<_>>()
-            });
-        // Gather: park every live node's batch by id.
-        let mut replies: std::collections::BTreeMap<NodeId, (bool, SampleMessage)> = batches
-            .into_iter()
-            .flatten()
-            .map(|(lagged, batch)| (batch.node_id, (lagged, batch)))
-            .collect();
-        // Settle in node-id order: identical event, metering, and loss
-        // sequence to FlatNetwork::collect_samples.
-        let mut delivered = 0;
-        for i in 0..node_count {
-            let id = NodeId(i as u32);
-            if self.failure.node_is_dead(id) {
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceEvent::NodeSilent { node: id });
-                }
-                continue;
-            }
-            let Some((lagged, batch)) = replies.remove(&id) else {
-                continue;
-            };
-            if !lagged {
-                continue;
-            }
-            let request = Message::TopUpRequest {
-                node_id: id,
-                target_probability: target,
-            };
-            self.meter.record(&request, 1, 1);
-            if let Some(tracer) = &self.tracer {
-                tracer.record(TraceEvent::TopUpRequested { node: id, target });
-            }
-            let message = Message::Sample(batch.clone());
-            match self.failure.transmission_attempts(id) {
-                Some(attempts) => {
-                    self.meter.record(&message, 1, attempts);
-                    delivered += batch.entries.len();
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchDelivered {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                            attempts,
-                        });
-                    }
-                    self.station.ingest(batch);
-                }
-                None => {
-                    self.meter.record_lost(&message);
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchLost {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                        });
-                    }
-                    if self.failure.loss_mode() == LossMode::Drop {
-                        self.station.ingest(SampleMessage {
-                            entries: Vec::new(),
-                            ..batch
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(tracer) = &self.tracer {
-            let round = tracer.next_round();
-            tracer.record(TraceEvent::RoundCompleted {
-                round,
-                target,
-                delivered,
-            });
-        }
-        delivered
-    }
-}
-
-impl Network for ThreadedNetwork {
-    fn node_count(&self) -> usize {
-        ThreadedNetwork::node_count(self)
-    }
-
-    fn total_data_size(&self) -> usize {
-        ThreadedNetwork::total_data_size(self)
-    }
-
-    fn station(&self) -> &BaseStation {
-        ThreadedNetwork::station(self)
-    }
-
-    fn meter(&self) -> &CostMeter {
-        ThreadedNetwork::meter(self)
-    }
-
-    fn collect_samples(&mut self, target: f64) -> usize {
-        ThreadedNetwork::collect_samples(self, target)
-    }
-
-    fn set_failure_plan(&mut self, plan: FailurePlan) {
-        ThreadedNetwork::set_failure_plan(self, plan);
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        ThreadedNetwork::set_tracer(self, tracer);
-    }
-
-    fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        ThreadedNetwork::exact_range_count(self, l, u)
     }
 }
 
@@ -879,111 +720,9 @@ mod tests {
     }
 
     #[test]
-    fn threaded_matches_flat_exactly() {
-        let parts = partitions(8, 400);
-        let mut flat = FlatNetwork::from_partitions(parts.clone(), 77);
-        flat.collect_samples(0.25);
-        flat.collect_samples(0.6);
-
-        let mut threaded = ThreadedNetwork::from_partitions(parts, 77);
-        threaded.collect_samples(0.25);
-        threaded.collect_samples(0.6);
-
-        assert_eq!(flat.station(), threaded.station());
-        assert_eq!(threaded.node_count(), 8);
-        assert_eq!(threaded.total_data_size(), 3_200);
-    }
-
-    #[test]
-    fn threaded_meter_counts() {
-        let mut net = ThreadedNetwork::from_partitions(partitions(3, 100), 1);
-        let delivered = net.collect_samples(0.5);
-        let cost = net.meter().snapshot();
-        assert_eq!(cost.samples, delivered as u64);
-        assert_eq!(cost.messages, 6); // 3 requests + 3 batches
-    }
-
-    #[test]
-    #[should_panic(expected = "must be in (0, 1]")]
-    fn threaded_rejects_bad_probability() {
-        let mut net = ThreadedNetwork::from_partitions(partitions(1, 10), 1);
-        net.collect_samples(0.0);
-    }
-
-    #[test]
     #[should_panic(expected = "must be in (0, 1]")]
     fn flat_rejects_bad_probability() {
         let mut net = FlatNetwork::from_partitions(partitions(1, 10), 1);
         net.collect_samples(1.5);
-    }
-
-    #[test]
-    fn threaded_matches_flat_under_the_same_failure_plan() {
-        // Satellite regression for the old parity gap: the threaded
-        // driver used to silently ignore FailurePlan and Tracer.
-        let parts = partitions(10, 300);
-        let mk_plan = || {
-            let mut plan = FailurePlan::new(0.2, 0.3, LossMode::Drop, 31);
-            plan.kill_node(NodeId(4));
-            plan
-        };
-
-        let mut flat = FlatNetwork::from_partitions(parts.clone(), 55);
-        flat.set_failure_plan(mk_plan());
-        let flat_tracer = crate::trace::Tracer::new(256);
-        flat.set_tracer(flat_tracer.clone());
-        flat.collect_samples(0.3);
-        flat.collect_samples(0.7);
-
-        let mut threaded = ThreadedNetwork::from_partitions(parts, 55);
-        threaded.set_failure_plan(mk_plan());
-        let threaded_tracer = crate::trace::Tracer::new(256);
-        threaded.set_tracer(threaded_tracer.clone());
-        threaded.collect_samples(0.3);
-        threaded.collect_samples(0.7);
-
-        assert_eq!(
-            flat.station(),
-            threaded.station(),
-            "station state must be identical under one failure plan"
-        );
-        assert_eq!(flat.meter().snapshot(), threaded.meter().snapshot());
-        assert_eq!(
-            flat.meter().per_node_bytes(),
-            threaded.meter().per_node_bytes()
-        );
-        assert_eq!(
-            flat_tracer.events(),
-            threaded_tracer.events(),
-            "the two drivers must emit the same event sequence"
-        );
-    }
-
-    #[test]
-    fn threaded_exact_count_matches_flat() {
-        let parts = partitions(6, 150);
-        let flat = FlatNetwork::from_partitions(parts.clone(), 3);
-        let threaded = ThreadedNetwork::from_partitions(parts, 3);
-        assert_eq!(
-            flat.exact_range_count(100.0, 550.0),
-            threaded.exact_range_count(100.0, 550.0)
-        );
-        assert_eq!(threaded.exact_range_count(0.0, 1e9), 900);
-        // Ground truth is not metered.
-        assert_eq!(threaded.meter().snapshot(), CostSnapshot::default());
-    }
-
-    #[test]
-    fn threaded_repeat_rounds_meter_like_flat() {
-        // A round below the reached probability must move (and charge)
-        // nothing — the old driver charged every node every round.
-        let parts = partitions(4, 100);
-        let mut flat = FlatNetwork::from_partitions(parts.clone(), 8);
-        let mut threaded = ThreadedNetwork::from_partitions(parts, 8);
-        flat.collect_samples(0.6);
-        threaded.collect_samples(0.6);
-        assert_eq!(flat.collect_samples(0.2), 0);
-        assert_eq!(threaded.collect_samples(0.2), 0);
-        assert_eq!(flat.meter().snapshot(), threaded.meter().snapshot());
     }
 }

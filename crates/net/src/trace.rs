@@ -2,12 +2,12 @@
 //!
 //! Production systems need to answer "what did the network actually do
 //! last round?" without a debugger. A [`Tracer`] is a bounded, thread-safe
-//! ring buffer of [`TraceEvent`]s that every driver
-//! ([`crate::network::FlatNetwork`], [`crate::network::ThreadedNetwork`],
-//! [`crate::tree::TreeNetwork`]) emits as it runs: per-node requests,
-//! deliveries, losses, silent (dead or cut-off) nodes, and a per-round
-//! summary. The conformance kit ([`crate::conformance`]) checks that all
-//! drivers account events identically.
+//! ring buffer of [`TraceEvent`]s that the collection round both drivers
+//! share ([`crate::network::FlatNetwork`], [`crate::tree::TreeNetwork`])
+//! emits as it runs: per-node requests, deliveries, losses, silent (dead
+//! or cut-off) nodes, and a per-round summary. The conformance kit
+//! ([`crate::conformance`]) checks that both drivers account events
+//! identically.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

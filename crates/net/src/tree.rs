@@ -7,7 +7,9 @@
 //! * **sample forwarding** — each node's sample batch is relayed hop by
 //!   hop to the root, so its transmission cost is multiplied by the
 //!   node's depth; the base station ends up with exactly the same sample
-//!   state as in the flat model. [`TreeNetwork`] implements
+//!   state as in the flat model. The round is the flat driver's own
+//!   (the two share one core in [`crate::network`]; a flat node is a
+//!   one-hop child of the base station), and [`TreeNetwork`] implements
 //!   [`crate::network::Network`], so the broker pipeline in `prc-core`
 //!   runs unchanged over the tree model — only the cost meter sees the
 //!   topology;
@@ -18,11 +20,10 @@
 //!   paper's one-sample/many-queries design avoids.
 
 use crate::base_station::BaseStation;
-use crate::failure::{FailurePlan, LossMode};
-use crate::message::{Message, NodeId, SampleMessage, MESSAGE_HEADER_BYTES};
-use crate::network::{CostMeter, Network};
-use crate::node::SensorNode;
-use crate::trace::{TraceEvent, Tracer};
+use crate::failure::FailurePlan;
+use crate::message::MESSAGE_HEADER_BYTES;
+use crate::network::{CostMeter, Fleet, Network};
+use crate::trace::Tracer;
 
 /// Wire size of one partial-sum aggregation message.
 pub const AGGREGATE_MESSAGE_BYTES: usize = MESSAGE_HEADER_BYTES + 8;
@@ -44,16 +45,7 @@ pub const AGGREGATE_MESSAGE_BYTES: usize = MESSAGE_HEADER_BYTES + 8;
 /// ```
 #[derive(Debug)]
 pub struct TreeNetwork {
-    nodes: Vec<SensorNode>,
-    /// `parent[i]` is the index of node `i`'s parent, or `None` for
-    /// children of the base station (the tree's roots).
-    parent: Vec<Option<usize>>,
-    /// `depth[i]` = number of hops from node `i` to the base station (≥ 1).
-    depth: Vec<u32>,
-    station: BaseStation,
-    meter: CostMeter,
-    failure: FailurePlan,
-    tracer: Option<Tracer>,
+    fleet: Fleet,
 }
 
 impl TreeNetwork {
@@ -65,55 +57,33 @@ impl TreeNetwork {
     ///
     /// Panics if `partitions` is empty or `branching == 0`.
     pub fn from_partitions(partitions: Vec<Vec<f64>>, branching: usize, seed: u64) -> Self {
-        assert!(!partitions.is_empty(), "network needs at least one node");
         assert!(branching > 0, "branching factor must be positive");
-        let k = partitions.len();
-        let nodes: Vec<SensorNode> = partitions
-            .into_iter()
-            .enumerate()
-            .map(|(i, data)| SensorNode::new(NodeId(i as u32), data, seed))
-            .collect();
-        let mut parent = Vec::with_capacity(k);
-        let mut depth = Vec::with_capacity(k);
-        for i in 0..k {
-            if i == 0 {
-                parent.push(None);
-                depth.push(1);
-            } else {
-                let p = (i - 1) / branching;
-                parent.push(Some(p));
-                depth.push(depth[p] + 1);
-            }
-        }
         TreeNetwork {
-            nodes,
-            parent,
-            depth,
-            station: BaseStation::new(),
-            meter: CostMeter::new(),
-            failure: FailurePlan::none(),
-            tracer: None,
+            fleet: Fleet::new(partitions, seed, |i| {
+                i.checked_sub(1).map(|j| j / branching)
+            }),
         }
     }
 
     /// Installs a failure plan (replacing any previous plan).
     pub fn set_failure_plan(&mut self, plan: FailurePlan) {
-        self.failure = plan;
+        self.fleet.failure = plan;
     }
 
-    /// Attaches an event tracer; subsequent rounds emit [`TraceEvent`]s.
+    /// Attaches an event tracer; subsequent rounds emit
+    /// [`crate::trace::TraceEvent`]s.
     pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = Some(tracer);
+        self.fleet.tracer = Some(tracer);
     }
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.fleet.nodes.len()
     }
 
     /// Total data elements across all nodes.
     pub fn total_data_size(&self) -> usize {
-        self.nodes.iter().map(SensorNode::population_size).sum()
+        self.fleet.total_data_size()
     }
 
     /// Hop distance of node `i` from the base station.
@@ -122,27 +92,27 @@ impl TreeNetwork {
     ///
     /// Panics if `i` is out of range.
     pub fn depth(&self, i: usize) -> u32 {
-        self.depth[i]
+        self.fleet.hops[i]
     }
 
     /// Maximum depth of the tree.
     pub fn max_depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
+        self.fleet.hops.iter().copied().max().unwrap_or(0)
     }
 
     /// The base station's view of collected samples.
     pub fn station(&self) -> &BaseStation {
-        &self.station
+        &self.fleet.station
     }
 
     /// The cost meter.
     pub fn meter(&self) -> &CostMeter {
-        &self.meter
+        &self.fleet.meter
     }
 
     /// Exact global range count — ground truth for evaluation.
     pub fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        self.nodes.iter().map(|n| n.exact_range_count(l, u)).sum()
+        self.fleet.exact_range_count(l, u)
     }
 
     /// Runs one collection round with hop-multiplied costs.
@@ -151,10 +121,10 @@ impl TreeNetwork {
     /// sampling probability to `target`; its batch is charged once per
     /// hop (and, under retransmission, once per attempt per hop). Nodes
     /// cut off by a dead ancestor cannot deliver and are traced as
-    /// silent. A batch lost under [`LossMode::Drop`] dies on its first
-    /// link (one charged transmission); the node still registers its
-    /// population and probability claim with the station, exactly like
-    /// the flat driver.
+    /// silent. A batch lost under [`crate::failure::LossMode::Drop`] dies
+    /// on its first link (one charged transmission); the node still
+    /// registers its population and probability claim with the station,
+    /// exactly like the flat driver.
     ///
     /// Returns the number of sample entries that reached the base station.
     ///
@@ -162,81 +132,7 @@ impl TreeNetwork {
     ///
     /// Panics if `target` is not in `(0, 1]`.
     pub fn collect_samples(&mut self, target: f64) -> usize {
-        assert!(
-            target > 0.0 && target <= 1.0,
-            "sampling probability must be in (0, 1], got {target}"
-        );
-        let alive: Vec<bool> = (0..self.nodes.len())
-            .map(|i| !self.failure.node_is_dead(NodeId(i as u32)))
-            .collect();
-        let connected: Vec<bool> = (0..self.nodes.len())
-            .map(|i| self.path_is_alive(i, &alive))
-            .collect();
-
-        let mut delivered = 0;
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if !connected[i] {
-                if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceEvent::NodeSilent { node: node.id() });
-                }
-                continue;
-            }
-            if node.probability() >= target {
-                continue;
-            }
-            let hops = self.depth[i];
-            let request = Message::TopUpRequest {
-                node_id: node.id(),
-                target_probability: target,
-            };
-            self.meter.record(&request, hops, 1);
-            if let Some(tracer) = &self.tracer {
-                tracer.record(TraceEvent::TopUpRequested {
-                    node: node.id(),
-                    target,
-                });
-            }
-            let batch = node.sample_to(target);
-            let message = Message::Sample(batch.clone());
-            match self.failure.transmission_attempts(batch.node_id) {
-                Some(attempts) => {
-                    self.meter.record(&message, hops, attempts);
-                    delivered += batch.entries.len();
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchDelivered {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                            attempts,
-                        });
-                    }
-                    self.station.ingest(batch);
-                }
-                None => {
-                    self.meter.record_lost(&message);
-                    if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchLost {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                        });
-                    }
-                    if self.failure.loss_mode() == LossMode::Drop {
-                        self.station.ingest(SampleMessage {
-                            entries: Vec::new(),
-                            ..batch
-                        });
-                    }
-                }
-            }
-        }
-        if let Some(tracer) = &self.tracer {
-            let round = tracer.next_round();
-            tracer.record(TraceEvent::RoundCompleted {
-                round,
-                target,
-                delivered,
-            });
-        }
-        delivered
+        self.fleet.collect(target)
     }
 
     /// TAG-style in-network exact aggregation: every live, connected node
@@ -245,18 +141,12 @@ impl TreeNetwork {
     ///
     /// Returns `(count, messages, bytes)` for this single query.
     pub fn aggregate_exact_count(&mut self, l: f64, u: f64) -> (usize, u64, u64) {
-        let alive: Vec<bool> = (0..self.nodes.len())
-            .map(|i| !self.failure.node_is_dead(NodeId(i as u32)))
-            .collect();
-        let connected: Vec<bool> = (0..self.nodes.len())
-            .map(|i| self.path_is_alive(i, &alive))
-            .collect();
-
+        let reachable = self.fleet.reachable();
         let mut count = 0usize;
         let mut messages = 0u64;
         let mut bytes = 0u64;
-        for (i, node) in self.nodes.iter().enumerate() {
-            if connected[i] {
+        for (node, reachable) in self.fleet.nodes.iter().zip(reachable) {
+            if reachable {
                 count += node.exact_range_count(l, u);
                 // One partial-sum message on the edge toward the parent.
                 messages += 1;
@@ -264,19 +154,6 @@ impl TreeNetwork {
             }
         }
         (count, messages, bytes)
-    }
-
-    /// True when node `i` and all its ancestors are alive.
-    fn path_is_alive(&self, mut i: usize, alive: &[bool]) -> bool {
-        loop {
-            if !alive[i] {
-                return false;
-            }
-            match self.parent[i] {
-                Some(p) => i = p,
-                None => return true,
-            }
-        }
     }
 }
 
@@ -317,6 +194,8 @@ impl Network for TreeNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::LossMode;
+    use crate::message::NodeId;
 
     fn partitions(k: usize, per_node: usize) -> Vec<Vec<f64>> {
         (0..k)

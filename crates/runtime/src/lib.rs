@@ -2,11 +2,10 @@
 //! executor (DESIGN.md §15).
 //!
 //! Every parallel site in the workspace — the index k-way merge, the
-//! optimizer grid sweep, the batch pipeline's estimate fan-out, the
-//! threaded network driver — runs on one persistent [`Runtime`] pool
-//! through two order-stable entry points, [`Runtime::map_chunked`] and
-//! [`Runtime::reduce_ordered`] (plus [`Runtime::map_chunked_mut`] for
-//! disjoint in-place work). The contract has four clauses:
+//! optimizer grid sweep, the batch pipeline's estimate fan-out — runs on
+//! one persistent [`Runtime`] pool through two order-stable entry
+//! points, [`Runtime::map_chunked`] and [`Runtime::reduce_ordered`]
+//! (plus [`Runtime::map_chunked_mut`] for disjoint in-place work). The contract has four clauses:
 //!
 //! * **Determinism** — inputs are split into contiguous chunks and
 //!   results are assembled in submission order, so the output is a pure
@@ -227,8 +226,8 @@ impl Runtime {
     }
 
     /// [`Runtime::map_chunked`] over disjoint mutable chunks, for sites
-    /// that mutate items in place (the threaded network driver's
-    /// per-node sampling). Same order, cutoff, and panic contract.
+    /// that mutate items in place. Same order, cutoff, and panic
+    /// contract.
     ///
     /// # Panics
     ///

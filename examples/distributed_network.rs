@@ -1,8 +1,9 @@
-//! Network-level behaviour: tree topology, threaded driver, and failure
-//! injection. Shows (a) the tree model's hop-multiplied communication
-//! cost, (b) the TAG-style exact-aggregation baseline the paper's
-//! one-sample/many-queries design avoids, and (c) estimator degradation
-//! under node dropout and message loss.
+//! Network-level behaviour: tree topology and failure injection. Shows
+//! (a) the tree model's hop-multiplied communication cost, (b) the
+//! TAG-style exact-aggregation baseline the paper's
+//! one-sample/many-queries design avoids, (c) a dead relay silencing its
+//! subtree, and (d) estimator degradation under node dropout and message
+//! loss.
 //!
 //! ```text
 //! cargo run --release --example distributed_network
@@ -68,14 +69,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tree_cost.messages, tree_cost.bytes
     );
 
-    // --- Threaded driver matches the deterministic one ----------------
-    let mut threaded = ThreadedNetwork::from_partitions(partitions.clone(), 3);
-    threaded.collect_samples(p);
-    let est_threaded = RankCounting.estimate(threaded.station(), query);
-    println!("\nthreaded driver (shared prc-runtime pool, 50 nodes): estimate {est_threaded:.1}");
-    assert_eq!(
-        est_flat, est_threaded,
-        "drivers must agree for the same seed"
+    // --- A dead relay silences its whole subtree -----------------------
+    let mut cut = TreeNetwork::from_partitions(partitions.clone(), 3, 3);
+    let mut plan = FailurePlan::none();
+    plan.kill_node(prc::net::message::NodeId(1));
+    cut.set_failure_plan(plan);
+    cut.collect_samples(p);
+    println!(
+        "\ndead relay (tree node 1): {} of {} nodes heard; a flat network would hear {}",
+        cut.station().node_count(),
+        cut.node_count(),
+        cut.node_count() - 1
     );
 
     // --- Failure injection ---------------------------------------------

@@ -10,7 +10,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`data`] | `prc-data` | CityPulse-like pollution datasets, CSV I/O, partitioning |
-//! | [`net`] | `prc-net` | sensor nodes, base station, flat/tree/threaded drivers, cost metering, failure injection |
+//! | [`net`] | `prc-net` | sensor nodes, base station, flat/tree drivers, cost metering, failure injection |
 //! | [`dp`] | `prc-dp` | Laplace/geometric mechanisms, budgets, amplification by sampling |
 //! | [`core`] | `prc-core` | RankCounting estimator, (α, δ) calculus, perturbation optimizer, broker/consumer |
 //! | [`pricing`] | `prc-pricing` | variance models, arbitrage-avoiding pricing, Theorem 4.2 checker, attack simulator |
@@ -90,7 +90,7 @@ pub mod prelude {
     pub use prc_dp::renyi::RdpAccountant;
     pub use prc_net::energy::{EnergyModel, EnergyReport};
     pub use prc_net::failure::{FailurePlan, LossMode};
-    pub use prc_net::network::{CostMeter, FlatNetwork, Network, ThreadedNetwork};
+    pub use prc_net::network::{CostMeter, FlatNetwork, Network};
     pub use prc_net::tree::TreeNetwork;
     pub use prc_pricing::arbitrage::{certify, find_arbitrage, AttackConfig};
     pub use prc_pricing::engine::{PostedPriceEngine, PricingEngine, Quote, Settlement};

@@ -1,8 +1,8 @@
 //! Concurrency stress test for [`CostMeter`].
 //!
-//! The meter is the one piece of shared mutable state between the
-//! threaded driver's per-node threads, so its counters must hold up
-//! under concurrent `record` / `record_lost` traffic: after N threads
+//! Cloning a meter hands out another handle to the same counters, and
+//! handles may live on any thread, so its counters must hold up under
+//! concurrent `record` / `record_lost` traffic: after N threads
 //! hammer a shared meter, the snapshot totals must equal the sum of
 //! every thread's independently tracked contribution — nothing lost,
 //! nothing double-counted.

@@ -1,10 +1,10 @@
-//! Cross-driver determinism: `FlatNetwork` and `ThreadedNetwork` run the
-//! same collection protocol, so for the same seed and partitions they
-//! must produce **byte-identical** sample sets — same nodes, same entry
-//! order, same `f64` bit patterns, same ranks — no matter how the
-//! threaded driver's OS threads are scheduled. The broker's batched
-//! pipeline inherits that guarantee: identical seeds release identical
-//! answers on either driver.
+//! Cross-driver determinism: `FlatNetwork` and `TreeNetwork` run the
+//! same collection round, so for the same seed and partitions they must
+//! produce **byte-identical** sample sets — same nodes, same entry
+//! order, same `f64` bit patterns, same ranks — whatever the tree's
+//! shape; only the per-hop costs differ. The broker's batched pipeline
+//! inherits that guarantee: identical seeds release identical answers on
+//! either driver.
 
 use prc::prelude::*;
 
@@ -38,7 +38,7 @@ fn drive<N: Network>(network: &mut N, targets: &[f64]) -> usize {
 }
 
 #[test]
-fn flat_and_threaded_sample_sets_are_byte_identical() {
+fn flat_and_tree_sample_sets_are_byte_identical() {
     let schedule = [0.1, 0.25, 0.25, 0.6, 0.95];
     for seed in [0u64, 1, 42, 0xdead_beef] {
         for (nodes, per_node) in [(1, 500), (4, 250), (9, 111)] {
@@ -47,21 +47,21 @@ fn flat_and_threaded_sample_sets_are_byte_identical() {
             let mut flat = FlatNetwork::from_partitions(parts.clone(), seed);
             let flat_delivered = drive(&mut flat, &schedule);
 
-            let mut threaded = ThreadedNetwork::from_partitions(parts, seed);
-            let threaded_delivered = drive(&mut threaded, &schedule);
+            let mut tree = TreeNetwork::from_partitions(parts, 2, seed);
+            let tree_delivered = drive(&mut tree, &schedule);
 
             assert_eq!(
-                flat_delivered, threaded_delivered,
+                flat_delivered, tree_delivered,
                 "delivery counts diverged (seed {seed}, {nodes} nodes)"
             );
             assert_eq!(
                 sample_bytes(&flat),
-                sample_bytes(&threaded),
+                sample_bytes(&tree),
                 "sample bytes diverged (seed {seed}, {nodes} nodes)"
             );
             assert_eq!(
                 flat.station(),
-                threaded.station(),
+                tree.station(),
                 "station state diverged (seed {seed}, {nodes} nodes)"
             );
         }
@@ -96,11 +96,11 @@ fn batched_broker_releases_identical_answers_on_either_driver() {
         .collect();
 
     let mut flat = DataBroker::new(FlatNetwork::from_partitions(parts.clone(), 99), 99);
-    let mut threaded = DataBroker::new(ThreadedNetwork::from_partitions(parts, 99), 99);
+    let mut tree = DataBroker::new(TreeNetwork::from_partitions(parts, 2, 99), 99);
     let flat_report = flat.answer_batch(&requests);
-    let threaded_report = threaded.answer_batch(&requests);
+    let tree_report = tree.answer_batch(&requests);
 
-    for (f, t) in flat_report.answers.iter().zip(&threaded_report.answers) {
+    for (f, t) in flat_report.answers.iter().zip(&tree_report.answers) {
         let (f, t) = (f.as_ref().unwrap(), t.as_ref().unwrap());
         assert_eq!(f.value.to_bits(), t.value.to_bits());
         assert_eq!(f.plan, t.plan);

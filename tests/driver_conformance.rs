@@ -5,7 +5,7 @@
 //! contract (DESIGN.md §12) against one driver: seed determinism,
 //! monotone top-up, cost-meter invariants, failure-plan semantics, and
 //! tracer accounting. `assert_drivers_agree` then pins the cross-driver
-//! half: flat, threaded, and tree must produce **byte-identical** base
+//! half: flat and tree must produce **byte-identical** base
 //! station state for identical seeds — including under one shared
 //! `FailurePlan`.
 
@@ -18,12 +18,6 @@ use prc::prelude::*;
 fn flat_report() -> ConformanceReport {
     check_driver("flat", |parts, seed| {
         FlatNetwork::from_partitions(parts, seed)
-    })
-}
-
-fn threaded_report() -> ConformanceReport {
-    check_driver("threaded", |parts, seed| {
-        ThreadedNetwork::from_partitions(parts, seed)
     })
 }
 
@@ -40,12 +34,6 @@ fn flat_network_passes_the_contract() {
 }
 
 #[test]
-fn threaded_network_passes_the_contract() {
-    let report = threaded_report();
-    assert!(report.clean_station.total_samples() > 0);
-}
-
-#[test]
 fn tree_network_passes_the_contract() {
     let report = tree_report();
     assert!(report.clean_station.total_samples() > 0);
@@ -53,7 +41,7 @@ fn tree_network_passes_the_contract() {
 
 #[test]
 fn all_drivers_agree_byte_for_byte() {
-    assert_drivers_agree(&[flat_report(), threaded_report(), tree_report()]);
+    assert_drivers_agree(&[flat_report(), tree_report()]);
 }
 
 #[test]
@@ -72,27 +60,17 @@ fn tree_costs_exceed_flat_for_the_same_state() {
 
 #[test]
 fn shared_failure_plan_is_driver_independent() {
-    // The same plan seed driven through differently-scheduled drivers
-    // must kill the same nodes and lose the same batches. This is the
-    // regression test for the old parity gap where the threaded driver
-    // silently ignored FailurePlan.
+    // The same plan seed driven through both topologies must kill the
+    // same nodes and lose the same batches.
     let mut flat = FlatNetwork::from_partitions(canonical_partitions(), CANONICAL_SEED);
-    let mut threaded = ThreadedNetwork::from_partitions(canonical_partitions(), CANONICAL_SEED);
     let mut tree = TreeNetwork::from_partitions(canonical_partitions(), 2, CANONICAL_SEED);
     flat.set_failure_plan(canonical_failure_plan());
-    threaded.set_failure_plan(canonical_failure_plan());
     tree.set_failure_plan(canonical_failure_plan());
     for target in [0.3, 0.7] {
         let a = flat.collect_samples(target);
-        let b = threaded.collect_samples(target);
         let c = tree.collect_samples(target);
-        assert_eq!(a, b, "flat and threaded deliveries diverged at {target}");
         assert_eq!(a, c, "flat and tree deliveries diverged at {target}");
     }
-    assert_eq!(
-        station_fingerprint(flat.station()),
-        station_fingerprint(threaded.station())
-    );
     assert_eq!(
         station_fingerprint(flat.station()),
         station_fingerprint(tree.station())

@@ -7,7 +7,7 @@
 //! which network driver collected the samples. The sweep drives random
 //! stations (duplicate-heavy, zero-valued samples), batches whose bounds
 //! include explicit signed zeros, segmented indexes through 0..=4 delta
-//! rounds, and the three network drivers against each other.
+//! rounds, and the two network drivers against each other.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -203,7 +203,7 @@ proptest! {
     // Fewer cases: each one runs four full broker batches.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// End to end across drivers: flat, threaded, and tree brokers
+    /// End to end across drivers: flat and tree brokers
     /// forced onto the indexed batch path release identical bits — and
     /// identical bits to a scan-forced flat broker — while the counters
     /// confirm which path each run took.
@@ -248,12 +248,6 @@ proptest! {
             IndexPolicy::Always,
             &workload,
         );
-        let (threaded, threaded_stats) = run(
-            ThreadedNetwork::from_partitions(partitions.clone(), seed),
-            seed,
-            IndexPolicy::Always,
-            &workload,
-        );
         let (tree, tree_stats) = run(
             TreeNetwork::from_partitions(partitions.clone(), 2, seed),
             seed,
@@ -267,7 +261,6 @@ proptest! {
             &workload,
         );
 
-        prop_assert_eq!(&flat, &threaded, "flat vs threaded");
         prop_assert_eq!(&flat, &tree, "flat vs tree");
         prop_assert_eq!(&flat, &scanned, "indexed vs scanned");
 
@@ -275,7 +268,6 @@ proptest! {
         // the scan run never did.
         let members = workload.len() as u64;
         prop_assert_eq!(flat_stats.indexed_estimates, members);
-        prop_assert_eq!(threaded_stats.indexed_estimates, members);
         prop_assert_eq!(tree_stats.indexed_estimates, members);
         prop_assert_eq!(scan_stats.indexed_estimates, 0);
         prop_assert_eq!(scan_stats.index_builds, 0);

@@ -7,8 +7,8 @@
 //! so any divergence would make released answers depend on an internal
 //! cutover. These properties drive both paths over random populations,
 //! sampling rates, duplicate-heavy and zero-valued samples, signed-zero
-//! bounds, and degenerate ranges — and pin the flat, threaded, and tree
-//! drivers to each other on the indexed batch path.
+//! bounds, and degenerate ranges — and pin the flat and tree drivers to
+//! each other on the indexed batch path.
 
 use proptest::prelude::*;
 
@@ -195,7 +195,7 @@ proptest! {
     // Fewer cases: each one runs four full broker batches.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// End to end: flat, threaded, and tree brokers forced onto the
+    /// End to end: flat and tree brokers forced onto the
     /// indexed batch path release the same bits as a flat broker forced
     /// onto the scan path, over random workloads — and the plan cache
     /// serves the members sharing one accuracy target.
@@ -230,12 +230,6 @@ proptest! {
         }
         let flat_net = || FlatNetwork::from_partitions(partitions.clone(), seed);
         let (flat, flat_stats) = run(flat_net(), seed, IndexPolicy::Always, &workload);
-        let (threaded, _) = run(
-            ThreadedNetwork::from_partitions(partitions.clone(), seed),
-            seed,
-            IndexPolicy::Always,
-            &workload,
-        );
         let (tree, _) = run(
             TreeNetwork::from_partitions(partitions.clone(), 2, seed),
             seed,
@@ -244,7 +238,6 @@ proptest! {
         );
         let (scanned, scan_stats) = run(flat_net(), seed, IndexPolicy::Never, &workload);
 
-        prop_assert_eq!(&flat, &threaded, "flat vs threaded");
         prop_assert_eq!(&flat, &tree, "flat vs tree");
         prop_assert_eq!(&flat, &scanned, "indexed vs scanned");
         prop_assert_eq!(flat_stats.indexed_estimates, workload.len() as u64);
