@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use prc_core::estimator::{RangeCountEstimator, RankCounting, SegmentedRankIndex};
+use prc_core::estimator::{RangeCountEstimator, RankCounting, RankIndex};
 use prc_core::query::RangeQuery;
 use prc_net::base_station::BaseStation;
 use prc_net::network::FlatNetwork;
@@ -36,7 +36,7 @@ fn queries(k: usize) -> Vec<RangeQuery> {
         .collect()
 }
 
-fn assert_identity(station: &BaseStation, index: &SegmentedRankIndex, queries: &[RangeQuery]) {
+fn assert_identity(station: &BaseStation, index: &RankIndex, queries: &[RangeQuery]) {
     for &query in queries {
         let indexed = index.estimate(query);
         let scanned = RankCounting.estimate(station, query);
@@ -54,7 +54,7 @@ fn bench_build(c: &mut Criterion) {
     for &k in &[64usize, 1_024] {
         let station = station(k);
         group.bench_with_input(BenchmarkId::new("build", k), &k, |b, _| {
-            b.iter(|| black_box(SegmentedRankIndex::build(black_box(&station)).unwrap()));
+            b.iter(|| black_box(RankIndex::build(black_box(&station)).unwrap()));
         });
     }
     group.finish();
@@ -65,7 +65,7 @@ fn bench_query(c: &mut Criterion) {
     group.sample_size(20);
     for &k in &[64usize, 1_024] {
         let station = station(k);
-        let index = SegmentedRankIndex::build(&station).unwrap();
+        let index = RankIndex::build(&station).unwrap();
         let workload = queries(k);
         assert_identity(&station, &index, &workload);
         group.bench_with_input(BenchmarkId::new("indexed", k), &k, |b, _| {

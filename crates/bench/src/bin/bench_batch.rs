@@ -13,11 +13,11 @@
 //! answer cache exists for, and what a real marketplace sees when many
 //! buyers ask the popular queries.
 //!
-//! A second section benchmarks the merged prefix-rank query index (a
-//! fresh single-segment [`SegmentedRankIndex`]) against the per-node
-//! scan across a grid of node counts and per-epoch query counts, checks
-//! both paths release the same bits, and writes the trajectory to
-//! `BENCH_rank_index.json` at the repository root.
+//! A second section benchmarks the merged prefix-rank query index
+//! ([`RankIndex`]) against the per-node scan across a grid of node
+//! counts and per-epoch query counts, checks both paths release the same
+//! bits, and writes the trajectory to `BENCH_rank_index.json` at the
+//! repository root.
 //!
 //! A third section times the shared `prc-runtime` pool against the
 //! spawn-per-call pattern it replaced (fresh scoped threads on every
@@ -33,7 +33,7 @@
 use std::time::Instant;
 
 use prc_core::broker::{BatchStats, DataBroker};
-use prc_core::estimator::{BuildAccrual, RangeCountEstimator, RankCounting, SegmentedRankIndex};
+use prc_core::estimator::{BuildAccrual, RangeCountEstimator, RankCounting, RankIndex};
 use prc_core::optimizer::OptimizerConfig;
 use prc_core::query::{Accuracy, QueryRequest, RangeQuery};
 use prc_net::base_station::BaseStation;
@@ -283,7 +283,7 @@ fn index_trajectory() -> Vec<IndexCell> {
     for &k in node_counts {
         let station = trajectory_station(k, per_node, p);
         let build_start = Instant::now();
-        let index = SegmentedRankIndex::build(&station).expect("uniform station builds");
+        let index = RankIndex::build(&station).expect("uniform station builds");
         let build_seconds = build_start.elapsed().as_secs_f64();
         for &count in query_counts {
             let queries = trajectory_queries(count, (k * per_node) as f64);
@@ -575,9 +575,7 @@ fn main() {
                 );
             }
             // Once a batch is large enough to buy the build outright,
-            // the build-inclusive speedup must clear 1× — the regression
-            // bar the incremental index exists to extend down to small
-            // per-epoch batches (see bench_incremental).
+            // the build-inclusive speedup must clear 1×.
             if cell.nodes >= 16_384 && cell.queries >= 4_096 {
                 let amortized = cell.speedup_amortized();
                 assert!(

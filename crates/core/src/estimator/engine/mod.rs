@@ -5,7 +5,7 @@
 //! position whose value is `>= lower` and the first `> upper`.
 //! [`boundary_ranks`] / [`entry_boundary_ranks`] resolve them with two
 //! `slice::partition_point`s — the one resolver the per-node scan and
-//! every index segment share, so the downstream `(ΣA, ΣB)` integer
+//! the index share, so the downstream `(ΣA, ΣB)` integer
 //! aggregation sees identical positions on every path and released
 //! answers stay bit-identical across the scan, indexed, and batched
 //! paths.

@@ -9,8 +9,8 @@
 //! and the shape is itself a function of the station state, which the
 //! revision journal stamps. So the cache key is the first two as exact
 //! bit patterns, and the whole cache is invalidated whenever the
-//! station's revision moves — the same `IndexGeneration` revision
-//! contract that pins the query index to an epoch. Budget state never
+//! station's revision moves — the same revision stamp the query index
+//! is rebuilt on. Budget state never
 //! enters a plan (holds are taken *after* planning), so a hold or
 //! rollback cannot stale the cache; anything that does change the
 //! planning problem outside the station — swapping the

@@ -49,7 +49,7 @@ impl CostModel {
         2 * log2_ceil(entries as u64)
     }
 
-    /// Comparisons to build (or absorb into) an index over `entries`.
+    /// Comparisons to build an index over `entries`.
     pub fn build_cost(&self, entries: usize) -> u64 {
         BUILD_FACTOR * (entries as u64) * log2_ceil(entries as u64)
     }
@@ -64,7 +64,8 @@ impl CostModel {
 
 /// Ski-rental state: the total per-query saving foregone by scanning so
 /// far. Survives collection rounds — the amortization horizon is the
-/// index's lifetime (deltas keep an index valid), not one epoch.
+/// broker's query stream, not one epoch: once bought, the index is
+/// rebuilt whenever a round moves the station, without renting again.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BuildAccrual {
     foregone: u64,

@@ -1,15 +1,15 @@
-//! The merged prefix-rank query index: `O(log S)` RankCounting,
-//! maintained incrementally.
+//! The merged prefix-rank query index: `O(log S)` RankCounting.
 //!
 //! The per-node RankCounting path answers a query `[l, u]` with **two
 //! binary searches per node** — `O(k·log s)` over `k` nodes. That is fine
 //! for one query, but the broker's whole value proposition is amortizing
 //! one collection epoch across many priced queries, and at `k` in the tens
 //! of thousands the per-node scan dominates every batch.
-//! [`SegmentedRankIndex`] removes the `k` factor: after a collection
-//! epoch it merges all `S` sample entries into one value-sorted
-//! structure-of-arrays whose prefix sums encode *every* node's boundary state at every threshold, so one
-//! query costs **two binary searches total** — `O(log S)`.
+//! [`RankIndex`] removes the `k` factor: after a collection epoch it
+//! merges all `S` sample entries into one value-sorted
+//! structure-of-arrays whose prefix sums encode *every* node's boundary
+//! state at every threshold, so one query costs **two binary searches
+//! total** — `O(log S)`.
 //!
 //! ## The per-case decomposition
 //!
@@ -58,52 +58,34 @@
 //! positive sampling probability ([`BaseStation::uniform_probability`]);
 //! heterogeneous stations stay on the per-node path.
 //!
-//! ## Incremental maintenance (LSM-style segments)
+//! ## Build, rebuild, and when to pay
 //!
-//! A fresh build is one merged segment over every node. The index
-//! generalizes it into a sequence of immutable sorted *segments*, each
-//! covering a disjoint subset of nodes. Because `(ΣA, ΣB)` are plain integer sums over
-//! nodes, a query fans the same pair of `partition_point`s across every
-//! segment and adds the per-segment aggregates — still bit-identical.
-//! A collection round's [`RoundDelta`](prc_net::network::RoundDelta)
-//! names exactly the changed nodes: the index *tombstones* them in older
-//! segments (their exact old contribution is subtracted per query from
-//! per-node snapshots) and builds one new segment over just their fresh
-//! samples — `O(Δ log Δ)` instead of `O(S log S)` per round. A
-//! deterministic size-tiered [`CompactionPolicy`] (a pure function of
-//! segment sizes; `compaction` module) bounds the segment count, and the
-//! [`cost`] module's ski-rental accrual decides when paying for a build
-//! beats continuing to scan. The sampling probability only enters at
-//! [`finish_rank_terms`], so segments built at different probabilities
-//! remain valid across top-ups.
+//! An index describes the station it was built from. The broker keeps it
+//! while the station's revision stands and rebuilds it from scratch when
+//! a collection round moves the revision: a stricter demand's top-up
+//! raises every node's sampling probability, so a round normally changes
+//! the whole station anyway. The [`cost`] module's ski-rental accrual
+//! decides when paying for the first build beats continuing to scan.
 //!
 //! ## Complexity
 //!
-//! | path                   | per query       | build / maintain          |
-//! |------------------------|-----------------|---------------------------|
-//! | per-node scan          | `O(k log s)`    | —                         |
-//! | fresh build (`m = 1`)  | `O(log S)`      | `O(S log S)`              |
-//! | [`SegmentedRankIndex`] | `O(m log S)`    | `O(Δ log Δ)` per delta    |
+//! | path           | per query     | build        |
+//! |----------------|---------------|--------------|
+//! | per-node scan  | `O(k log s)`  | —            |
+//! | [`RankIndex`]  | `O(log S)`    | `O(S log S)` |
 //!
-//! (`m` = live segments, bounded logarithmically by compaction; `Δ` =
-//! entries of the round's changed nodes.)
-//!
-//! Builds shard one run per node (entries are already value-sorted),
-//! k-way merge shards over the shared `prc-runtime` pool, and accumulate
-//! the prefix/suffix arrays in one sequential pass.
+//! Builds read one sorted run per node straight from the station
+//! (entries are already value-sorted), k-way merge shards over the shared
+//! `prc-runtime` pool, and accumulate the prefix/suffix arrays in one
+//! sequential pass.
 
-pub mod compaction;
 pub mod cost;
-mod merge;
-mod segment;
-mod segmented;
+mod rank_index;
 
-pub use compaction::CompactionPolicy;
 pub use cost::{BuildAccrual, CostModel};
-pub use segmented::SegmentedRankIndex;
+pub use rank_index::RankIndex;
 
 use prc_net::base_station::BaseStation;
-use prc_net::message::SampleEntry;
 
 use crate::query::RangeQuery;
 
@@ -118,37 +100,6 @@ pub fn finish_rank_terms(sum_a: i64, sum_b: i64, p: f64) -> f64 {
     sum_a as f64 - sum_b as f64 / p
 }
 
-/// One node's exact integer contribution `(Aᵢ, Bᵢ)` to a query, from its
-/// rank-sorted entry slice and claimed population.
-///
-/// This is the single source of truth for the per-node arithmetic: the
-/// scan path sums it over every data-bearing node, and segments use it
-/// to subtract a tombstoned node's old contribution exactly. Integer
-/// addition is associative, so any grouping of nodes into segments sums
-/// to the same `(ΣA, ΣB)`.
-pub(crate) fn node_rank_terms(
-    entries: &[SampleEntry],
-    population: i64,
-    query: RangeQuery,
-) -> (i64, i64) {
-    let mut sum_a: i64 = 0;
-    let mut sum_b: i64 = 0;
-    // Entries are sorted by rank, hence by value (node data is sorted).
-    let (pred_idx, succ_idx) = crate::estimator::engine::entry_boundary_ranks(entries, query);
-    if pred_idx > 0 {
-        sum_a += 1 - i64::from(entries[pred_idx - 1].rank);
-        sum_b += 1;
-    }
-    match entries.get(succ_idx) {
-        Some(succ) => {
-            sum_a += i64::from(succ.rank);
-            sum_b += 1;
-        }
-        None => sum_a += population,
-    }
-    (sum_a, sum_b)
-}
-
 /// The per-node reference path: accumulates the exact integer aggregates
 /// `(ΣA, ΣB)` with two binary searches per data-bearing node.
 ///
@@ -160,9 +111,20 @@ pub fn scan_rank_terms(station: &BaseStation, query: RangeQuery) -> (i64, i64) {
     let mut sum_a: i64 = 0;
     let mut sum_b: i64 = 0;
     for sample in station.data_bearing_samples() {
-        let (a, b) = node_rank_terms(sample.entries(), sample.population_size as i64, query);
-        sum_a += a;
-        sum_b += b;
+        // Entries are sorted by rank, hence by value (node data is sorted).
+        let entries = sample.entries();
+        let (pred_idx, succ_idx) = crate::estimator::engine::entry_boundary_ranks(entries, query);
+        if pred_idx > 0 {
+            sum_a += 1 - i64::from(entries[pred_idx - 1].rank);
+            sum_b += 1;
+        }
+        match entries.get(succ_idx) {
+            Some(succ) => {
+                sum_a += i64::from(succ.rank);
+                sum_b += 1;
+            }
+            None => sum_a += sample.population_size as i64,
+        }
     }
     (sum_a, sum_b)
 }

@@ -1,28 +1,31 @@
-//! Merge machinery: per-node runs, deterministic k-way merge, and the
-//! prefix/suffix structure-of-arrays every index segment queries.
+//! RankCounting's merged prefix-rank index: per-node runs read straight
+//! from the station, a deterministic k-way merge, and the prefix/suffix
+//! structure-of-arrays every query reads.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use prc_net::base_station::BaseStation;
 use prc_net::message::SampleEntry;
 use prc_runtime::{CutoffPolicy, Runtime};
 
-use crate::estimator::engine;
+use super::finish_rank_terms;
+use crate::estimator::{engine, QueryIndex};
 use crate::query::RangeQuery;
 
 /// One source of a merge: a node's rank-sorted entry slice plus its
 /// claimed population `n_i`.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct RunSource<'a> {
-    pub entries: &'a [SampleEntry],
-    pub population: i64,
+struct RunSource<'a> {
+    entries: &'a [SampleEntry],
+    population: i64,
 }
 
 /// One merged entry with its telescoping deltas, produced per node before
 /// the merge (a node's neighbours in merged order are its neighbours in
 /// its own rank-sorted slice).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct MergedEntry {
+struct MergedEntry {
     value: f64,
     /// Dense node index (position among the merge's sources) — merge
     /// tie-break only; never affects the accumulated aggregates.
@@ -155,10 +158,9 @@ fn merge_shard(group: &[RunSource<'_>], dense_base: u32) -> Vec<MergedEntry> {
 
 /// Below this many merged entries the pool fan-out costs more than the
 /// merge itself (dispatch is microseconds; so is the whole merge) —
-/// delta segments and small compactions stay on the calling thread. The
-/// sequential path assigns the same dense indices and the merge key is a
-/// total order, so the cutoff never changes the produced arrays, only
-/// who builds them.
+/// small stations stay on the calling thread. The sequential path
+/// assigns the same dense indices and the merge key is a total order, so
+/// the cutoff never changes the produced arrays, only who builds them.
 const MERGE_CUTOFF: CutoffPolicy = CutoffPolicy::min_work(1 << 15);
 
 /// Merges every source's entries into one deterministic value-sorted run,
@@ -182,12 +184,41 @@ fn parallel_merge(sources: &[RunSource<'_>]) -> Vec<MergedEntry> {
     merge_runs(runs, total_entries)
 }
 
-/// The value-sorted prefix/suffix structure-of-arrays at the heart of
-/// every index segment: five integer aggregates plus the merged values,
-/// answering `(ΣA, ΣB)` over its sources with two `partition_point`s and
-/// five lookups.
+/// RankCounting's merged prefix-rank query index: one value-sorted
+/// structure-of-arrays over every data-bearing node of a station.
+///
+/// Five integer aggregates plus the merged values answer `(ΣA, ΣB)` with
+/// two `partition_point`s and five lookups — bit-identical to the
+/// per-node scan ([`super::scan_rank_terms`]) at `O(log S)` per query.
+/// The index describes the station it was built from; the broker
+/// rebuilds it when the station's revision moves.
+///
+/// # Examples
+///
+/// ```
+/// use prc_core::estimator::{RangeCountEstimator, RankCounting, RankIndex};
+/// use prc_core::query::RangeQuery;
+/// use prc_net::network::FlatNetwork;
+///
+/// # fn main() -> Result<(), prc_core::CoreError> {
+/// let partitions: Vec<Vec<f64>> = (0..8)
+///     .map(|i| (0..500).map(|j| (i * 500 + j) as f64).collect())
+///     .collect();
+/// let mut network = FlatNetwork::from_partitions(partitions, 11);
+/// network.collect_samples(0.25);
+///
+/// let index = RankIndex::build(network.station()).expect("uniform station");
+/// let query = RangeQuery::new(700.0, 2_900.0)?;
+/// // Same bits as the O(k log s) per-node path, at O(log S) cost.
+/// let scanned = RankCounting.estimate(network.station(), query);
+/// assert_eq!(index.estimate(query).to_bits(), scanned.to_bits());
+/// # Ok(())
+/// # }
+/// ```
 #[derive(Debug, Clone)]
-pub(crate) struct MergedArrays {
+pub struct RankIndex {
+    /// The station's uniform sampling probability at build time.
+    probability: f64,
     /// Merged sample values, sorted ascending (`S` entries).
     values: Vec<f64>,
     /// `cum_pred_rank[c] = R_pred(c)`: Σ over nodes of the rank of their
@@ -203,16 +234,32 @@ pub(crate) struct MergedArrays {
     /// `suf_pop[c] = N_succ(c)`: Σ `n_i` over nodes with ≥ 1 entry at or
     /// after `c`.
     suf_pop: Vec<i64>,
-    /// Σ `n_i` over all sources (entry-less sources included).
+    /// Σ `n_i` over all data-bearing nodes (entry-less ones included).
     total_population: i64,
 }
 
-impl MergedArrays {
-    /// Builds the arrays over `sources` in one parallel merge plus one
-    /// sequential accumulation pass: `O(S log S)` total work.
-    pub fn build(sources: &[RunSource<'_>]) -> MergedArrays {
+impl RankIndex {
+    /// Builds the index over the station's current samples.
+    ///
+    /// Returns `None` when the station has no uniform positive sampling
+    /// probability across its data-bearing nodes (the `1/p` factoring the
+    /// prefix-sum decomposition needs does not exist) — callers fall back
+    /// to the per-node scan.
+    ///
+    /// The build reads each node's entry slice in place, merges shards
+    /// over the shared `prc-runtime` pool, and accumulates the prefix and
+    /// suffix arrays in one sequential pass: `O(S log S)` total work.
+    pub fn build(station: &BaseStation) -> Option<RankIndex> {
+        let probability = station.uniform_probability()?;
+        let sources: Vec<RunSource<'_>> = station
+            .data_bearing_samples()
+            .map(|s| RunSource {
+                entries: s.entries(),
+                population: s.population_size as i64,
+            })
+            .collect();
         let total_population: i64 = sources.iter().map(|s| s.population).sum();
-        let merged = parallel_merge(sources);
+        let merged = parallel_merge(&sources);
 
         let s = merged.len();
         let mut values = Vec::with_capacity(s);
@@ -238,7 +285,8 @@ impl MergedArrays {
             suf_pop[j] = suf_pop[j + 1] + e.pop;
         }
 
-        MergedArrays {
+        Some(RankIndex {
+            probability,
             values,
             cum_pred_rank,
             cum_first,
@@ -246,12 +294,19 @@ impl MergedArrays {
             suf_last,
             suf_pop,
             total_population,
-        }
+        })
     }
 
-    /// The exact integer aggregates `(ΣA, ΣB)` over every source, for
-    /// one query: two `partition_point`s ([`engine::boundary_ranks`]),
-    /// five lookups, one combine.
+    /// Answers one range query: the exact integer aggregates combined
+    /// once by [`finish_rank_terms`].
+    pub fn estimate(&self, query: RangeQuery) -> f64 {
+        let (sum_a, sum_b) = self.rank_terms(query);
+        finish_rank_terms(sum_a, sum_b, self.probability)
+    }
+
+    /// The exact integer aggregates `(ΣA, ΣB)` for one query — must match
+    /// [`super::scan_rank_terms`] exactly: two `partition_point`s
+    /// ([`engine::boundary_ranks`]), five lookups, one combine.
     pub fn rank_terms(&self, query: RangeQuery) -> (i64, i64) {
         let (pos_l, pos_u) = engine::boundary_ranks(&self.values, query);
         let sum_a = self.suf_succ_rank[pos_u] - self.cum_pred_rank[pos_l]
@@ -261,8 +316,138 @@ impl MergedArrays {
         (sum_a, sum_b)
     }
 
-    /// Number of merged sample entries (`S`).
-    pub fn len(&self) -> usize {
+    /// Merged sample entries (`S`).
+    pub fn merged_entries(&self) -> usize {
         self.values.len()
+    }
+
+    /// The uniform sampling probability the index was built at.
+    pub fn probability(&self) -> f64 {
+        self.probability
+    }
+}
+
+impl QueryIndex for RankIndex {
+    fn estimate(&self, query: RangeQuery) -> f64 {
+        RankIndex::estimate(self, query)
+    }
+
+    fn merged_entries(&self) -> usize {
+        RankIndex::merged_entries(self)
+    }
+
+    fn probability(&self) -> f64 {
+        RankIndex::probability(self)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::estimator::index::scan_rank_terms;
+    use crate::estimator::{RangeCountEstimator, RankCounting};
+    use prc_net::message::{NodeId, SampleMessage};
+    use prc_net::network::FlatNetwork;
+
+    fn q(l: f64, u: f64) -> RangeQuery {
+        RangeQuery::new(l, u).unwrap()
+    }
+
+    fn ingest(station: &mut BaseStation, node: u32, n: usize, p: f64, pairs: &[(f64, u32)]) {
+        station.ingest(SampleMessage {
+            node_id: NodeId(node),
+            population_size: n,
+            probability: p,
+            entries: pairs
+                .iter()
+                .map(|&(value, rank)| SampleEntry { value, rank })
+                .collect(),
+        });
+    }
+
+    /// Asserts the index agrees bit-for-bit with the per-node scan on a
+    /// spread of queries, and covers exactly the station's entries.
+    fn assert_matches_scan(index: &RankIndex, station: &BaseStation) {
+        let entries: usize = station
+            .data_bearing_samples()
+            .map(|s| s.entries().len())
+            .sum();
+        assert_eq!(index.merged_entries(), entries);
+        for (l, u) in [
+            (-1.0e9, 1.0e9),
+            (-5.0, 3.0),
+            (0.0, 10.0),
+            (2.5, 2.5),
+            (4.9, 5.1),
+            (7.0, 40.0),
+            (100.0, 200.0),
+            (-20.0, -10.0),
+        ] {
+            assert_eq!(
+                index.rank_terms(q(l, u)),
+                scan_rank_terms(station, q(l, u)),
+                "scan mismatch on ({l}, {u})"
+            );
+            assert_eq!(
+                index.estimate(q(l, u)).to_bits(),
+                RankCounting.estimate(station, q(l, u)).to_bits(),
+                "estimate mismatch on ({l}, {u})"
+            );
+        }
+    }
+
+    #[test]
+    fn build_matches_the_scan_bit_for_bit() {
+        let mut station = BaseStation::new();
+        ingest(&mut station, 0, 10, 0.5, &[(2.0, 2), (5.0, 5), (9.0, 9)]);
+        ingest(
+            &mut station,
+            1,
+            8,
+            0.5,
+            &[(1.0, 1), (5.0, 3), (5.0, 4), (8.0, 7)],
+        );
+        ingest(&mut station, 2, 6, 0.5, &[]); // sampled nothing: always case 4
+        let index = RankIndex::build(&station).unwrap();
+        assert_eq!(index.probability(), 0.5);
+        assert_matches_scan(&index, &station);
+    }
+
+    #[test]
+    fn p_one_index_is_exact() {
+        let values: Vec<f64> = vec![1.0, 2.0, 2.0, 3.0, 5.0, 5.0, 8.0, 9.0];
+        let mut net = FlatNetwork::from_partitions(vec![values.clone()], 1);
+        net.collect_samples(1.0);
+        let index = RankIndex::build(net.station()).unwrap();
+        for (l, u) in [(2.0, 5.0), (1.0, 9.0), (4.0, 4.5), (10.0, 20.0)] {
+            let truth = values.iter().filter(|&&v| v >= l && v <= u).count() as f64;
+            assert_eq!(index.estimate(q(l, u)), truth, "({l}, {u})");
+        }
+        assert_eq!(finish_rank_terms(42, 6, 1.0), 36.0);
+        assert_eq!(finish_rank_terms(-3, 0, 0.25), -3.0);
+    }
+
+    #[test]
+    fn heterogeneous_or_empty_stations_decline_to_build() {
+        let mut mixed = BaseStation::new();
+        ingest(&mut mixed, 0, 4, 0.5, &[(1.0, 1)]);
+        ingest(&mut mixed, 1, 4, 0.25, &[(2.0, 2)]);
+        assert!(RankIndex::build(&mixed).is_none());
+        // The scan path still answers (per-node fallback in the estimator).
+        assert!(RankCounting.estimate(&mixed, q(0.0, 3.0)).is_finite());
+
+        assert!(RankIndex::build(&BaseStation::new()).is_none());
+        let mut all_empty = BaseStation::new();
+        ingest(&mut all_empty, 0, 0, 0.5, &[]);
+        assert!(RankIndex::build(&all_empty).is_none());
+    }
+
+    #[test]
+    fn zero_population_nodes_are_ignored() {
+        let mut station = BaseStation::new();
+        ingest(&mut station, 0, 6, 0.5, &[(1.0, 1), (4.0, 4)]);
+        ingest(&mut station, 1, 0, 0.9, &[]);
+        let index = RankIndex::build(&station).unwrap();
+        assert_matches_scan(&index, &station);
     }
 }

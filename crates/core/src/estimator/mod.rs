@@ -15,11 +15,10 @@
 //!
 //! Estimators may additionally offer a per-epoch [`QueryIndex`]
 //! (via [`RangeCountEstimator::build_index`]): an immutable snapshot built
-//! once after a collection round that answers subsequent queries faster
-//! than the per-node walk. [`SegmentedRankIndex`] is RankCounting's
-//! index — a merged prefix-rank structure that turns `O(k log s)` per
-//! query into `O(log S)` with bit-identical results, absorbing
-//! per-round collection deltas instead of rebuilding.
+//! after a collection round that answers subsequent queries faster
+//! than the per-node walk. [`RankIndex`] is RankCounting's index — a
+//! merged prefix-rank structure that turns `O(k log s)` per query into
+//! `O(log S)` with bit-identical results.
 
 pub mod basic;
 pub mod engine;
@@ -27,7 +26,7 @@ pub mod index;
 pub mod rank;
 
 pub use basic::BasicCounting;
-pub use index::{BuildAccrual, CompactionPolicy, CostModel, SegmentedRankIndex};
+pub use index::{BuildAccrual, CostModel, RankIndex};
 pub use rank::RankCounting;
 
 use prc_net::base_station::{BaseStation, NodeSample};
@@ -35,8 +34,10 @@ use prc_net::message::NodeId;
 
 use crate::query::RangeQuery;
 
-/// What one [`QueryIndex::absorb_delta`] call did, for the broker's
-/// stage counters.
+/// What one [`QueryIndex::absorb_delta`] call did. No index in this
+/// crate absorbs deltas; the type stays only because the end-to-end
+/// benchmark's traced index names it, and goes with that benchmark's next
+/// revision.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeltaOutcome {
     /// Sample entries appended in the delta's fresh segment.
@@ -61,15 +62,12 @@ pub struct BatchEstimate {
 
 /// A per-epoch query accelerator over a station's samples.
 ///
-/// An index answers queries against the sample state it was last
-/// synchronized with. After a collection round, owners (the broker) hand
-/// the round's changed-node set to [`QueryIndex::absorb_delta`];
-/// implementations that maintain themselves incrementally absorb it,
-/// while snapshot-only implementations decline and are discarded and
-/// rebuilt. Either way, implementations must return results
-/// **bit-identical** to the estimator's direct
-/// [`RangeCountEstimator::estimate`] on the same station, so switching
-/// between the paths can never change a released answer.
+/// An index answers queries against the sample state it was built from;
+/// its owner (the broker) rebuilds it once a collection round moves the
+/// station. Implementations must return results **bit-identical** to the
+/// estimator's direct [`RangeCountEstimator::estimate`] on the same
+/// station, so switching between the paths can never change a released
+/// answer.
 pub trait QueryIndex: std::fmt::Debug + Send + Sync {
     /// Estimates the global count `γ(l, u, D)` for one query.
     fn estimate(&self, query: RangeQuery) -> f64;
@@ -92,17 +90,18 @@ pub trait QueryIndex: std::fmt::Debug + Send + Sync {
     /// The uniform sampling probability the index was built at.
     fn probability(&self) -> f64;
 
-    /// Live segment count (`1` for snapshot indexes).
+    /// Segments the index answers from: always `1`. Nothing in this
+    /// crate calls or overrides it; it stays only because the end-to-end
+    /// benchmark's traced index forwards it, and goes with that
+    /// benchmark's next revision.
     fn segments(&self) -> usize {
         1
     }
 
-    /// Brings the index up to date with `station` after a collection
-    /// round that changed exactly the nodes in `changed`.
-    ///
-    /// Returns `None` when the index cannot absorb the delta (snapshot
-    /// implementations, or the station lost its uniform probability);
-    /// the owner must then discard the index and rebuild from scratch.
+    /// Declines every delta: owners rebuild an index whose station moved.
+    /// Nothing in this crate calls or overrides it; it stays only because
+    /// the end-to-end benchmark's traced index forwards it, and goes with
+    /// that benchmark's next revision.
     fn absorb_delta(&mut self, station: &BaseStation, changed: &[NodeId]) -> Option<DeltaOutcome> {
         let _ = (station, changed);
         None

@@ -38,7 +38,7 @@
 //! [`crate::estimator::index`]). When the station reports one uniform
 //! sampling probability, the global [`RangeCountEstimator::estimate`]
 //! accumulates `(ΣA, ΣB)` exactly and combines once — the *same*
-//! computation the `O(log S)` [`crate::estimator::SegmentedRankIndex`]
+//! computation the `O(log S)` [`crate::estimator::RankIndex`]
 //! performs from its prefix sums, so the scan and indexed paths release
 //! bit-identical answers. Heterogeneous stations (mixed per-node rates)
 //! fall back to summing [`RangeCountEstimator::estimate_node`] floats in
@@ -47,7 +47,7 @@
 use prc_net::base_station::{BaseStation, NodeSample};
 
 use crate::estimator::engine::entry_boundary_ranks;
-use crate::estimator::index::{finish_rank_terms, scan_rank_terms, SegmentedRankIndex};
+use crate::estimator::index::{finish_rank_terms, scan_rank_terms, RankIndex};
 use crate::estimator::{QueryIndex, RangeCountEstimator};
 use crate::query::RangeQuery;
 
@@ -117,8 +117,7 @@ impl RangeCountEstimator for RankCounting {
 
     /// Canonical station-level estimate: exact integer aggregation over
     /// the per-node boundary searches whenever the station has one
-    /// uniform sampling probability (bit-identical to
-    /// [`SegmentedRankIndex`]),
+    /// uniform sampling probability (bit-identical to [`RankIndex`]),
     /// falling back to the per-node float sum otherwise.
     fn estimate(&self, station: &BaseStation, query: RangeQuery) -> f64 {
         match station.uniform_probability() {
@@ -141,7 +140,7 @@ impl RangeCountEstimator for RankCounting {
     }
 
     fn build_index(&self, station: &BaseStation) -> Option<Box<dyn QueryIndex>> {
-        SegmentedRankIndex::build(station).map(|index| Box::new(index) as Box<dyn QueryIndex>)
+        RankIndex::build(station).map(|index| Box::new(index) as Box<dyn QueryIndex>)
     }
 }
 

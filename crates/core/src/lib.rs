@@ -73,9 +73,7 @@ pub mod query;
 
 pub use broker::{DataBroker, PrivateAnswer};
 pub use error::CoreError;
-pub use estimator::{
-    BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, SegmentedRankIndex,
-};
+pub use estimator::{BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, RankIndex};
 pub use optimizer::{OptimizerConfig, PerturbationPlan, PlanSummary, SensitivityPolicy};
 pub use pipeline::{PricedAnswer, QuerySession};
 pub use query::{Accuracy, QueryRequest, RangeQuery};

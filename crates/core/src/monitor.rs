@@ -25,7 +25,7 @@ use prc_dp::budget::{BudgetAccountant, Epsilon};
 
 use prc_net::network::FlatNetwork;
 
-use crate::broker::{DataBroker, IndexCacheHandle, PrivateAnswer, StageCounters};
+use crate::broker::{DataBroker, PrivateAnswer, StageCounters};
 use crate::error::CoreError;
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
 
@@ -103,13 +103,6 @@ pub struct ContinuousMonitor {
     config: MonitorConfig,
     window: SlidingWindow,
     accountant: BudgetAccountant,
-    /// The previous epoch's query index, threaded into the next epoch's
-    /// broker. Adoption is keyed on full structural station equality, so
-    /// it fires exactly when an epoch reproduces the prior epoch's
-    /// collected state (e.g. an unchanged window) — the broker then
-    /// skips the rebuild and the released bits are unchanged by the
-    /// [`crate::estimator::QueryIndex`] contract.
-    index_cache: Option<IndexCacheHandle>,
     epoch: u64,
 }
 
@@ -125,7 +118,6 @@ impl ContinuousMonitor {
             window: SlidingWindow::new(config.window_seconds),
             accountant: BudgetAccountant::new(config.session_budget),
             config,
-            index_cache: None,
             epoch: 0,
         }
     }
@@ -192,17 +184,10 @@ impl ContinuousMonitor {
             BudgetAccountant::new(self.config.session_budget),
         );
         broker.install_accountant(session);
-        // Offer the previous epoch's index the same way: the broker
-        // adopts it only if this epoch's collected station reproduces
-        // the one the index was synchronized with.
-        if let Some(handle) = self.index_cache.take() {
-            broker.install_index_cache(handle);
-        }
         let outcome = broker.answer(&QueryRequest::new(self.config.query, self.config.accuracy));
         if let Some(session) = broker.take_accountant() {
             self.accountant = session;
         }
-        self.index_cache = broker.take_index_cache();
         let answer = outcome?;
         let result = EpochResult {
             epoch: self.epoch,

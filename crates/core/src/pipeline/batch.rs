@@ -23,7 +23,9 @@ use prc_pricing::reuse::Demand;
 use prc_runtime::{CutoffPolicy, Runtime};
 
 use crate::accuracy::required_probability_clamped;
-use crate::broker::{BatchReport, BatchStats, DataBroker, IndexState, PrivateAnswer};
+use crate::broker::{
+    sampling_target, BatchReport, BatchStats, DataBroker, IndexState, PrivateAnswer,
+};
 use crate::error::CoreError;
 use crate::estimator::RangeCountEstimator;
 use crate::optimizer::{NetworkShape, PerturbationPlan};
@@ -69,8 +71,9 @@ where
     } else {
         // Admit (batch half): partition by required sampling rate.
         for (i, request) in requests.iter().enumerate() {
-            let internal = broker.sampling_policy.internal_target(request.accuracy);
-            match required_probability_clamped(internal, k, n) {
+            match sampling_target(request.accuracy)
+                .and_then(|internal| required_probability_clamped(internal, k, n))
+            {
                 Ok(p) => tiers.entry(p.to_bits()).or_default().push(i),
                 Err(e) => answers[i] = Some(Err(e)),
             }

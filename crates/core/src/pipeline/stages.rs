@@ -9,11 +9,12 @@
 //! * [`Admit`] — price quote, cache lookup, admission checks (no broker
 //!   mutation beyond cache counters);
 //! * [`Collect`] — sample top-up through
-//!   [`prc_net::network::Network::top_up`] (station mutation, index
-//!   invalidation);
+//!   [`prc_net::network::Network::top_up_delta`] (station mutation,
+//!   answer-cache eviction);
 //! * [`Reserve`] — perturbation planning and the two-phase budget
 //!   **hold** (reserve now, commit or roll back later);
-//! * [`Estimate`] — index-or-scan sample estimate (index build);
+//! * [`Estimate`] — index-or-scan sample estimate (index build or
+//!   rebuild);
 //! * [`Perturb`] — the only stage that consumes broker randomness;
 //! * [`Settle`] — budget commit, cache store, ledger settlement.
 //!
@@ -30,7 +31,7 @@ use prc_pricing::reuse::Demand;
 
 use crate::accuracy::required_probability_clamped;
 use crate::broker::{
-    DataBroker, IndexFingerprint, IndexGeneration, IndexPolicy, IndexState, PrivateAnswer,
+    sampling_target, CacheKey, DataBroker, IndexFingerprint, IndexPolicy, IndexState, PrivateAnswer,
 };
 use crate::error::CoreError;
 use crate::estimator::engine::PlanCache;
@@ -148,8 +149,7 @@ impl Admit<'_> {
                 if n == 0 {
                     return Err(CoreError::NoSamples);
                 }
-                let internal = broker.sampling_policy.internal_target(request.accuracy);
-                required_probability_clamped(internal, k, n)?
+                required_probability_clamped(sampling_target(request.accuracy)?, k, n)?
             }
             // An empty station fails later, at Reserve, after Collect.
             Request::Fixed { probability, .. } => probability,
@@ -170,14 +170,14 @@ pub struct Collected {
 
 /// Stage 2 — Collect: top the network up to the admitted target.
 ///
-/// A round that actually collects reports its [`RoundDelta`]
-/// (`prc_net::network::RoundDelta`) — the exact set of changed nodes.
-/// The query index is *not* discarded: [`prepare_index`] later absorbs
-/// the delta through the station's revision journal. The answer cache
-/// *is* delta-filtered here: cached answers whose range touches a
-/// changed node's value span are evicted, while answers over untouched
-/// ranges survive the round (eviction consumes no randomness and no
-/// budget — it only forces a fresh pipeline run on the next request).
+/// A round that actually collects reports its
+/// [`RoundDelta`](prc_net::network::RoundDelta) — the exact set of
+/// changed nodes — and the answer cache is delta-filtered by it: cached
+/// answers whose range touches a changed node's value span are evicted,
+/// while answers over untouched ranges survive the round (eviction
+/// consumes no randomness and no budget — it only forces a fresh pipeline
+/// run on the next request). The query index is left alone here:
+/// `prepare_index` rebuilds it once the station's revision has moved.
 #[derive(Debug)]
 pub struct Collect {
     /// Sampling probability to reach.
@@ -504,7 +504,7 @@ pub(crate) fn plan_with_retry<E: RangeCountEstimator, N: Network>(
 /// The cache key is the fingerprint of `(α, δ, p)`; everything else the
 /// optimizer reads — the network shape and the achieved rate — is a
 /// function of the station, so the cache synchronizes on the station's
-/// revision stamp (the same stamp the index cache invalidates on) and a
+/// revision stamp (the same stamp the query index rebuilds on) and a
 /// stale epoch can never serve a plan. Budget state never enters the
 /// sweep (holds are placed *after* planning), so no budget-side
 /// invalidation is needed; config swaps clear the cache at the setter.
@@ -533,76 +533,49 @@ fn plan<E: RangeCountEstimator, N: Network>(
 /// answer `upcoming_queries` estimates. After this returns, an
 /// `IndexState::Ready` slot is safe to answer from.
 ///
-/// In order of preference:
+/// In order:
 ///
-/// 1. a live generation whose revision matches the station is kept
-///    as-is;
-/// 2. a drifted generation absorbs the exact changed-node delta from
-///    the revision journal (`O(Δ log Δ)`), falling back to 4 only when
-///    the index declines (e.g. the station lost its uniform rate);
-/// 3. a pending cross-broker [`crate::broker::IndexCacheHandle`] whose
-///    station matches structurally is adopted instead of building;
-/// 4. otherwise the [`IndexPolicy`] decides whether to build from
-///    scratch now: the adaptive policy accrues the scanning cost of
-///    `upcoming_queries` into its ski-rental meter and builds once
-///    scanning has foregone a build's worth of savings.
+/// 1. a live index built at the station's current revision is kept
+///    as-is (only the revision is read);
+/// 2. a live index whose revision moved is rebuilt from scratch; if the
+///    estimator declines (e.g. the station lost its uniform rate), the
+///    slot goes stale and falls through to 3;
+/// 3. otherwise the [`IndexPolicy`] decides whether to build now: the
+///    adaptive policy accrues the scanning cost of `upcoming_queries`
+///    into its ski-rental meter and builds once scanning has foregone a
+///    build's worth of savings.
 pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     broker: &mut DataBroker<E, N>,
     upcoming_queries: u64,
 ) {
     let station = broker.network.station();
     let revision = station.revision();
+
+    // 1 + 2: a live index is kept while the revision stands, rebuilt
+    // once it moves.
+    if let IndexState::Ready(built, _) = &broker.index {
+        if *built == revision {
+            return;
+        }
+        if let Some(index) = broker.estimator.build_index(station) {
+            broker.counters.index_builds += 1;
+            broker.index = IndexState::Ready(revision, index);
+            return;
+        }
+        broker.index = IndexState::Stale;
+    }
+
     let fingerprint: IndexFingerprint = (
         station.uniform_probability().map(f64::to_bits),
         station.total_samples(),
     );
-
-    // 1 + 2: a live generation is kept or brought up to date in place.
-    if let IndexState::Ready(generation, index) = &mut broker.index {
-        if generation.revision == revision {
-            return;
-        }
-        let changed = station.changed_since(generation.revision);
-        if let Some(outcome) = index.absorb_delta(station, &changed) {
-            *generation = IndexGeneration {
-                fingerprint,
-                revision,
-            };
-            broker.counters.delta_appends += 1;
-            broker.counters.compactions += outcome.compactions;
-            broker.counters.segments_live = index.segments() as u64;
-            return;
-        }
-        broker.index = IndexState::Stale;
-        broker.counters.segments_live = 0;
-    }
-
     if let IndexState::Unavailable(f) = &broker.index {
         if *f == fingerprint {
             return;
         }
     }
 
-    // 3: adopt a threaded-in index if its station matches ours exactly.
-    if broker
-        .pending_index
-        .as_ref()
-        .is_some_and(|handle| *station == handle.station)
-    {
-        if let Some(handle) = broker.pending_index.take() {
-            broker.counters.segments_live = handle.index.segments() as u64;
-            broker.index = IndexState::Ready(
-                IndexGeneration {
-                    fingerprint,
-                    revision,
-                },
-                handle.index,
-            );
-            return;
-        }
-    }
-
-    // 4: build-from-scratch decision.
+    // 3: build-from-scratch decision.
     let entries = station.total_samples();
     let should_build = match broker.index_policy {
         IndexPolicy::Always => true,
@@ -622,15 +595,8 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     broker.index = match broker.estimator.build_index(station) {
         Some(index) => {
             broker.counters.index_builds += 1;
-            broker.counters.segments_live = index.segments() as u64;
             broker.build_accrual = crate::estimator::BuildAccrual::default();
-            IndexState::Ready(
-                IndexGeneration {
-                    fingerprint,
-                    revision,
-                },
-                index,
-            )
+            IndexState::Ready(revision, index)
         }
         None => IndexState::Unavailable(fingerprint),
     };
@@ -651,11 +617,9 @@ pub(crate) fn cache_lookup<E, N>(
 ) -> Option<PrivateAnswer> {
     let guard = broker.reuse_guard.as_deref()?;
     let query = request.query();
-    let lower = query.lower().to_bits();
-    let upper = query.upper().to_bits();
     let mut candidates = broker
         .cache
-        .range((lower, upper, u64::MIN)..=(lower, upper, u64::MAX))
+        .range(cache_key(query, u64::MIN)..=cache_key(query, u64::MAX))
         .map(|(_, answer)| answer);
     let hit = match *request {
         Request::Demand(request) => {
@@ -690,10 +654,14 @@ pub(crate) fn cache_store<E, N>(broker: &mut DataBroker<E, N>, answer: &PrivateA
     if broker.reuse_guard.is_none() {
         return;
     }
-    let key = (
-        answer.query.lower().to_bits(),
-        answer.query.upper().to_bits(),
-        answer.plan.epsilon.value().to_bits(),
-    );
+    let key = cache_key(answer.query, answer.plan.epsilon.value().to_bits());
     broker.cache.entry(key).or_insert(*answer);
+}
+
+/// The answer-cache key of a range and a plan's Laplace budget bits.
+/// `−0.0` and `+0.0` bounds select the same values, so both map to the
+/// bits of `+0.0`: one range, one cache entry.
+fn cache_key(query: RangeQuery, epsilon_bits: u64) -> CacheKey {
+    let bits = |bound: f64| if bound == 0.0 { 0.0f64 } else { bound }.to_bits();
+    (bits(query.lower()), bits(query.upper()), epsilon_bits)
 }

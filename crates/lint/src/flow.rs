@@ -3,7 +3,7 @@
 //! allow audit (L003).
 //!
 //! All three passes run over the call graph from [`crate::graph`]; see
-//! DESIGN.md §14 for the invariant catalog and the soundness trade-offs
+//! DESIGN.md §13 for the invariant catalog and the soundness trade-offs
 //! of the underlying name resolution.
 //!
 //! - **F001** — every function from which a `prc-dp` sampling primitive

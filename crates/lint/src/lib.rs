@@ -26,7 +26,7 @@
 //! path-scoped token rules and a heuristic call graph — because the
 //! vendor tree is offline and a full parser dependency (`syn`) is
 //! unavailable. The trade-offs are documented per rule in [`rules`] and
-//! per pass in DESIGN.md §14; escape hatches are spelled
+//! per pass in DESIGN.md §13; escape hatches are spelled
 //! `// prc-lint: allow(RULE, reason = "…")` and are themselves linted
 //! (missing reason → L001, suppressing nothing → L002/L003).
 

@@ -24,7 +24,7 @@
 //! | L003 | flow-rule allows (F001–F003) must suppress something |
 //!
 //! B/D/P rules are per-file and live here; F rules are interprocedural
-//! and live in [`crate::flow`] (semantics in DESIGN.md §14). L002 covers
+//! and live in [`crate::flow`] (semantics in DESIGN.md §13). L002 covers
 //! per-file rules only — whether an F-rule allow earned its keep is only
 //! decidable after the workspace passes, which is L003's job.
 //!

@@ -447,7 +447,7 @@ where
 
     // 6 (continued). Catch-up deltas: after a lifted failure plan, one
     // round reports exactly the previously-dead nodes — the partial
-    // delta an incremental index consumes without a full rebuild.
+    // delta answer-cache eviction consumes instead of clearing the cache.
     let mut network = build(canonical_partitions(), CANONICAL_SEED);
     let mut plan = FailurePlan::none();
     plan.kill_node(NodeId(3));

@@ -1,11 +1,11 @@
 //! `prc-runtime` — the workspace's deterministic structured-concurrency
-//! executor (DESIGN.md §15).
+//! executor (DESIGN.md §14).
 //!
 //! Every parallel site in the workspace — the index k-way merge, the
 //! optimizer grid sweep, the batch pipeline's estimate fan-out — runs on
 //! one persistent [`Runtime`] pool through two order-stable entry
-//! points, [`Runtime::map_chunked`] and [`Runtime::reduce_ordered`]
-//! (plus [`Runtime::map_chunked_mut`] for disjoint in-place work). The contract has four clauses:
+//! points, [`Runtime::map_chunked`] and [`Runtime::reduce_ordered`].
+//! The contract has four clauses:
 //!
 //! * **Determinism** — inputs are split into contiguous chunks and
 //!   results are assembled in submission order, so the output is a pure
@@ -46,17 +46,6 @@ use pool::{lock, Pool, ScopedTask};
 pub struct Chunk<'a, T> {
     /// The chunk's items, a contiguous subslice of the input.
     pub items: &'a [T],
-    /// Index of `items[0]` within the full input slice.
-    pub offset: usize,
-    /// Chunk ordinal (0-based, ascending with `offset`).
-    pub index: usize,
-}
-
-/// The mutable counterpart of [`Chunk`]: a disjoint contiguous subslice.
-#[derive(Debug)]
-pub struct ChunkMut<'a, T> {
-    /// The chunk's items, a contiguous subslice of the input.
-    pub items: &'a mut [T],
     /// Index of `items[0]` within the full input slice.
     pub offset: usize,
     /// Chunk ordinal (0-based, ascending with `offset`).
@@ -225,59 +214,6 @@ impl Runtime {
         collect_slots(slots)
     }
 
-    /// [`Runtime::map_chunked`] over disjoint mutable chunks, for sites
-    /// that mutate items in place. Same order, cutoff, and panic
-    /// contract.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises the first captured chunk panic after every sibling
-    /// finishes, exactly like [`Runtime::map_chunked`].
-    pub fn map_chunked_mut<T, R, F>(
-        &self,
-        items: &mut [T],
-        work: usize,
-        cutoff: CutoffPolicy,
-        f: F,
-    ) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(ChunkMut<'_, T>) -> R + Sync,
-    {
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let lanes = self.lanes_for(items.len());
-        if lanes <= 1 || cutoff.is_sequential(work) {
-            self.pool.counters().record_sequential();
-            return vec![f(ChunkMut {
-                items,
-                offset: 0,
-                index: 0,
-            })];
-        }
-        let chunk_len = items.len().div_ceil(lanes);
-        let parts: Vec<&mut [T]> = items.chunks_mut(chunk_len).collect();
-        let slots: Vec<std::sync::Mutex<Option<R>>> =
-            parts.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let mut tasks: Vec<ScopedTask<'_>> = Vec::with_capacity(slots.len());
-        for ((index, part), slot) in parts.into_iter().enumerate().zip(&slots) {
-            let f = &f;
-            tasks.push(Box::new(move || {
-                let result = f(ChunkMut {
-                    items: part,
-                    offset: index * chunk_len,
-                    index,
-                });
-                *lock(slot) = Some(result);
-            }));
-        }
-        self.pool.counters().record_parallel(tasks.len() as u64);
-        self.pool.run_batch(tasks);
-        collect_slots(slots)
-    }
-
     /// Maps chunks in parallel, then folds the per-chunk results on the
     /// calling thread in submission order: the parallel shape of every
     /// ordered reduction (argmin sweeps, first-error propagation).
@@ -362,31 +298,6 @@ mod tests {
         assert_eq!(counters.sequential_fallbacks, 1);
         assert_eq!(counters.tasks_run, 2);
         assert!(counters.chunks >= 2);
-    }
-
-    #[test]
-    fn map_chunked_mut_sees_every_item_once() {
-        let rt = Runtime::builder().workers(3).build();
-        let mut items: Vec<u64> = (0..57).collect();
-        let touched: usize = rt
-            .map_chunked_mut(
-                &mut items,
-                usize::MAX,
-                CutoffPolicy::always_parallel(),
-                |c| {
-                    for v in c.items.iter_mut() {
-                        *v += 1_000;
-                    }
-                    c.items.len()
-                },
-            )
-            .into_iter()
-            .sum();
-        assert_eq!(touched, 57);
-        assert!(items
-            .iter()
-            .enumerate()
-            .all(|(i, &v)| v == i as u64 + 1_000));
     }
 
     #[test]

@@ -63,12 +63,10 @@ pub mod marketplace;
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use prc_core::audit::{audit_answer, verify_answer};
-    pub use prc_core::broker::{
-        BatchReport, BatchStats, DataBroker, PrivateAnswer, SamplingPolicy, StageCounters,
-    };
+    pub use prc_core::broker::{BatchReport, BatchStats, DataBroker, PrivateAnswer, StageCounters};
     pub use prc_core::consumer::AnswerBundle;
     pub use prc_core::estimator::{
-        BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, SegmentedRankIndex,
+        BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, RankIndex,
     };
     pub use prc_core::histogram::{private_argmax_bucket, private_histogram, PrivateHistogram};
     pub use prc_core::optimizer::{

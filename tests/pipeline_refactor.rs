@@ -458,9 +458,6 @@ const GOLDEN_NO_SAMPLES_COUNTERS: StageCounters = StageCounters {
     answers_released: 0,
     index_builds: 0,
     indexed_estimates: 0,
-    delta_appends: 0,
-    compactions: 0,
-    segments_live: 0,
     plan_cache_hits: 0,
     gallop_steps: 0,
     settlements: 0,
@@ -477,9 +474,6 @@ const GOLDEN_EPS_CACHED_COUNTERS: StageCounters = StageCounters {
     answers_released: 4,
     index_builds: 0,
     indexed_estimates: 0,
-    delta_appends: 0,
-    compactions: 0,
-    segments_live: 0,
     plan_cache_hits: 0,
     gallop_steps: 0,
     settlements: 0,

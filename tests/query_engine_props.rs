@@ -6,8 +6,8 @@
 //! so every released answer is independent of which path ran and of
 //! which network driver collected the samples. The sweep drives random
 //! stations (duplicate-heavy, zero-valued samples), batches whose bounds
-//! include explicit signed zeros, segmented indexes through 0..=4 delta
-//! rounds, and the two network drivers against each other.
+//! include explicit signed zeros, and the two network drivers against
+//! each other.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -71,7 +71,7 @@ fn queries_from(bounds: &[f64]) -> Vec<RangeQuery> {
 /// Checks every engine path of `index` against the scan oracle on
 /// `station`: single query, batch, and the exact integer aggregates.
 fn check_paths(
-    index: &SegmentedRankIndex,
+    index: &RankIndex,
     station: &BaseStation,
     queries: &[RangeQuery],
 ) -> Result<(), TestCaseError> {
@@ -132,70 +132,8 @@ proptest! {
             .collect();
         let station = collected_station(partitions, seed, p);
         prop_assume!(station.total_population() > 0);
-        let index = SegmentedRankIndex::build(&station).expect("uniform station");
-        prop_assert_eq!(index.segments(), 1);
+        let index = RankIndex::build(&station).expect("uniform station");
         check_paths(&index, &station, &queries_from(&bounds))?;
-    }
-}
-
-/// Absorbs `rounds` incremental top-ups into a segmented index so its
-/// layout spans multiple segments, checking every engine path against
-/// the scan and a fresh rebuild after each round. Returns the segment
-/// count reached.
-fn run_segmented_rounds(
-    seed: u64,
-    rounds: usize,
-    queries: &[RangeQuery],
-) -> Result<usize, TestCaseError> {
-    let partitions: Vec<Vec<f64>> = (0..6)
-        .map(|i| (0..30).map(|j| ((i * 30 + j) / 2) as f64).collect())
-        .collect();
-    let mut net = FlatNetwork::from_partitions(partitions, seed);
-    let mut target = 0.2;
-    net.collect_samples(target);
-    let mut index = SegmentedRankIndex::build(net.station()).expect("uniform station");
-
-    for round in 0..=rounds {
-        if round > 0 {
-            target = (target + 0.12).min(0.95);
-            let delta = net.collect_delta(target);
-            prop_assert!(
-                index.absorb_delta(net.station(), &delta.changed).is_some(),
-                "top-ups keep the station uniform"
-            );
-        }
-        check_paths(&index, net.station(), queries)?;
-        let fresh = SegmentedRankIndex::build(net.station()).expect("uniform station");
-        for &query in queries {
-            prop_assert_eq!(
-                index.estimate(query).to_bits(),
-                fresh.estimate(query).to_bits(),
-                "segmented vs fresh rebuild after round {}",
-                round
-            );
-        }
-    }
-    Ok(index.segments())
-}
-
-proptest! {
-    // Each case replays several collection rounds with a fresh rebuild
-    // per round; keep the case count moderate.
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// A segmented index carried through 0..=4 delta rounds answers
-    /// every engine path — single query, batch, integer aggregates —
-    /// bit-identically to the scan and to a fresh rebuild after every
-    /// round.
-    #[test]
-    fn segmented_engine_paths_survive_delta_rounds(
-        seed in 0u64..1_000,
-        rounds in 0usize..=4,
-        bounds in proptest::collection::vec(signed_bound(-10.0f64..100.0), 2..24),
-    ) {
-        let queries = queries_from(&bounds);
-        let segments = run_segmented_rounds(seed, rounds, &queries)?;
-        prop_assert!(segments >= 1);
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the merged prefix-rank query index.
 //!
-//! The [`SegmentedRankIndex`] contract is *bit-identity*: for any station
+//! The [`RankIndex`] contract is *bit-identity*: for any station
 //! with a uniform sampling probability, `index.estimate(q)` must return
 //! exactly the bits of the direct `RankCounting::estimate(station, q)`
 //! scan — the broker switches between the two paths on its index policy,

@@ -1,7 +1,7 @@
 //! Property-based tests for the `prc-runtime` executor contract.
 //!
 //! The pool's promise is *scheduling-independence*: for any worker count
-//! (including 1) and any input size, `map_chunked` / `map_chunked_mut` /
+//! (including 1) and any input size, `map_chunked` and
 //! `reduce_ordered` return results in submission order that are
 //! bit-identical to a plain sequential evaluation — chunking may group
 //! per-item work differently, but it must never change what any item
@@ -78,32 +78,6 @@ proptest! {
                 prop_assert_eq!(&got, &expected, "workers {}", pool.worker_count());
             }
         }
-    }
-
-    /// `map_chunked_mut` visits every element exactly once, in place,
-    /// with the same global positions as a sequential pass.
-    #[test]
-    fn map_chunked_mut_covers_every_element_once(
-        len in 0usize..150,
-        workers in 1usize..=8,
-        min_work in 0usize..200,
-    ) {
-        let pool = Runtime::builder().workers(workers).build();
-        let mut data: Vec<u64> = (0..len as u64).collect();
-        let touched: Vec<usize> = pool.map_chunked_mut(
-            &mut data,
-            len,
-            CutoffPolicy::min_work(min_work),
-            |chunk| {
-                for (j, item) in chunk.items.iter_mut().enumerate() {
-                    *item += ((chunk.offset + j) as u64) << 32;
-                }
-                chunk.items.len()
-            },
-        );
-        prop_assert_eq!(touched.iter().sum::<usize>(), len);
-        let expected: Vec<u64> = (0..len as u64).map(|i| i + (i << 32)).collect();
-        prop_assert_eq!(data, expected);
     }
 
     /// `reduce_ordered` folds partials in submission order: an exact
