@@ -792,24 +792,38 @@ mod tests {
             request(-10.0, -1.0, 0.15, 0.5),      // below support
             request(1_000.0, 3_000.0, 0.08, 0.7), // duplicate
         ];
-        let run = |policy: IndexPolicy| {
-            let mut broker = DataBroker::new(network(8, 700, 21), 21);
-            broker.set_index_policy(policy);
-            let report = broker.answer_batch(&workload);
-            let bits: Vec<u64> = report
-                .answers
-                .iter()
-                .map(|r| r.as_ref().unwrap().value.to_bits())
-                .collect();
-            (bits, report.stats)
-        };
-        let (indexed_bits, indexed_stats) = run(IndexPolicy::Always);
-        let (scan_bits, scan_stats) = run(IndexPolicy::Never);
-        assert_eq!(indexed_bits, scan_bits, "index changed released bits");
-        assert!(indexed_stats.index_builds >= 1);
-        assert!(indexed_stats.indexed_estimates >= workload.len() as u64 - 1);
-        assert_eq!(scan_stats.index_builds, 0);
-        assert_eq!(scan_stats.indexed_estimates, 0);
+        // The Estimate stage fans a tier out only once it declares enough
+        // boundary searches. The widest tier holds the three (0.15, 0.5)
+        // requests and the other tier two, so on `wide` nodes both scan
+        // tiers clear the cutoff while the indexed tiers' one search per
+        // query does not; on 8 nodes every tier runs inline.
+        let wide = crate::pipeline::batch::ESTIMATE_MIN_SEARCHES.div_ceil(2);
+        let scan_lanes = prc_runtime::Runtime::global().lanes_for(3) as u64;
+        for (nodes, per_node, scan_fan_out) in [(8, 700, 1), (wide, 4, scan_lanes)] {
+            let run = |policy: IndexPolicy| {
+                let mut broker = DataBroker::new(network(nodes, per_node, 21), 21);
+                broker.set_index_policy(policy);
+                let report = broker.answer_batch(&workload);
+                let bits: Vec<u64> = report
+                    .answers
+                    .iter()
+                    .map(|r| r.as_ref().unwrap().value.to_bits())
+                    .collect();
+                (bits, report.stats)
+            };
+            let (indexed_bits, indexed_stats) = run(IndexPolicy::Always);
+            let (scan_bits, scan_stats) = run(IndexPolicy::Never);
+            assert_eq!(indexed_bits, scan_bits, "index changed released bits");
+            assert!(indexed_stats.index_builds >= 1);
+            assert!(indexed_stats.indexed_estimates >= workload.len() as u64 - 1);
+            assert_eq!(scan_stats.index_builds, 0);
+            assert_eq!(scan_stats.indexed_estimates, 0);
+            assert_eq!(indexed_stats.fan_out_threads, 1, "{nodes} nodes, indexed");
+            assert_eq!(
+                scan_stats.fan_out_threads, scan_fan_out,
+                "{nodes} nodes, scan"
+            );
+        }
     }
 
     #[test]

@@ -83,7 +83,8 @@ impl NetworkShape {
         }
     }
 
-    /// Reads the exact shape from a base station's sample state.
+    /// Reads the exact shape from a base station's sample state, in
+    /// `O(1)` (the station memoizes its aggregates per revision).
     ///
     /// # Errors
     ///
@@ -94,15 +95,10 @@ impl NetworkShape {
         if k == 0 || n == 0 {
             return Err(CoreError::NoSamples);
         }
-        let max_node_population = station
-            .node_samples()
-            .map(|s| s.population_size)
-            .max()
-            .unwrap_or(0);
         Ok(NetworkShape {
             k,
             n,
-            max_node_population,
+            max_node_population: station.max_population(),
         })
     }
 }

@@ -9,7 +9,8 @@
 //! would do). Within a tier, admission, planning, and budget holds run
 //! sequentially in input order; the [`Estimate`] stage fans out over
 //! the shared [`prc_runtime::Runtime`] pool against the shared
-//! base-station sample; the
+//! base-station sample when the tier declares enough boundary searches
+//! to pay for the dispatch, and runs on the caller otherwise; the
 //! [`Perturb`] stage then runs sequentially in input order, keeping the
 //! whole batch deterministic in the broker's seed regardless of thread
 //! scheduling. Each member's hold is committed at its [`Settle`] or
@@ -35,6 +36,16 @@ use crate::pipeline::stages::{
 };
 use crate::pipeline::QuerySession;
 use crate::query::QueryRequest;
+
+/// A tier's Estimate stage fans out over the pool only when it declares
+/// at least this many boundary searches: one per query through a ready
+/// index, one per data-bearing node per query on the scan. Smaller tiers
+/// run on the caller, where they finish before a dispatch would. Set
+/// from the measured crossover in DESIGN.md §14.
+pub(crate) const ESTIMATE_MIN_SEARCHES: usize = 4096;
+
+/// The Estimate stage's cutoff policy, with `work` in boundary searches.
+const ESTIMATE_CUTOFF: CutoffPolicy = CutoffPolicy::min_work(ESTIMATE_MIN_SEARCHES);
 
 /// One tier member that survived admission and reservation, awaiting its
 /// estimate and release.
@@ -143,13 +154,13 @@ where
         }
 
         if !pending.is_empty() {
-            // Estimate: fan out over the shared sample. The station is
-            // immutable for the rest of the tier, so worker threads share
-            // it; chunked spawning keeps the result order (and therefore
-            // the released answers) deterministic. With a query index
-            // ready for this epoch, every worker answers through it —
-            // same bits as the scan, `O(log S)` per query instead of
-            // `O(k log s)`.
+            // Estimate: fan out over the shared sample once the tier's
+            // searches clear the cutoff. The station is immutable for the
+            // rest of the tier, so worker threads share it; chunked
+            // spawning keeps the result order (and therefore the released
+            // answers) deterministic. With a query index ready for this
+            // epoch, every worker answers through it — same bits as the
+            // scan, `O(log S)` per query instead of `O(k log s)`.
             prepare_index(broker, pending.len() as u64);
             let station = broker.network.station();
             let estimator = &broker.estimator;
@@ -157,31 +168,35 @@ where
                 IndexState::Ready(_, index) => Some(index.as_ref()),
                 _ => None,
             };
+            let searches = match index {
+                Some(_) => pending.len(),
+                None => pending.len().saturating_mul(station.data_bearing_count()),
+            };
             let runtime = Runtime::global();
-            fan_out_threads = fan_out_threads.max(runtime.lanes_for(pending.len()) as u64);
+            let lanes = if ESTIMATE_CUTOFF.is_sequential(searches) {
+                1
+            } else {
+                runtime.lanes_for(pending.len())
+            };
+            fan_out_threads = fan_out_threads.max(lanes as u64);
             // Chunk results flatten in submission order, so the released
             // answers are independent of worker count and scheduling.
             let estimates: Vec<f64> = runtime
-                .map_chunked(
-                    &pending,
-                    pending.len(),
-                    CutoffPolicy::always_parallel(),
-                    |chunk| match index {
-                        Some(index) => {
-                            let queries: Vec<_> = chunk
-                                .items
-                                .iter()
-                                .map(|member| requests[member.slot].query)
-                                .collect();
-                            index.estimate_batch(&queries).estimates
-                        }
-                        None => chunk
+                .map_chunked(&pending, searches, ESTIMATE_CUTOFF, |chunk| match index {
+                    Some(index) => {
+                        let queries: Vec<_> = chunk
                             .items
                             .iter()
-                            .map(|member| estimator.estimate(station, requests[member.slot].query))
-                            .collect(),
-                    },
-                )
+                            .map(|member| requests[member.slot].query)
+                            .collect();
+                        index.estimate_batch(&queries).estimates
+                    }
+                    None => chunk
+                        .items
+                        .iter()
+                        .map(|member| estimator.estimate(station, requests[member.slot].query))
+                        .collect(),
+                })
                 .into_iter()
                 .flatten()
                 .collect();

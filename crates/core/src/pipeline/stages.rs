@@ -161,13 +161,6 @@ impl Admit<'_> {
     }
 }
 
-/// Post-collection station state.
-#[derive(Debug, Clone, Copy)]
-pub struct Collected {
-    /// The sampling probability actually achieved after the top-up.
-    pub achieved_probability: f64,
-}
-
 /// Stage 2 — Collect: top the network up to the admitted target.
 ///
 /// A round that actually collects reports its
@@ -187,14 +180,11 @@ pub struct Collect {
 impl Collect {
     /// Runs the stage (infallible: a short delivery simply leaves the
     /// achieved probability below target, which later stages re-check).
-    pub fn run<E, N: Network>(self, broker: &mut DataBroker<E, N>) -> Collected {
+    pub fn run<E, N: Network>(self, broker: &mut DataBroker<E, N>) {
         if let Some(delta) = broker.network.top_up_delta(self.target_probability) {
             broker.counters.collection_rounds += 1;
             broker.counters.samples_collected += delta.delivered as u64;
             evict_touched_answers(broker, &delta.changed);
-        }
-        Collected {
-            achieved_probability: broker.network.station().effective_probability(),
         }
     }
 }
@@ -581,10 +571,9 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
         IndexPolicy::Always => true,
         IndexPolicy::Never => false,
         IndexPolicy::Adaptive => {
-            let nodes = station.data_bearing_samples().count();
             broker
                 .build_accrual
-                .observe(entries, nodes, upcoming_queries);
+                .observe(entries, station.data_bearing_count(), upcoming_queries);
             broker.build_accrual.should_build(entries)
         }
     };

@@ -1,6 +1,7 @@
 //! The base station: per-node sample sets and top-up orchestration.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::message::{NodeId, SampleEntry, SampleMessage};
 
@@ -96,6 +97,60 @@ impl NodeSample {
     }
 }
 
+/// Station-wide aggregates, folded in one pass over the node records.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    total_population: usize,
+    total_samples: usize,
+    effective_probability: f64,
+    uniform_probability: Option<f64>,
+    max_population: usize,
+    data_bearing_count: usize,
+}
+
+impl Summary {
+    /// Every aggregate in one pass over the records in node-id order.
+    /// Each applies the same operations in the same order as a fold of
+    /// its own would, so each gets the same bits.
+    fn of(samples: &BTreeMap<NodeId, NodeSample>) -> Summary {
+        let mut total_population = 0;
+        let mut total_samples = 0;
+        let mut min_probability = f64::INFINITY;
+        let mut max_population = 0;
+        let mut data_bearing_count = 0;
+        // The first data-bearing node's probability bits, and whether any
+        // later one differs from them.
+        let mut shared_bits: Option<u64> = None;
+        let mut mixed = false;
+        for sample in samples.values() {
+            total_population += sample.population_size;
+            total_samples += sample.len();
+            min_probability = min_probability.min(sample.probability);
+            max_population = max_population.max(sample.population_size);
+            if sample.population_size > 0 {
+                data_bearing_count += 1;
+                let bits = sample.probability.to_bits();
+                match shared_bits {
+                    Some(first) => mixed |= first != bits,
+                    None => shared_bits = Some(bits),
+                }
+            }
+        }
+        let ceiling = if samples.is_empty() { 0.0 } else { 1.0 };
+        Summary {
+            total_population,
+            total_samples,
+            effective_probability: min_probability.clamp(0.0, 1.0).min(ceiling),
+            uniform_probability: shared_bits
+                .filter(|_| !mixed)
+                .map(f64::from_bits)
+                .filter(|&p| p > 0.0),
+            max_population,
+            data_bearing_count,
+        }
+    }
+}
+
 /// Collects sample messages and exposes per-node sample sets.
 ///
 /// The base station is the component that *"opens the data access API to
@@ -103,6 +158,14 @@ impl NodeSample {
 /// run the RankCounting estimator, and call [`BaseStation::deficit_nodes`]
 /// to learn which nodes must top up before a target sampling probability
 /// is met.
+///
+/// The station-wide aggregates ([`BaseStation::total_population`],
+/// [`BaseStation::effective_probability`], …) are read on every request,
+/// so the station folds them once per revision: the first read after an
+/// [`BaseStation::ingest`] that changed a record computes all of them in
+/// one pass, and every later read until the next change is `O(1)`. The
+/// memo cannot go stale because `ingest` is the only mutation and drops
+/// it whenever it bumps the revision.
 #[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
 pub struct BaseStation {
     samples: BTreeMap<NodeId, NodeSample>,
@@ -114,6 +177,11 @@ pub struct BaseStation {
     /// unchanged, the sample state is byte-identical.
     #[serde(default)]
     revision: u64,
+    /// The aggregates of the current revision, folded on first read and
+    /// dropped by every `ingest` that changes a record. A `OnceLock`
+    /// because batch workers read the station concurrently.
+    #[serde(skip)]
+    summary: OnceLock<Summary>,
 }
 
 /// Sample-state equality: two stations are equal when every node holds
@@ -161,10 +229,16 @@ impl BaseStation {
         };
         if changed {
             self.revision += 1;
+            self.summary = OnceLock::new();
             if let Some(sample) = self.samples.get_mut(&node_id) {
                 sample.last_changed = self.revision;
             }
         }
+    }
+
+    /// The aggregates of the current revision.
+    fn summary(&self) -> &Summary {
+        self.summary.get_or_init(|| Summary::of(&self.samples))
     }
 
     /// The station's monotone change counter (`0` = never changed).
@@ -194,28 +268,36 @@ impl BaseStation {
         self.samples.len()
     }
 
-    /// Total population `n = Σ n_i` across reporting nodes.
+    /// Total population `n = Σ n_i` across reporting nodes. Memoized per
+    /// revision, like every station-wide aggregate (see [`BaseStation`]).
     pub fn total_population(&self) -> usize {
-        self.samples.values().map(|s| s.population_size).sum()
+        self.summary().total_population
     }
 
-    /// Total number of samples held.
+    /// Total number of samples held. Memoized per revision.
     pub fn total_samples(&self) -> usize {
-        self.samples.values().map(NodeSample::len).sum()
+        self.summary().total_samples
     }
 
     /// The minimum cumulative sampling probability across reporting
-    /// nodes, or `0` when no node has reported.
+    /// nodes, or `0` when no node has reported. Memoized per revision.
     ///
     /// This is the probability the RankCounting estimator may assume for
     /// the whole network.
     pub fn effective_probability(&self) -> f64 {
-        self.samples
-            .values()
-            .map(|s| s.probability)
-            .fold(f64::INFINITY, f64::min)
-            .clamp(0.0, 1.0)
-            .min(if self.samples.is_empty() { 0.0 } else { 1.0 })
+        self.summary().effective_probability
+    }
+
+    /// The largest population claim `max_i n_i` across reporting nodes,
+    /// or `0` when no node has reported. Memoized per revision.
+    pub fn max_population(&self) -> usize {
+        self.summary().max_population
+    }
+
+    /// Number of reporting nodes that hold data (`n_i > 0`): the length
+    /// of [`BaseStation::data_bearing_samples`]. Memoized per revision.
+    pub fn data_bearing_count(&self) -> usize {
+        self.summary().data_bearing_count
     }
 
     /// Per-node sample sets, in node-id order.
@@ -248,19 +330,10 @@ impl BaseStation {
     /// `p > 0`. This is the precondition under which a merged prefix-rank
     /// index can represent the whole station with one `1/p` correction
     /// term; heterogeneous stations (e.g. after partial failures) return
-    /// `None` and estimators fall back to the per-node path.
+    /// `None` and estimators fall back to the per-node path. Memoized per
+    /// revision.
     pub fn uniform_probability(&self) -> Option<f64> {
-        let mut bits: Option<u64> = None;
-        for sample in self.data_bearing_samples() {
-            let b = sample.probability.to_bits();
-            match bits {
-                None => bits = Some(b),
-                Some(prev) if prev == b => {}
-                Some(_) => return None,
-            }
-        }
-        let p = f64::from_bits(bits?);
-        (p > 0.0).then_some(p)
+        self.summary().uniform_probability
     }
 
     /// Nodes whose cumulative probability is below `target` (the set that

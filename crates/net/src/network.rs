@@ -158,6 +158,9 @@ pub trait Network {
     fn node_count(&self) -> usize;
 
     /// Total data elements across all nodes, `n = |D|`.
+    ///
+    /// `O(1)` on flat and tree networks: node data never changes after
+    /// the node is added, so the shared core keeps a running sum.
     fn total_data_size(&self) -> usize;
 
     /// The base station's view of collected samples.
@@ -245,6 +248,9 @@ pub(crate) struct Fleet {
     parent: Vec<Option<usize>>,
     /// `hops[i]` = number of links from node `i` to the base station (≥ 1).
     pub(crate) hops: Vec<u32>,
+    /// `Σ n_i` over `nodes`, kept by [`Fleet::push`] (node data never
+    /// changes after construction).
+    data_size: usize,
     pub(crate) station: BaseStation,
     pub(crate) meter: CostMeter,
     pub(crate) failure: FailurePlan,
@@ -269,6 +275,7 @@ impl Fleet {
             nodes: Vec::with_capacity(k),
             parent: Vec::with_capacity(k),
             hops: Vec::with_capacity(k),
+            data_size: 0,
             station: BaseStation::new(),
             meter: CostMeter::new(),
             failure: FailurePlan::none(),
@@ -284,6 +291,7 @@ impl Fleet {
     /// station) and returns its id.
     pub(crate) fn push(&mut self, data: Vec<f64>, seed: u64, parent: Option<usize>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        self.data_size += data.len();
         self.nodes.push(SensorNode::new(id, data, seed));
         let hops = parent.map_or(1, |p| self.hops[p] + 1);
         self.hops.push(hops);
@@ -291,9 +299,9 @@ impl Fleet {
         id
     }
 
-    /// Total data elements across all nodes, `n = |D|`.
+    /// Total data elements across all nodes, `n = |D|`, in `O(1)`.
     pub(crate) fn total_data_size(&self) -> usize {
-        self.nodes.iter().map(SensorNode::population_size).sum()
+        self.data_size
     }
 
     /// Exact global range count `γ(l, u, D)`, summed over every node.
@@ -465,7 +473,7 @@ impl FlatNetwork {
         self.fleet.nodes.len()
     }
 
-    /// Total data elements across all nodes, `n = |D|`.
+    /// Total data elements across all nodes, `n = |D|`, in `O(1)`.
     pub fn total_data_size(&self) -> usize {
         self.fleet.total_data_size()
     }

@@ -81,7 +81,7 @@ impl TreeNetwork {
         self.fleet.nodes.len()
     }
 
-    /// Total data elements across all nodes.
+    /// Total data elements across all nodes, `n = |D|`, in `O(1)`.
     pub fn total_data_size(&self) -> usize {
         self.fleet.total_data_size()
     }
