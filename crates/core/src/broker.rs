@@ -404,8 +404,9 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// Requires a pricing engine ([`DataBroker::enable_pricing`]): the
     /// Admit stage quotes the demand against the posted curve (refusing
     /// invalid or arbitrageable demands before any budget is touched),
-    /// and the Settle stage records the trade — price, noise variance,
-    /// and rendered plan — into the engine's ledger.
+    /// and the Settle stage records the trade — buyer, price, and the
+    /// released plan's [`crate::optimizer::PlanSummary`] — into the
+    /// engine's ledger.
     ///
     /// # Errors
     ///

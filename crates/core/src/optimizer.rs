@@ -43,6 +43,8 @@ use crate::accuracy::achieved_delta;
 use crate::error::CoreError;
 use crate::query::Accuracy;
 
+pub use prc_pricing::ledger::PlanSummary;
+
 /// How the broker estimates the sensitivity `Δγ̂` of the sampled estimator.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub enum SensitivityPolicy {
@@ -152,9 +154,9 @@ impl PerturbationPlan {
     }
 
     /// The plan's release-facing digest: the one place the noise
-    /// variance, budgets, and scale are derived for consumers
-    /// (the broker's release stage and the pricing ledger's settlement
-    /// records both render this instead of re-deriving formulas).
+    /// variance, budgets, and scale are derived for consumers (the
+    /// pricing ledger stores it in each settlement record instead of
+    /// re-deriving formulas).
     pub fn summary(&self) -> PlanSummary {
         PlanSummary {
             epsilon: self.epsilon.value(),
@@ -164,40 +166,6 @@ impl PerturbationPlan {
             noise_variance: self.noise_variance(),
             probability: self.probability,
         }
-    }
-}
-
-/// A `Display`/serde-friendly digest of a [`PerturbationPlan`]: the
-/// numbers a settlement record or log line needs, with the noise
-/// variance derived once from the plan's own scale.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct PlanSummary {
-    /// Laplace budget `ε`.
-    pub epsilon: f64,
-    /// Effective (amplified) budget `ε′`.
-    pub effective_epsilon: f64,
-    /// Sensitivity `Δγ̂`.
-    pub sensitivity: f64,
-    /// Laplace noise scale `b`.
-    pub noise_scale: f64,
-    /// Noise variance `2b²`.
-    pub noise_variance: f64,
-    /// Sampling probability the plan assumes.
-    pub probability: f64,
-}
-
-impl std::fmt::Display for PlanSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "ε={} ε′={} Δ={} b={} 2b²={} p={}",
-            self.epsilon,
-            self.effective_epsilon,
-            self.sensitivity,
-            self.noise_scale,
-            self.noise_variance,
-            self.probability
-        )
     }
 }
 

@@ -30,8 +30,10 @@
 //! Pricing rides the same stages: a priced session
 //! ([`QuerySession::for_buyer`]) quotes the demand at Admit — refusing
 //! invalid or arbitrageable demands before any budget or sample moves —
-//! and settles the sale (price, noise variance, rendered plan) into the
-//! engine's ledger at Settle.
+//! and settles the sale (buyer, price, the plan's
+//! [`crate::optimizer::PlanSummary`]) into the engine's ledger at
+//! Settle, as numbers: a sale formats no text and, after its buyer's
+//! first, copies no string.
 
 pub mod batch;
 pub mod stages;

@@ -422,13 +422,11 @@ impl Settle<'_> {
         cache_store(broker, &self.answer);
         let (price, settlement) = match (self.quote, self.buyer, &mut broker.pricing) {
             (Some(quote), Some(buyer), Some(engine)) => {
-                let summary = self.answer.plan.summary();
                 let sequence = engine.settle(Settlement {
-                    buyer: buyer.to_owned(),
+                    buyer,
                     demand: quote.demand,
                     price: quote.price,
-                    noise_variance: summary.noise_variance,
-                    plan: summary.to_string(),
+                    plan: self.answer.plan.summary(),
                 });
                 broker.counters.settlements += 1;
                 (Some(quote.price), Some(sequence))
@@ -647,10 +645,13 @@ pub(crate) fn cache_store<E, N>(broker: &mut DataBroker<E, N>, answer: &PrivateA
     broker.cache.entry(key).or_insert(*answer);
 }
 
-/// The answer-cache key of a range and a plan's Laplace budget bits.
-/// `−0.0` and `+0.0` bounds select the same values, so both map to the
-/// bits of `+0.0`: one range, one cache entry.
+/// The answer-cache key of a range and a plan's Laplace budget bits
+/// ([`RangeQuery::new`] already reads a `−0.0` bound as `+0.0`, so one
+/// range has one entry).
 fn cache_key(query: RangeQuery, epsilon_bits: u64) -> CacheKey {
-    let bits = |bound: f64| if bound == 0.0 { 0.0f64 } else { bound }.to_bits();
-    (bits(query.lower()), bits(query.upper()), epsilon_bits)
+    (
+        query.lower().to_bits(),
+        query.upper().to_bits(),
+        epsilon_bits,
+    )
 }

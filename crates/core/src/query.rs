@@ -12,6 +12,10 @@ pub struct RangeQuery {
 impl RangeQuery {
     /// Creates a range query.
     ///
+    /// A `−0.0` bound is stored as `+0.0`: both select the same values,
+    /// so every range-keyed map (answer cache, purchase history) sees
+    /// one range.
+    ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidRange`] when a bound is NaN or `l > u`.
@@ -19,7 +23,11 @@ impl RangeQuery {
         if l.is_nan() || u.is_nan() || l > u {
             return Err(CoreError::InvalidRange { l, u });
         }
-        Ok(RangeQuery { l, u })
+        let canonical = |bound: f64| if bound == 0.0 { 0.0 } else { bound };
+        Ok(RangeQuery {
+            l: canonical(l),
+            u: canonical(u),
+        })
     }
 
     /// The lower bound `l`.
@@ -152,6 +160,11 @@ mod tests {
         assert!(q.contains(4.0));
         assert!(!q.contains(4.5));
         assert_eq!(q.to_string(), "[1, 4]");
+        // A `−0.0` bound is stored as `+0.0`.
+        let zero = RangeQuery::new(-0.0, -0.0).unwrap();
+        assert_eq!(zero.lower().to_bits(), 0.0f64.to_bits());
+        assert_eq!(zero.upper().to_bits(), 0.0f64.to_bits());
+        assert_eq!(zero.to_string(), "[0, 0]");
     }
 
     #[test]

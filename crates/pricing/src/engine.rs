@@ -12,8 +12,8 @@
 //! 2. the broker runs its private pipeline (reserve → collect →
 //!    estimate → perturb);
 //! 3. **Settle** calls [`PricingEngine::settle`] with the released
-//!    answer's noise variance and plan summary, which the ledger records
-//!    alongside the sale.
+//!    answer's [`PlanSummary`] (its budgets, scale and noise variance as
+//!    numbers), which the ledger records alongside the sale.
 //!
 //! [`PostedPriceEngine`] is the canonical implementation: a posted price
 //! curve over a variance model, with per-demand arbitrage certification
@@ -26,7 +26,7 @@ use std::fmt::Debug;
 use crate::arbitrage::{find_arbitrage, AttackConfig};
 use crate::error::PricingError;
 use crate::functions::PricingFunction;
-use crate::ledger::TradeLedger;
+use crate::ledger::{PlanSummary, TradeLedger};
 use crate::reuse::Demand;
 use crate::variance::VarianceModel;
 
@@ -42,19 +42,19 @@ pub struct Quote {
 }
 
 /// The broker's report of one released answer, consumed by
-/// [`PricingEngine::settle`].
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct Settlement {
+/// [`PricingEngine::settle`]. It borrows the buyer's name, so building
+/// one allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct Settlement<'a> {
     /// The purchasing consumer.
-    pub buyer: String,
+    pub buyer: &'a str,
     /// The demand that was quoted and answered.
     pub demand: Demand,
     /// The price quoted at admission (what the buyer pays).
     pub price: f64,
-    /// Laplace noise variance of the released answer.
-    pub noise_variance: f64,
-    /// Rendered perturbation-plan summary of the released answer.
-    pub plan: String,
+    /// Perturbation-plan summary of the released answer, including its
+    /// Laplace noise variance.
+    pub plan: PlanSummary,
 }
 
 /// A pricing authority the broker's query pipeline can transact with.
@@ -77,7 +77,7 @@ pub trait PricingEngine: Debug + Send + Sync {
 
     /// Records a completed sale in the ledger and returns its sequence
     /// number.
-    fn settle(&mut self, settlement: Settlement) -> u64;
+    fn settle(&mut self, settlement: Settlement<'_>) -> u64;
 
     /// The ledger of settled sales.
     fn ledger(&self) -> &TradeLedger;
@@ -96,6 +96,7 @@ pub trait PricingEngine: Debug + Send + Sync {
 /// ```
 /// use prc_pricing::engine::{PostedPriceEngine, PricingEngine, Settlement};
 /// use prc_pricing::functions::InverseVariancePricing;
+/// use prc_pricing::ledger::PlanSummary;
 /// use prc_pricing::reuse::Demand;
 /// use prc_pricing::variance::ChebyshevVariance;
 ///
@@ -103,15 +104,25 @@ pub trait PricingEngine: Debug + Send + Sync {
 /// let mut engine = PostedPriceEngine::new(InverseVariancePricing::new(1e6, model), model);
 /// let quote = engine.quote(Demand::new(0.05, 0.8)).unwrap();
 /// assert!(quote.price > 0.0);
+/// let plan = PlanSummary {
+///     epsilon: 0.9,
+///     effective_epsilon: 0.4,
+///     sensitivity: 1.2,
+///     noise_scale: 1.2 / 0.9,
+///     noise_variance: 2.0 * (1.2f64 / 0.9).powi(2),
+///     probability: 0.4,
+/// };
 /// let seq = engine.settle(Settlement {
-///     buyer: "alice".into(),
+///     buyer: "alice",
 ///     demand: quote.demand,
 ///     price: quote.price,
-///     noise_variance: 3.2,
-///     plan: "ε=0.9".into(),
+///     plan,
 /// });
 /// assert_eq!(seq, 0);
 /// assert_eq!(engine.ledger().len(), 1);
+/// let record = engine.ledger().records()[0];
+/// assert_eq!(engine.ledger().buyers()[record.buyer], "alice");
+/// assert_eq!(record.plan.map(|p| p.to_string()), Some(plan.to_string()));
 /// ```
 #[derive(Debug)]
 pub struct PostedPriceEngine<F, M> {
@@ -190,14 +201,13 @@ where
         })
     }
 
-    fn settle(&mut self, settlement: Settlement) -> u64 {
+    fn settle(&mut self, settlement: Settlement<'_>) -> u64 {
         self.ledger.record_settlement(
-            &settlement.buyer,
+            settlement.buyer,
             settlement.demand.alpha,
             settlement.demand.delta,
             settlement.price,
-            settlement.noise_variance,
-            &settlement.plan,
+            settlement.plan,
         )
     }
 
@@ -277,17 +287,24 @@ mod tests {
     fn settlements_land_in_the_ledger() {
         let mut e = engine();
         let quote = e.quote(Demand::new(0.05, 0.8)).unwrap();
+        let plan = PlanSummary {
+            epsilon: 1.0,
+            effective_epsilon: 0.5,
+            sensitivity: 1.1,
+            noise_scale: 1.1,
+            noise_variance: 2.5,
+            probability: 0.5,
+        };
         let seq = e.settle(Settlement {
-            buyer: "alice".into(),
+            buyer: "alice",
             demand: quote.demand,
             price: quote.price,
-            noise_variance: 2.5,
-            plan: "ε=1.0 b=1.1".into(),
+            plan,
         });
         assert_eq!(seq, 0);
         let record = &e.ledger().records()[0];
-        assert_eq!(record.buyer, "alice");
-        assert_eq!(record.noise_variance, Some(2.5));
+        assert_eq!(e.ledger().buyers()[record.buyer], "alice");
+        assert_eq!(record.plan.map(|p| p.noise_variance), Some(2.5));
         assert!((record.price - quote.price).abs() < 1e-12);
     }
 

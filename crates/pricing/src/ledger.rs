@@ -1,33 +1,80 @@
 //! Trade bookkeeping for the broker.
+//!
+//! A sale is recorded as plain numbers: the buyer is an id into the
+//! ledger's name table (names are copied on a buyer's first sale, not
+//! on every sale), and a pipeline settlement carries the released
+//! answer's [`PlanSummary`] as its six `f64`s. Text is rendered only
+//! when someone reads it (`record.plan.map(|p| p.to_string())`), so a
+//! record is fixed-size and recording one formats nothing.
 
 use std::collections::BTreeMap;
 
+/// The release-facing digest of a perturbation plan: the numbers a
+/// settlement record or log line needs, with the noise variance
+/// derived once from the plan's own scale.
+///
+/// Owned by the pricing ledger, which stores one per pipeline
+/// settlement; the broker builds it with `prc_core`'s
+/// `PerturbationPlan::summary()` (re-exported there as
+/// `prc_core::PlanSummary`). `Display` renders the summary as one line.
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+pub struct PlanSummary {
+    /// Laplace budget `ε`.
+    pub epsilon: f64,
+    /// Effective (amplified) budget `ε′`.
+    pub effective_epsilon: f64,
+    /// Sensitivity `Δγ̂`.
+    pub sensitivity: f64,
+    /// Laplace noise scale `b`.
+    pub noise_scale: f64,
+    /// Noise variance `2b²`.
+    pub noise_variance: f64,
+    /// Sampling probability the plan assumes.
+    pub probability: f64,
+}
+
+impl std::fmt::Display for PlanSummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "ε={} ε′={} Δ={} b={} 2b²={} p={}",
+            self.epsilon,
+            self.effective_epsilon,
+            self.sensitivity,
+            self.noise_scale,
+            self.noise_variance,
+            self.probability
+        )
+    }
+}
+
 /// One recorded sale.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TradeRecord {
     /// Monotone sequence number assigned by the ledger.
     pub sequence: u64,
-    /// The purchasing consumer.
-    pub buyer: String,
+    /// The purchasing consumer: an index into [`TradeLedger::buyers`].
+    pub buyer: usize,
     /// Error bound the answer was sold at.
     pub alpha: f64,
     /// Confidence the answer was sold at.
     pub delta: f64,
     /// Price charged.
     pub price: f64,
-    /// Laplace noise variance of the released answer, when the sale was
-    /// settled through the broker pipeline (`None` for bare quotes
+    /// Perturbation-plan summary of the released answer, when the sale
+    /// was settled through the broker pipeline (`None` for bare quotes
     /// recorded without a released answer).
-    pub noise_variance: Option<f64>,
-    /// Rendered perturbation-plan summary of the released answer, when
-    /// settled through the broker pipeline.
-    pub plan: Option<String>,
+    pub plan: Option<PlanSummary>,
 }
 
 /// An append-only ledger of sales with revenue accounting.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct TradeLedger {
     records: Vec<TradeRecord>,
+    /// Distinct buyer names, in order of first sale.
+    buyers: Vec<String>,
+    /// Name → index into `buyers`.
+    buyer_ids: BTreeMap<String, usize>,
 }
 
 impl TradeLedger {
@@ -42,26 +89,11 @@ impl TradeLedger {
     ///
     /// Panics if `price` is negative or not finite.
     pub fn record(&mut self, buyer: &str, alpha: f64, delta: f64, price: f64) -> u64 {
-        assert!(
-            price.is_finite() && price >= 0.0,
-            "price must be finite and non-negative, got {price}"
-        );
-        let sequence = self.records.len() as u64;
-        self.records.push(TradeRecord {
-            sequence,
-            buyer: buyer.to_owned(),
-            alpha,
-            delta,
-            price,
-            noise_variance: None,
-            plan: None,
-        });
-        sequence
+        self.push(buyer, alpha, delta, price, None)
     }
 
     /// Records one pipeline settlement — a sale carrying the released
-    /// answer's noise variance and plan summary — and returns its
-    /// sequence number.
+    /// answer's plan summary — and returns its sequence number.
     ///
     /// # Panics
     ///
@@ -72,15 +104,42 @@ impl TradeLedger {
         alpha: f64,
         delta: f64,
         price: f64,
-        noise_variance: f64,
-        plan: &str,
+        plan: PlanSummary,
     ) -> u64 {
-        let sequence = self.record(buyer, alpha, delta, price);
-        // `record` pushed the entry; enrich it in place.
-        if let Some(entry) = self.records.last_mut() {
-            entry.noise_variance = Some(noise_variance);
-            entry.plan = Some(plan.to_owned());
-        }
+        self.push(buyer, alpha, delta, price, Some(plan))
+    }
+
+    /// Appends one record, interning `buyer` on its first sale.
+    fn push(
+        &mut self,
+        buyer: &str,
+        alpha: f64,
+        delta: f64,
+        price: f64,
+        plan: Option<PlanSummary>,
+    ) -> u64 {
+        assert!(
+            price.is_finite() && price >= 0.0,
+            "price must be finite and non-negative, got {price}"
+        );
+        let buyer = match self.buyer_ids.get(buyer) {
+            Some(&id) => id,
+            None => {
+                let id = self.buyers.len();
+                self.buyers.push(buyer.to_owned());
+                self.buyer_ids.insert(buyer.to_owned(), id);
+                id
+            }
+        };
+        let sequence = self.records.len() as u64;
+        self.records.push(TradeRecord {
+            sequence,
+            buyer,
+            alpha,
+            delta,
+            price,
+            plan,
+        });
         sequence
     }
 
@@ -99,6 +158,12 @@ impl TradeLedger {
         &self.records
     }
 
+    /// The buyer-name table [`TradeRecord::buyer`] indexes: each
+    /// distinct buyer once, in order of first sale.
+    pub fn buyers(&self) -> &[String] {
+        &self.buyers
+    }
+
     /// Total revenue across all sales.
     pub fn total_revenue(&self) -> f64 {
         self.records.iter().map(|r| r.price).sum()
@@ -106,18 +171,19 @@ impl TradeLedger {
 
     /// Revenue per buyer, in buyer-name order.
     pub fn revenue_by_buyer(&self) -> BTreeMap<String, f64> {
-        let mut out = BTreeMap::new();
+        let mut revenue = vec![0.0; self.buyers.len()];
         for r in &self.records {
-            *out.entry(r.buyer.clone()).or_insert(0.0) += r.price;
+            revenue[r.buyer] += r.price;
         }
-        out
+        self.buyers.iter().cloned().zip(revenue).collect()
     }
 
     /// Total spend of one buyer.
     pub fn buyer_spend(&self, buyer: &str) -> f64 {
+        let id = self.buyer_ids.get(buyer).copied();
         self.records
             .iter()
-            .filter(|r| r.buyer == buyer)
+            .filter(|r| Some(r.buyer) == id)
             .map(|r| r.price)
             .sum()
     }
@@ -127,6 +193,17 @@ impl TradeLedger {
 mod tests {
     use super::*;
 
+    fn plan(noise_variance: f64) -> PlanSummary {
+        PlanSummary {
+            epsilon: 0.8,
+            effective_epsilon: 0.3,
+            sensitivity: 2.0,
+            noise_scale: (noise_variance / 2.0).sqrt(),
+            noise_variance,
+            probability: 0.4,
+        }
+    }
+
     #[test]
     fn records_accumulate_in_order() {
         let mut ledger = TradeLedger::new();
@@ -135,7 +212,7 @@ mod tests {
         assert_eq!(ledger.record("bob", 0.2, 0.5, 4.0), 1);
         assert_eq!(ledger.record("alice", 0.05, 0.9, 25.0), 2);
         assert_eq!(ledger.len(), 3);
-        assert_eq!(ledger.records()[1].buyer, "bob");
+        assert_eq!(ledger.buyers()[ledger.records()[1].buyer], "bob");
     }
 
     #[test]
@@ -162,15 +239,29 @@ mod tests {
     fn settlements_carry_the_released_answer_metadata() {
         let mut ledger = TradeLedger::new();
         ledger.record("alice", 0.1, 0.8, 10.0);
-        let seq = ledger.record_settlement("bob", 0.05, 0.9, 25.0, 3.125, "ε=0.8 b=1.25");
+        let seq = ledger.record_settlement("bob", 0.05, 0.9, 25.0, plan(3.125));
         assert_eq!(seq, 1);
         let bare = &ledger.records()[0];
-        assert_eq!(bare.noise_variance, None);
         assert_eq!(bare.plan, None);
         let settled = &ledger.records()[1];
-        assert_eq!(settled.noise_variance, Some(3.125));
-        assert_eq!(settled.plan.as_deref(), Some("ε=0.8 b=1.25"));
+        assert_eq!(settled.plan.map(|p| p.noise_variance), Some(3.125));
+        assert_eq!(
+            settled.plan.map(|p| p.to_string()),
+            Some(plan(3.125).to_string())
+        );
         // Settlements participate in revenue accounting like any sale.
         assert!((ledger.total_revenue() - 35.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn each_buyer_gets_one_id() {
+        let mut ledger = TradeLedger::new();
+        for _ in 0..3 {
+            ledger.record_settlement("alice", 0.1, 0.8, 1.0, plan(2.0));
+            ledger.record("bob", 0.1, 0.8, 1.0);
+        }
+        assert_eq!(ledger.buyers(), ["alice", "bob"]);
+        let ids: Vec<usize> = ledger.records().iter().map(|r| r.buyer).collect();
+        assert_eq!(ids, [0, 1, 0, 1, 0, 1]);
     }
 }

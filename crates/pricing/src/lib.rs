@@ -26,7 +26,8 @@
 //!   operationally (uniform and mixed bundles, equal-weight averaging);
 //! * [`reuse`] — the posted-curve guard deciding when a cached answer may
 //!   be re-served without undercutting the price curve;
-//! * [`ledger`] — trade bookkeeping for the broker;
+//! * [`ledger`] — trade bookkeeping for the broker: fixed-size sale
+//!   records carrying each released answer's [`ledger::PlanSummary`];
 //! * [`engine`] — the [`engine::PricingEngine`] seam the broker's query
 //!   pipeline drives the whole transaction through (quote → release →
 //!   settle).
@@ -65,6 +66,6 @@ pub use functions::{
     SqrtPrecisionPricing,
 };
 pub use history::{HistoryAwarePricing, PrecisionPricing};
-pub use ledger::TradeLedger;
+pub use ledger::{PlanSummary, TradeLedger};
 pub use reuse::{Demand, PostedPriceReuse, ReuseGuard};
 pub use variance::{ChebyshevVariance, VarianceModel};

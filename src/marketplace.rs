@@ -127,7 +127,8 @@ where
             .variance(request.accuracy.alpha(), request.accuracy.delta())
     }
 
-    /// Canonical history key for a request: the exact range queried.
+    /// Canonical history key for a request: the exact range queried
+    /// (`RangeQuery::new` already reads a `−0.0` bound as `+0.0`).
     fn query_key(request: &QueryRequest) -> String {
         format!("[{};{}]", request.query.lower(), request.query.upper())
     }
@@ -184,6 +185,25 @@ mod tests {
             Accuracy::new(0.1, 0.6).unwrap(),
         );
         assert_eq!(market.quote("alice", &other), first);
+    }
+
+    #[test]
+    fn negative_zero_bound_shares_the_purchase_history() {
+        let mut market = marketplace(6);
+        let from = |lower: f64| {
+            QueryRequest::new(
+                RangeQuery::new(lower, 4_000.0).unwrap(),
+                Accuracy::new(0.1, 0.6).unwrap(),
+            )
+        };
+        let first = market.buy("alice", &from(0.0)).unwrap().price;
+        let marginal = market.quote("alice", &from(0.0));
+        assert!(marginal < first);
+        // `[−0.0, u]` is the range alice already holds, not a fresh one.
+        assert_eq!(
+            market.quote("alice", &from(-0.0)).to_bits(),
+            marginal.to_bits()
+        );
     }
 
     #[test]

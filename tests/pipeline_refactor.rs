@@ -384,17 +384,56 @@ fn priced_end_to_end_transaction_settles_in_the_ledger() {
     let engine = broker.pricing().unwrap();
     assert_eq!(engine.ledger().len(), 1);
     let record = &engine.ledger().records()[0];
-    assert_eq!(record.buyer, "alice");
+    assert_eq!(engine.ledger().buyers()[record.buyer], "alice");
     assert_eq!(
-        record.noise_variance,
+        record.plan.map(|p| p.noise_variance),
         Some(priced.answer.plan.noise_variance())
     );
     assert_eq!(
-        record.plan.as_deref(),
-        Some(priced.answer.plan.summary().to_string().as_str())
+        record.plan.map(|p| p.to_string()),
+        Some(priced.answer.plan.summary().to_string())
     );
     assert!((record.price - expected_price).abs() < 1e-9);
     assert_eq!(broker.counters().settlements, 1);
+}
+
+#[test]
+fn priced_cached_resales_settle_the_cached_plan() {
+    // The path most marketplace requests take: a priced demand served
+    // from the answer cache is a second sale of the first release.
+    let model = ChebyshevVariance::new(10_000);
+    let engine = PostedPriceEngine::new(InverseVariancePricing::new(1e7, model), model);
+    let mut broker = DataBroker::new(FlatNetwork::from_partitions(partitions(10, 1_000), 8), 8);
+    broker.set_privacy_budget(Epsilon::new(4.0).unwrap());
+    broker.enable_pricing(Box::new(engine));
+    broker.enable_answer_cache(guard(10_000));
+
+    let req = request(0.0, 2_500.0, 0.1, 0.6);
+    let fresh = broker.answer_as("alice", &req).unwrap();
+    let resold = broker.answer_as("bob", &req).unwrap();
+    assert_eq!(broker.counters().cache_hits, 1);
+    assert_eq!(resold.answer.value.to_bits(), fresh.answer.value.to_bits());
+    let quote = InverseVariancePricing::new(1e7, model).price(0.1, 0.6);
+    assert_eq!(resold.price, Some(quote));
+    assert_eq!(resold.settlement, Some(1));
+
+    // One release spent budget; both sales settled.
+    assert_eq!(broker.accountant().unwrap().operations(), 1);
+    assert_eq!(broker.counters().settlements, 2);
+    let ledger = broker.pricing().unwrap().ledger();
+    assert_eq!(ledger.len(), 2);
+    let buyers: Vec<&str> = ledger
+        .records()
+        .iter()
+        .map(|r| ledger.buyers()[r.buyer].as_str())
+        .collect();
+    assert_eq!(buyers, ["alice", "bob"]);
+    let resale = ledger.records()[1];
+    assert_eq!(
+        resale.plan.map(|p| p.to_string()),
+        Some(fresh.answer.plan.summary().to_string())
+    );
+    assert_eq!(resale.price, quote);
 }
 
 #[test]
