@@ -74,10 +74,9 @@
 //! | per-node scan  | `O(k log s)`  | —            |
 //! | [`RankIndex`]  | `O(log S)`    | `O(S log S)` |
 //!
-//! Builds read one sorted run per node straight from the station
-//! (entries are already value-sorted), k-way merge shards over the shared
-//! `prc-runtime` pool, and accumulate the prefix/suffix arrays in one
-//! sequential pass.
+//! A build gathers every node's entries from the station with their
+//! per-node deltas, sorts them once by value, and accumulates the
+//! prefix/suffix arrays in one pass each, all on the calling thread.
 
 pub mod cost;
 mod rank_index;

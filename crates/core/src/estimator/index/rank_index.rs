@@ -1,37 +1,21 @@
-//! RankCounting's merged prefix-rank index: per-node runs read straight
-//! from the station, a deterministic k-way merge, and the prefix/suffix
-//! structure-of-arrays every query reads.
-
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+//! RankCounting's merged prefix-rank query index: every node's entries
+//! read straight from the station, sorted once by value, and the
+//! prefix/suffix structure-of-arrays every query reads.
 
 use prc_net::base_station::BaseStation;
-use prc_net::message::SampleEntry;
-use prc_runtime::{CutoffPolicy, Runtime};
+use prc_net::message::{key_value, order_key, SampleEntry};
 
 use super::finish_rank_terms;
 use crate::estimator::{engine, QueryIndex};
 use crate::query::RangeQuery;
 
-/// One source of a merge: a node's rank-sorted entry slice plus its
-/// claimed population `n_i`.
-#[derive(Debug, Clone, Copy)]
-struct RunSource<'a> {
-    entries: &'a [SampleEntry],
-    population: i64,
-}
-
-/// One merged entry with its telescoping deltas, produced per node before
-/// the merge (a node's neighbours in merged order are its neighbours in
-/// its own rank-sorted slice).
+/// One station entry with its node's telescoping deltas, computed per
+/// node before the sort (a node's neighbours in value order are its
+/// neighbours in its own rank-sorted slice).
 #[derive(Debug, Clone, Copy)]
 struct MergedEntry {
-    value: f64,
-    /// Dense node index (position among the merge's sources) — merge
-    /// tie-break only; never affects the accumulated aggregates.
-    node: u32,
-    /// Local rank — merge tie-break for within-node duplicates.
-    rank: u32,
+    /// [`order_key`] of the entry's value: the sort key.
+    key: u64,
     /// `rank − rank_prev` (`rank` for the node's first entry).
     pred_delta: i64,
     /// `rank − rank_next` (`rank` for the node's last entry).
@@ -44,8 +28,7 @@ struct MergedEntry {
     pop: i64,
 }
 
-fn merged_entry(source: RunSource<'_>, dense: u32, pos: usize) -> MergedEntry {
-    let entries = source.entries;
+fn merged_entry(entries: &[SampleEntry], population: i64, pos: usize) -> MergedEntry {
     let e = entries[pos];
     let prev = if pos > 0 {
         i64::from(entries[pos - 1].rank)
@@ -59,129 +42,13 @@ fn merged_entry(source: RunSource<'_>, dense: u32, pos: usize) -> MergedEntry {
     };
     let last = pos + 1 == entries.len();
     MergedEntry {
-        value: e.value,
-        node: dense,
-        rank: e.rank,
+        key: order_key(e.value),
         pred_delta: i64::from(e.rank) - prev,
         succ_delta: i64::from(e.rank) - next,
         first: pos == 0,
         last,
-        pop: if last { source.population } else { 0 },
+        pop: if last { population } else { 0 },
     }
-}
-
-/// Heap key: ascending `(value, node, rank)` — a total order because
-/// `(node, rank)` is unique, so the merged order (and the arrays it
-/// produces) is deterministic regardless of sharding or thread count.
-#[derive(Debug, Clone, Copy)]
-struct MergeKey {
-    value: f64,
-    node: u32,
-    rank: u32,
-}
-
-impl PartialEq for MergeKey {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
-}
-impl Eq for MergeKey {}
-impl PartialOrd for MergeKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MergeKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.value
-            .total_cmp(&other.value)
-            .then_with(|| self.node.cmp(&other.node))
-            .then_with(|| self.rank.cmp(&other.rank))
-    }
-}
-
-/// K-way merges already-sorted runs of entries into one sorted vector.
-fn merge_runs(runs: Vec<Vec<MergedEntry>>, capacity: usize) -> Vec<MergedEntry> {
-    let mut runs: Vec<Vec<MergedEntry>> = runs.into_iter().filter(|r| !r.is_empty()).collect();
-    if runs.len() == 1 {
-        return runs.pop().unwrap_or_default();
-    }
-    let mut heap: BinaryHeap<std::cmp::Reverse<(MergeKey, usize)>> =
-        BinaryHeap::with_capacity(runs.len());
-    let mut cursors = vec![0usize; runs.len()];
-    for (r, run) in runs.iter().enumerate() {
-        if let Some(&e) = run.first() {
-            heap.push(std::cmp::Reverse((
-                MergeKey {
-                    value: e.value,
-                    node: e.node,
-                    rank: e.rank,
-                },
-                r,
-            )));
-        }
-    }
-    let mut merged = Vec::with_capacity(capacity);
-    while let Some(std::cmp::Reverse((_, r))) = heap.pop() {
-        let pos = cursors[r];
-        merged.push(runs[r][pos]);
-        cursors[r] += 1;
-        if let Some(e) = runs[r].get(cursors[r]) {
-            heap.push(std::cmp::Reverse((
-                MergeKey {
-                    value: e.value,
-                    node: e.node,
-                    rank: e.rank,
-                },
-                r,
-            )));
-        }
-    }
-    merged
-}
-
-/// Merges one shard (a contiguous group of sources) into a sorted run.
-fn merge_shard(group: &[RunSource<'_>], dense_base: u32) -> Vec<MergedEntry> {
-    let capacity: usize = group.iter().map(|s| s.entries.len()).sum();
-    let runs: Vec<Vec<MergedEntry>> = group
-        .iter()
-        .enumerate()
-        .map(|(i, &source)| {
-            let dense = dense_base + i as u32;
-            (0..source.entries.len())
-                .map(|pos| merged_entry(source, dense, pos))
-                .collect()
-        })
-        .collect();
-    merge_runs(runs, capacity)
-}
-
-/// Below this many merged entries the pool fan-out costs more than the
-/// merge itself (dispatch is microseconds; so is the whole merge) —
-/// small stations stay on the calling thread. The sequential path
-/// assigns the same dense indices and the merge key is a total order, so
-/// the cutoff never changes the produced arrays, only who builds them.
-const MERGE_CUTOFF: CutoffPolicy = CutoffPolicy::min_work(1 << 15);
-
-/// Merges every source's entries into one deterministic value-sorted run,
-/// sharding contiguous source groups over the shared [`Runtime`] pool
-/// once the input is large enough to amortize the fan-out.
-///
-/// Dense node indices come from each source's global position (the
-/// chunk's input offset), so any chunking — including the sequential
-/// single chunk — produces identical runs and an identical final merge.
-///
-/// # Panics
-///
-/// Only to propagate a shard worker's panic, re-raised through the
-/// runtime's single panic path ([`Runtime::map_chunked`]); the merge
-/// itself does not panic.
-fn parallel_merge(sources: &[RunSource<'_>]) -> Vec<MergedEntry> {
-    let total_entries: usize = sources.iter().map(|s| s.entries.len()).sum();
-    let runs = Runtime::global().map_chunked(sources, total_entries, MERGE_CUTOFF, |chunk| {
-        merge_shard(chunk.items, chunk.offset as u32)
-    });
-    merge_runs(runs, total_entries)
 }
 
 /// RankCounting's merged prefix-rank query index: one value-sorted
@@ -246,39 +113,45 @@ impl RankIndex {
     /// prefix-sum decomposition needs does not exist) — callers fall back
     /// to the per-node scan.
     ///
-    /// The build reads each node's entry slice in place, merges shards
-    /// over the shared `prc-runtime` pool, and accumulates the prefix and
-    /// suffix arrays in one sequential pass: `O(S log S)` total work.
+    /// The build gathers every data-bearing node's entries with their
+    /// deltas into one vector, sorts it once by value, and accumulates the
+    /// prefix and suffix arrays in one pass each: `O(S log S)` total work
+    /// on the calling thread. The sort is unstable: ties between equal
+    /// values may land in any order, which no query can observe because
+    /// the boundary cuts never fall inside a run of equal values.
     pub fn build(station: &BaseStation) -> Option<RankIndex> {
         let probability = station.uniform_probability()?;
-        let sources: Vec<RunSource<'_>> = station
-            .data_bearing_samples()
-            .map(|s| RunSource {
-                entries: s.entries(),
-                population: s.population_size as i64,
-            })
-            .collect();
-        let total_population: i64 = sources.iter().map(|s| s.population).sum();
-        let merged = parallel_merge(&sources);
-
-        let s = merged.len();
+        // The index's arrays are allocated before the sort buffer, so the
+        // buffer is the newest allocation and freeing it hands back the
+        // top of the heap instead of leaving a hole below the index.
+        let s: usize = station.data_bearing_samples().map(|n| n.len()).sum();
         let mut values = Vec::with_capacity(s);
         let mut cum_pred_rank = Vec::with_capacity(s + 1);
         let mut cum_first = Vec::with_capacity(s + 1);
+        let mut suf_succ_rank = vec![0i64; s + 1];
+        let mut suf_last = vec![0i64; s + 1];
+        let mut suf_pop = vec![0i64; s + 1];
+        let mut total_population = 0i64;
+        let mut merged = Vec::with_capacity(s);
+        for sample in station.data_bearing_samples() {
+            let population = sample.population_size as i64;
+            total_population += population;
+            let entries = sample.entries();
+            merged.extend((0..entries.len()).map(|pos| merged_entry(entries, population, pos)));
+        }
+        merged.sort_unstable_by_key(|e| e.key);
+
         let mut running_pred = 0i64;
         let mut running_first = 0i64;
         cum_pred_rank.push(running_pred);
         cum_first.push(running_first);
         for e in &merged {
-            values.push(e.value);
+            values.push(key_value(e.key));
             running_pred += e.pred_delta;
             running_first += i64::from(e.first);
             cum_pred_rank.push(running_pred);
             cum_first.push(running_first);
         }
-        let mut suf_succ_rank = vec![0i64; s + 1];
-        let mut suf_last = vec![0i64; s + 1];
-        let mut suf_pop = vec![0i64; s + 1];
         for (j, e) in merged.iter().enumerate().rev() {
             suf_succ_rank[j] = suf_succ_rank[j + 1] + e.succ_delta;
             suf_last[j] = suf_last[j + 1] + i64::from(e.last);

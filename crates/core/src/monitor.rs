@@ -18,7 +18,7 @@
 //! is deliberately conservative and charges sequentially, which stays
 //! correct for overlapping windows.
 
-use prc_data::partition::PartitionStrategy;
+use prc_data::partition::{partition_values, PartitionStrategy};
 use prc_data::record::{AirQualityIndex, PollutionRecord};
 use prc_data::stream::SlidingWindow;
 use prc_dp::budget::{BudgetAccountant, Epsilon};
@@ -162,16 +162,13 @@ impl ContinuousMonitor {
     ///   (nothing is released in that case);
     /// * any pipeline error from the underlying broker.
     pub fn answer_epoch(&mut self) -> Result<EpochResult, CoreError> {
-        let snapshot = self.window.snapshot();
-        if snapshot.is_empty() {
+        let values = self.window.values(self.config.index);
+        if values.is_empty() {
             return Err(CoreError::NoSamples);
         }
-        let nodes = self.config.nodes.min(snapshot.len());
-        let network = FlatNetwork::from_dataset(
-            &snapshot,
-            self.config.index,
-            nodes,
-            PartitionStrategy::RoundRobin,
+        let nodes = self.config.nodes.min(values.len());
+        let network = FlatNetwork::from_partitions(
+            partition_values(&values, nodes, PartitionStrategy::RoundRobin),
             self.config.seed ^ self.epoch,
         );
         let mut broker = DataBroker::new(network, self.config.seed ^ (self.epoch << 17));
@@ -191,7 +188,7 @@ impl ContinuousMonitor {
         let answer = outcome?;
         let result = EpochResult {
             epoch: self.epoch,
-            window_size: snapshot.len(),
+            window_size: values.len(),
             answer,
             budget_remaining: self.accountant.remaining().value(),
             stages: broker.counters(),

@@ -48,26 +48,17 @@ pub enum PartitionStrategy {
 /// Panics if `k == 0`.
 pub fn partition_values(values: &[f64], k: usize, strategy: PartitionStrategy) -> Vec<Vec<f64>> {
     assert!(k > 0, "cannot partition across zero nodes");
-    let mut parts: Vec<Vec<f64>> = vec![Vec::new(); k];
     match strategy {
-        PartitionStrategy::RoundRobin => {
-            for (j, &v) in values.iter().enumerate() {
-                parts[j % k].push(v);
-            }
-        }
-        PartitionStrategy::Contiguous => {
-            for (i, chunk) in contiguous_chunks(values.len(), k).into_iter().enumerate() {
-                parts[i] = values[chunk].to_vec();
-            }
-        }
-        PartitionStrategy::BySensor => {
-            // Without sensor metadata, BySensor degenerates to RoundRobin.
-            for (j, &v) in values.iter().enumerate() {
-                parts[j % k].push(v);
-            }
-        }
+        // Without sensor metadata, BySensor degenerates to RoundRobin.
+        // Each part is one strided pass, allocated at its exact size.
+        PartitionStrategy::RoundRobin | PartitionStrategy::BySensor => (0..k)
+            .map(|i| values.iter().skip(i).step_by(k).copied().collect())
+            .collect(),
+        PartitionStrategy::Contiguous => contiguous_chunks(values.len(), k)
+            .into_iter()
+            .map(|chunk| values[chunk].to_vec())
+            .collect(),
     }
-    parts
 }
 
 /// Splits a dataset's records across `k` nodes.

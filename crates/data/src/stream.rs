@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use crate::record::{Dataset, PollutionRecord};
+use crate::record::{AirQualityIndex, Dataset, PollutionRecord};
 use crate::time::Timestamp;
 
 /// Replays a dataset in timestamp order, in caller-controlled steps.
@@ -165,6 +165,12 @@ impl SlidingWindow {
     pub fn snapshot(&self) -> Dataset {
         Dataset::from_records(self.records.iter().copied().collect())
     }
+
+    /// One air-quality index of every record in the window, oldest first:
+    /// `snapshot().values(index)` without copying the records.
+    pub fn values(&self, index: AirQualityIndex) -> Vec<f64> {
+        self.records.iter().map(|r| r.value(index)).collect()
+    }
 }
 
 #[cfg(test)]
@@ -246,6 +252,10 @@ mod tests {
         assert_eq!(
             ds.values(crate::record::AirQualityIndex::Ozone),
             vec![0.0, 300.0, 600.0]
+        );
+        assert_eq!(
+            window.values(crate::record::AirQualityIndex::Ozone),
+            ds.values(crate::record::AirQualityIndex::Ozone)
         );
     }
 

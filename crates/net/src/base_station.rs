@@ -1,5 +1,6 @@
 //! The base station: per-node sample sets and top-up orchestration.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
@@ -76,6 +77,12 @@ impl NodeSample {
     }
 
     /// Merges one message in; reports whether the record changed.
+    ///
+    /// The held entries and the batch are both rank-sorted runs (a batch
+    /// that is not is sorted and deduplicated first), so one linear merge
+    /// joins them. On a rank held already, the held entry stays: the
+    /// result equals extending, stably sorting by rank, and keeping the
+    /// first entry of each rank.
     fn merge(&mut self, message: SampleMessage) -> bool {
         debug_assert_eq!(self.node_id, message.node_id);
         let before = (
@@ -85,9 +92,12 @@ impl NodeSample {
         );
         self.population_size = message.population_size;
         self.probability = self.probability.max(message.probability);
-        self.entries.extend(message.entries);
-        self.entries.sort_by_key(|e| e.rank);
-        self.entries.dedup_by_key(|e| e.rank);
+        let mut batch = message.entries;
+        if !batch.is_sorted_by(|a, b| a.rank < b.rank) {
+            batch.sort_by_key(|e| e.rank);
+            batch.dedup_by_key(|e| e.rank);
+        }
+        merge_by_rank(&mut self.entries, batch);
         before
             != (
                 self.population_size,
@@ -95,6 +105,33 @@ impl NodeSample {
                 self.entries.len(),
             )
     }
+}
+
+/// Merges the strictly rank-increasing run `batch` into the strictly
+/// rank-increasing run `held`, keeping `held`'s entry on a shared rank.
+fn merge_by_rank(held: &mut Vec<SampleEntry>, batch: Vec<SampleEntry>) {
+    if held.is_empty() {
+        *held = batch;
+        return;
+    }
+    if batch.is_empty() {
+        return;
+    }
+    let old = std::mem::take(held);
+    held.reserve_exact(old.len() + batch.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(a), Some(b)) = (old.get(i), batch.get(j)) {
+        if a.rank <= b.rank {
+            held.push(*a);
+            i += 1;
+            j += usize::from(a.rank == b.rank);
+        } else {
+            held.push(*b);
+            j += 1;
+        }
+    }
+    held.extend_from_slice(&old[i..]);
+    held.extend_from_slice(&batch[j..]);
 }
 
 /// Station-wide aggregates, folded in one pass over the node records.
@@ -209,9 +246,18 @@ impl BaseStation {
     /// already-known batch leaves the revision untouched.
     pub fn ingest(&mut self, message: SampleMessage) {
         let node_id = message.node_id;
-        let changed = match self.samples.get_mut(&node_id) {
-            Some(existing) => existing.merge(message),
-            None => {
+        let record = match self.samples.entry(node_id) {
+            Entry::Occupied(existing) => {
+                let record = existing.into_mut();
+                if !record.merge(message) {
+                    return;
+                }
+                record
+            }
+            // A node reporting for the first time is a change even when
+            // the batch itself is empty (Drop-mode population
+            // registration): the station's population claim moved.
+            Entry::Vacant(slot) => {
                 let mut fresh = NodeSample {
                     node_id,
                     population_size: message.population_size,
@@ -220,20 +266,12 @@ impl BaseStation {
                     last_changed: 0,
                 };
                 fresh.merge(message);
-                self.samples.insert(node_id, fresh);
-                // A node reporting for the first time is a change even
-                // when the batch itself is empty (Drop-mode population
-                // registration): the station's population claim moved.
-                true
+                slot.insert(fresh)
             }
         };
-        if changed {
-            self.revision += 1;
-            self.summary = OnceLock::new();
-            if let Some(sample) = self.samples.get_mut(&node_id) {
-                sample.last_changed = self.revision;
-            }
-        }
+        self.revision += 1;
+        record.last_changed = self.revision;
+        self.summary = OnceLock::new();
     }
 
     /// The aggregates of the current revision.

@@ -132,7 +132,13 @@ impl FailurePlan {
     /// True when the node is dead. The draw is keyed by the node id (and
     /// cached), so any driver asking about the same node gets the same
     /// answer in any order.
+    ///
+    /// At dropout probability 0 no draw can kill a node, so only the
+    /// killed nodes are dead and nothing is drawn or cached.
     pub fn node_is_dead(&mut self, node_id: NodeId) -> bool {
+        if self.dropout_probability == 0.0 {
+            return self.dead_nodes.contains(&node_id);
+        }
         if let Some(&dead) = self.decided.get(&node_id) {
             return dead;
         }
@@ -153,7 +159,12 @@ impl FailurePlan {
     /// attempts (≥ 1); under [`LossMode::Drop`] it is `Some(1)` on
     /// success and `None` on loss. Draws come from a per-node stream, so
     /// the *m*-th message of a node meets the same fate in every driver.
+    /// At loss probability 0 every message gets through on its first
+    /// attempt, and no stream is created or drawn from.
     pub fn transmission_attempts(&mut self, node_id: NodeId) -> Option<u32> {
+        if self.message_loss_probability == 0.0 {
+            return Some(1);
+        }
         let seed = self.seed;
         let stream = self
             .loss_streams
@@ -194,6 +205,25 @@ mod tests {
             assert!(!plan.node_is_dead(NodeId(i)));
             assert_eq!(plan.transmission_attempts(NodeId(i)), Some(1));
         }
+    }
+
+    #[test]
+    fn zero_probability_plans_draw_nothing() {
+        let mut plan = FailurePlan::new(0.0, 0.0, LossMode::Drop, 5);
+        plan.kill_node(NodeId(2));
+        for i in 0..10 {
+            assert_eq!(plan.node_is_dead(NodeId(i)), i == 2);
+            assert_eq!(plan.transmission_attempts(NodeId(i)), Some(1));
+        }
+        assert!(plan.loss_streams.is_empty());
+        assert_eq!(plan.decided.len(), 1, "only the kill is recorded");
+        // A node killed after it was asked about is dead from then on.
+        plan.kill_node(NodeId(7));
+        assert!(plan.node_is_dead(NodeId(7)));
+        assert_eq!(
+            plan.dead_nodes().collect::<Vec<_>>(),
+            [NodeId(2), NodeId(7)]
+        );
     }
 
     #[test]

@@ -41,6 +41,29 @@ pub struct SampleEntry {
     pub rank: u32,
 }
 
+/// Maps a value to a `u64` whose unsigned order is [`f64::total_cmp`]'s:
+/// every bit of a negative value flips, only the sign bit of any other.
+///
+/// Nodes sort their local data and the rank index sorts the station's
+/// entries by these keys, comparing plain integers.
+pub fn order_key(value: f64) -> u64 {
+    let bits = value.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | (1 << 63)
+    }
+}
+
+/// The inverse of [`order_key`].
+pub fn key_value(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key ^ (1 << 63)
+    } else {
+        !key
+    })
+}
+
 /// A batch of samples shipped from a node to the base station.
 #[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct SampleMessage {
@@ -55,6 +78,12 @@ pub struct SampleMessage {
 }
 
 impl SampleMessage {
+    /// Serialized size in bytes under the fixed cost model: the header
+    /// plus [`SAMPLE_ENTRY_BYTES`] per entry.
+    pub fn wire_size(&self) -> usize {
+        MESSAGE_HEADER_BYTES + self.entries.len() * SAMPLE_ENTRY_BYTES
+    }
+
     /// True when the batch is small enough to piggyback on a heartbeat.
     pub fn fits_in_heartbeat(&self) -> bool {
         self.entries.len() <= HEARTBEAT_FREE_SAMPLES
@@ -94,7 +123,7 @@ impl Message {
     /// Serialized size in bytes under the fixed cost model.
     pub fn wire_size(&self) -> usize {
         match self {
-            Message::Sample(m) => MESSAGE_HEADER_BYTES + m.entries.len() * SAMPLE_ENTRY_BYTES,
+            Message::Sample(m) => m.wire_size(),
             Message::TopUpRequest { .. } => MESSAGE_HEADER_BYTES + 8,
             Message::Heartbeat { .. } => MESSAGE_HEADER_BYTES,
         }
@@ -167,6 +196,30 @@ mod tests {
             Message::Heartbeat { node_id: NodeId(9) }.node_id(),
             NodeId(9)
         );
+    }
+
+    #[test]
+    fn order_keys_sort_like_total_cmp_and_round_trip() {
+        let values = [
+            f64::NEG_INFINITY,
+            -1.0e300,
+            -2.5,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            5.0e-324,
+            1.0,
+            7.25,
+            f64::MAX,
+            f64::INFINITY,
+        ];
+        for pair in values.windows(2) {
+            assert!(order_key(pair[0]) < order_key(pair[1]), "{pair:?}");
+            assert_eq!(pair[0].total_cmp(&pair[1]), std::cmp::Ordering::Less);
+        }
+        for v in values {
+            assert_eq!(key_value(order_key(v)).to_bits(), v.to_bits());
+        }
     }
 
     #[test]

@@ -41,6 +41,45 @@ impl CostSnapshot {
     pub fn chargeable_messages(&self) -> u64 {
         self.messages - self.free_messages
     }
+
+    /// Adds one delivered message of `wire_size` bytes that took
+    /// `transmissions` transmissions (hops × attempts per hop) and carried
+    /// `samples` sample entries; `free` when it rides a heartbeat.
+    /// Returns the bytes charged.
+    fn add_delivered(
+        &mut self,
+        wire_size: usize,
+        free: bool,
+        samples: usize,
+        transmissions: u64,
+    ) -> u64 {
+        self.messages += transmissions;
+        if free {
+            self.free_messages += transmissions;
+        }
+        let bytes = wire_size as u64 * transmissions;
+        self.bytes += bytes;
+        self.samples += samples as u64;
+        bytes
+    }
+
+    /// Adds one message of `wire_size` bytes lost on its one (charged)
+    /// transmission. Returns the bytes charged.
+    fn add_lost(&mut self, wire_size: usize) -> u64 {
+        self.messages += 1;
+        self.lost_messages += 1;
+        let bytes = wire_size as u64;
+        self.bytes += bytes;
+        bytes
+    }
+
+    fn add(&mut self, other: &CostSnapshot) {
+        self.messages += other.messages;
+        self.free_messages += other.free_messages;
+        self.samples += other.samples;
+        self.bytes += other.bytes;
+        self.lost_messages += other.lost_messages;
+    }
 }
 
 /// A thread-safe communication cost meter.
@@ -73,28 +112,37 @@ impl CostMeter {
     /// to the originating node, matching the convention that relaying
     /// energy is billed to the flow that caused it.
     pub fn record(&self, message: &Message, hops: u32, attempts: u32) {
-        let mut inner = self.inner.lock();
-        let transmissions = u64::from(hops) * u64::from(attempts);
-        inner.totals.messages += transmissions;
-        if message.is_free() {
-            inner.totals.free_messages += transmissions;
-        }
-        let bytes = message.wire_size() as u64 * transmissions;
-        inner.totals.bytes += bytes;
-        *inner.per_node_bytes.entry(message.node_id()).or_insert(0) += bytes;
-        if let Message::Sample(m) = message {
-            inner.totals.samples += m.entries.len() as u64;
-        }
+        let samples = match message {
+            Message::Sample(m) => m.entries.len(),
+            _ => 0,
+        };
+        let mut totals = CostSnapshot::default();
+        let bytes = totals.add_delivered(
+            message.wire_size(),
+            message.is_free(),
+            samples,
+            u64::from(hops) * u64::from(attempts),
+        );
+        self.charge(&totals, &[(message.node_id(), bytes)]);
     }
 
     /// Records a permanently lost message (its transmission still cost bytes).
     pub fn record_lost(&self, message: &Message) {
+        let mut totals = CostSnapshot::default();
+        let bytes = totals.add_lost(message.wire_size());
+        self.charge(&totals, &[(message.node_id(), bytes)]);
+    }
+
+    /// Adds `totals` and each `(node, bytes)` bill under one lock: a
+    /// collection round charges all of its traffic at once, and
+    /// [`CostMeter::record`] and [`CostMeter::record_lost`] charge one
+    /// message the same way.
+    fn charge(&self, totals: &CostSnapshot, bills: &[(NodeId, u64)]) {
         let mut inner = self.inner.lock();
-        inner.totals.messages += 1;
-        inner.totals.lost_messages += 1;
-        let bytes = message.wire_size() as u64;
-        inner.totals.bytes += bytes;
-        *inner.per_node_bytes.entry(message.node_id()).or_insert(0) += bytes;
+        inner.totals.add(totals);
+        for &(node, bytes) in bills {
+            *inner.per_node_bytes.entry(node).or_insert(0) += bytes;
+        }
     }
 
     /// Current counter values.
@@ -326,7 +374,8 @@ impl Fleet {
     /// asked to top up to it and ships the new batch.
     ///
     /// Requests and delivered batches are charged once per hop (and,
-    /// under retransmission, once per attempt per hop). Nodes that are
+    /// under retransmission, once per attempt per hop); the round tallies
+    /// its traffic locally and charges the meter once. Nodes that are
     /// dead or cut off by a dead ancestor are traced as silent. A batch
     /// lost under [`LossMode::Drop`] dies on its first link (one charged
     /// transmission), and the node still registers its population and
@@ -343,10 +392,13 @@ impl Fleet {
         );
         let reachable = self.reachable();
         let mut delivered = 0;
+        let mut totals = CostSnapshot::default();
+        let mut bills = Vec::with_capacity(self.nodes.len());
         for ((node, &hops), reachable) in self.nodes.iter_mut().zip(&self.hops).zip(reachable) {
+            let id = node.id();
             if !reachable {
                 if let Some(tracer) = &self.tracer {
-                    tracer.record(TraceEvent::NodeSilent { node: node.id() });
+                    tracer.record(TraceEvent::NodeSilent { node: id });
                 }
                 continue;
             }
@@ -354,40 +406,40 @@ impl Fleet {
                 continue;
             }
             let request = Message::TopUpRequest {
-                node_id: node.id(),
+                node_id: id,
                 target_probability: target,
             };
             // Downlink request; retransmitted until heard even in Drop
             // mode (control traffic is acked in any real protocol).
-            self.meter.record(&request, hops, 1);
+            let mut bytes =
+                totals.add_delivered(request.wire_size(), request.is_free(), 0, u64::from(hops));
             if let Some(tracer) = &self.tracer {
-                tracer.record(TraceEvent::TopUpRequested {
-                    node: node.id(),
-                    target,
-                });
+                tracer.record(TraceEvent::TopUpRequested { node: id, target });
             }
             let batch = node.sample_to(target);
-            let message = Message::Sample(batch.clone());
-            match self.failure.transmission_attempts(batch.node_id) {
+            let entries = batch.entries.len();
+            match self.failure.transmission_attempts(id) {
                 Some(attempts) => {
-                    self.meter.record(&message, hops, attempts);
-                    delivered += batch.entries.len();
+                    bytes += totals.add_delivered(
+                        batch.wire_size(),
+                        batch.fits_in_heartbeat(),
+                        entries,
+                        u64::from(hops) * u64::from(attempts),
+                    );
+                    delivered += entries;
                     if let Some(tracer) = &self.tracer {
                         tracer.record(TraceEvent::BatchDelivered {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
+                            node: id,
+                            entries,
                             attempts,
                         });
                     }
                     self.station.ingest(batch);
                 }
                 None => {
-                    self.meter.record_lost(&message);
+                    bytes += totals.add_lost(batch.wire_size());
                     if let Some(tracer) = &self.tracer {
-                        tracer.record(TraceEvent::BatchLost {
-                            node: batch.node_id,
-                            entries: batch.entries.len(),
-                        });
+                        tracer.record(TraceEvent::BatchLost { node: id, entries });
                     }
                     // LossMode::Drop: record that the node reported (so the
                     // station knows its population and probability claim)
@@ -400,7 +452,9 @@ impl Fleet {
                     }
                 }
             }
+            bills.push((id, bytes));
         }
+        self.meter.charge(&totals, &bills);
         if let Some(tracer) = &self.tracer {
             let round = tracer.next_round();
             tracer.record(TraceEvent::RoundCompleted {

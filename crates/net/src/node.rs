@@ -1,9 +1,9 @@
 //! Sensor nodes: local data, ranks, and incremental Bernoulli sampling.
 
 // prc-lint: allow(B003, reason = "seeded per-node Bernoulli sampling randomness; not privacy noise")
-use rand::{rngs::StdRng, RngExt, SeedableRng};
+use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::message::{NodeId, SampleEntry, SampleMessage};
+use crate::message::{key_value, order_key, NodeId, SampleEntry, SampleMessage};
 
 /// A smart device holding a sorted local dataset `D_i`.
 ///
@@ -51,12 +51,17 @@ impl SensorNode {
     /// # Panics
     ///
     /// Panics if `data` contains NaN (ranks would be ill-defined).
-    pub fn new(id: NodeId, mut data: Vec<f64>, seed: u64) -> Self {
+    pub fn new(id: NodeId, data: Vec<f64>, seed: u64) -> Self {
         assert!(
             data.iter().all(|v| !v.is_nan()),
             "node data must not contain NaN"
         );
-        data.sort_by(f64::total_cmp);
+        // Sorting the order keys sorts the values by `total_cmp`; equal
+        // keys are bit-identical values, so the array is the one any
+        // `total_cmp` sort gives. Both conversions reuse the allocation.
+        let mut keys: Vec<u64> = data.into_iter().map(order_key).collect();
+        keys.sort_unstable();
+        let data: Vec<f64> = keys.into_iter().map(key_value).collect();
         let len = data.len();
         SensorNode {
             id,
@@ -116,15 +121,18 @@ impl SensorNode {
             } else {
                 (target - self.probability) / (1.0 - self.probability)
             };
-            for (pos, taken) in self.sampled.iter_mut().enumerate() {
-                if !*taken && self.rng.random::<f64>() < conditional {
+            let threshold = inclusion_threshold(conditional);
+            let mut rng = self.rng.clone();
+            for ((pos, taken), &value) in self.sampled.iter_mut().enumerate().zip(&self.data) {
+                if !*taken && rng.next_u64() >> 11 < threshold {
                     *taken = true;
                     entries.push(SampleEntry {
-                        value: self.data[pos],
+                        value,
                         rank: pos as u32 + 1,
                     });
                 }
             }
+            self.rng = rng;
             self.probability = target;
         }
         SampleMessage {
@@ -149,9 +157,22 @@ impl SensorNode {
     }
 }
 
+/// The integer form of the Bernoulli test `random::<f64>() < c` on the
+/// next raw word `x`: include the element when `(x >> 11) < ⌈c·2⁵³⌉`.
+///
+/// The vendored `random::<f64>()` is exactly `m·2⁻⁵³` with `m = x >> 11`,
+/// and scaling `c ∈ [0, 1]` by `2⁵³` is exact, so
+/// `m·2⁻⁵³ < c ⟺ m < c·2⁵³ ⟺ m < ⌈c·2⁵³⌉` for the integer `m`. The two
+/// tests agree for every `x`, `c = 1` (threshold `2⁵³`) included, so each
+/// element consumes the same draw and meets the same fate.
+fn inclusion_threshold(conditional: f64) -> u64 {
+    (conditional * (1u64 << 53) as f64).ceil() as u64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngExt;
 
     fn node(data: Vec<f64>, seed: u64) -> SensorNode {
         SensorNode::new(NodeId(1), data, seed)
@@ -287,5 +308,100 @@ mod tests {
         n.sample_to(0.2);
         let rate = n.sampled_count() as f64 / 50_000.0;
         assert!((rate - 0.2).abs() < 0.01, "rate {rate}");
+    }
+
+    /// The float form of the sampling loop: one `random::<f64>()` per
+    /// unsampled element, compared with the conditional probability.
+    fn reference_sample_to(
+        rng: &mut StdRng,
+        sampled: &mut [bool],
+        data: &[f64],
+        probability: f64,
+        target: f64,
+    ) -> Vec<SampleEntry> {
+        let mut entries = Vec::new();
+        if target > probability {
+            let conditional = if probability >= 1.0 {
+                0.0
+            } else {
+                (target - probability) / (1.0 - probability)
+            };
+            for (pos, taken) in sampled.iter_mut().enumerate() {
+                if !*taken && rng.random::<f64>() < conditional {
+                    *taken = true;
+                    entries.push(SampleEntry {
+                        value: data[pos],
+                        rank: pos as u32 + 1,
+                    });
+                }
+            }
+        }
+        entries
+    }
+
+    #[test]
+    fn sampling_is_draw_for_draw_identical_to_the_float_test() {
+        let two53 = (1u64 << 53) as f64;
+        let ladders: [&[f64]; 7] = [
+            &[1.0],
+            &[0.01, 1.0],
+            &[1.0 / two53, 2.0 / two53, 0.5],
+            &[0.0099, 0.0198, 0.0396, 0.0791, 0.1582, 0.3164],
+            // Targets whose conditional times 2^53 is an integer.
+            &[0.25, 0.5, 0.75, 1.0],
+            &[0.125, 0.125, 0.0625, 0.9999999999999999, 1.0],
+            &[1e-300, 3e-17, 0.3, 0.3 + 1e-16, 1.0],
+        ];
+        for seed in 0..64u64 {
+            for (l, ladder) in ladders.iter().enumerate() {
+                let data: Vec<f64> = (0..257).map(|j| ((j * 37 + l) % 101) as f64).collect();
+                let mut node = SensorNode::new(NodeId(seed as u32), data, seed);
+                let mut rng = node.rng.clone();
+                let mut sampled = vec![false; node.data.len()];
+                let mut probability = 0.0;
+                for &target in *ladder {
+                    let expected = reference_sample_to(
+                        &mut rng,
+                        &mut sampled,
+                        &node.data,
+                        probability,
+                        target,
+                    );
+                    probability = probability.max(target);
+                    let batch = node.sample_to(target);
+                    assert_eq!(
+                        batch.entries, expected,
+                        "seed {seed}, ladder {l}, target {target}"
+                    );
+                    assert_eq!(node.sampled, sampled);
+                    assert_eq!(
+                        node.rng, rng,
+                        "the RNG advanced by a different number of draws"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inclusion_threshold_matches_the_float_test_at_the_edges() {
+        let two53 = (1u64 << 53) as f64;
+        let max_m = (1u64 << 53) - 1;
+        for c in [0.0, 1.0 / two53, 0.5, 1.0 - 1.0 / two53, 1.0] {
+            let threshold = inclusion_threshold(c);
+            assert_eq!(threshold, (c * two53) as u64, "c·2^53 is an integer here");
+            for m in [0, 1, 2, (1u64 << 52) - 1, 1u64 << 52, max_m - 1, max_m] {
+                let as_float = m as f64 * (1.0 / two53);
+                assert_eq!(m < threshold, as_float < c, "m = {m}, c = {c}");
+            }
+        }
+        assert_eq!(inclusion_threshold(0.0), 0, "c = 0 includes nothing");
+        assert_eq!(
+            inclusion_threshold(1.0),
+            1u64 << 53,
+            "c = 1 includes everything"
+        );
+        // A conditional that is not a multiple of 2^-53 rounds up.
+        assert_eq!(inclusion_threshold(0.1), (0.1 * two53).floor() as u64 + 1);
     }
 }

@@ -2,9 +2,9 @@
 
 /// Decides when a fan-out is worth its dispatch overhead.
 ///
-/// Every parallel site used to carry its own ad-hoc constant — the index
-/// merge's `1 << 15` entries, the optimizer's `PARALLEL_GRID_MIN` grid
-/// points — with its own comment re-deriving the same argument. A
+/// Every parallel site used to carry its own ad-hoc constant — such as
+/// the optimizer's `PARALLEL_GRID_MIN` grid points — with its own
+/// comment re-deriving the same argument. A
 /// `CutoffPolicy` names that constant and gives it one semantics: a call
 /// whose declared total `work` is below [`CutoffPolicy::threshold`] runs
 /// as a single chunk on the calling thread. The cutoff never changes
@@ -18,7 +18,7 @@ pub struct CutoffPolicy {
 
 impl CutoffPolicy {
     /// Fans out only when the call declares at least `min_work` units of
-    /// work (the unit is the caller's: merged entries, grid points,
+    /// work (the unit is the caller's: grid points, boundary searches,
     /// pending queries, nodes — whatever the per-item cost is measured
     /// in).
     #[must_use]

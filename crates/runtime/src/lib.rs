@@ -1,8 +1,8 @@
 //! `prc-runtime` — the workspace's deterministic structured-concurrency
 //! executor (DESIGN.md §14).
 //!
-//! Every parallel site in the workspace — the index k-way merge, the
-//! optimizer grid sweep, the batch pipeline's estimate fan-out — runs on
+//! Every parallel site in the workspace — the optimizer grid sweep and
+//! the batch pipeline's estimate fan-out — runs on
 //! one persistent [`Runtime`] pool through two order-stable entry
 //! points, [`Runtime::map_chunked`] and [`Runtime::reduce_ordered`].
 //! The contract has four clauses:

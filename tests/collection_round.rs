@@ -7,6 +7,12 @@
 //! exactly: meter totals, per-node byte bills, the tracer's event
 //! sequence and the station's sample state, for both loss modes, over
 //! three escalating rounds under dropout plus message loss.
+//!
+//! A plan with zero dropout and zero loss probability draws no
+//! randomness at all: only its killed nodes fail. The revival scenarios
+//! pin that case the way a ladder of rungs drives it — nodes killed
+//! before the schedule, then a fresh plan installed mid-schedule under
+//! which one of them revives.
 
 use prc::net::conformance::station_fingerprint;
 use prc::net::message::NodeId;
@@ -56,13 +62,30 @@ struct Golden {
     station_hash: u64,
 }
 
-fn run<N: Network>(mut network: N, plan: FailurePlan, golden: &Golden) {
-    network.set_failure_plan(plan);
+/// Runs [`SCHEDULE`] under one plan installed before the first round.
+fn run<N: Network>(network: N, plan: FailurePlan, golden: &Golden) {
+    let mut plan = Some(plan);
+    run_replanned(network, |_| plan.take(), golden);
+}
+
+/// Runs [`SCHEDULE`], installing `replan(round)`'s plan (when it names
+/// one) before that round, and compares the outcome with `golden`.
+fn run_replanned<N: Network>(
+    mut network: N,
+    mut replan: impl FnMut(usize) -> Option<FailurePlan>,
+    golden: &Golden,
+) {
     let tracer = Tracer::new(4_096);
     network.set_tracer(tracer.clone());
     let delivered: Vec<usize> = SCHEDULE
         .iter()
-        .map(|&target| network.collect_samples(target))
+        .enumerate()
+        .map(|(round, &target)| {
+            if let Some(plan) = replan(round) {
+                network.set_failure_plan(plan);
+            }
+            network.collect_samples(target)
+        })
         .collect();
     let per_node_bytes: Vec<(u32, u64)> = network
         .meter()
@@ -212,5 +235,89 @@ fn tree_round_matches_its_golden_under_retransmit() {
         tree_with_dead_interior(),
         plan(LossMode::Retransmit, &[1]),
         &TREE_RETRANSMIT,
+    );
+}
+
+/// A plan with no random failures that kills exactly `killed`.
+fn killing(killed: &[u32]) -> FailurePlan {
+    let mut plan = FailurePlan::none();
+    for &id in killed {
+        plan.kill_node(NodeId(id));
+    }
+    plan
+}
+
+/// Kills `before` for the first two rounds, then installs a fresh plan
+/// killing `after` for the last: the nodes in `before` but not in
+/// `after` revive and catch up in one step.
+fn revival(
+    before: &'static [u32],
+    after: &'static [u32],
+) -> impl FnMut(usize) -> Option<FailurePlan> {
+    move |round| match round {
+        0 => Some(killing(before)),
+        2 => Some(killing(after)),
+        _ => None,
+    }
+}
+
+const FLAT_REVIVAL: Golden = Golden {
+    delivered: &[47, 659, 1_443],
+    cost: cost(50, 8, 2_149, 26_788, 0),
+    per_node_bytes: &[
+        (0, 3_060),
+        (1, 2_928),
+        (2, 2_964),
+        (3, 2_932),
+        (4, 2_976),
+        (5, 2_820),
+        (7, 3_108),
+        (8, 3_048),
+        (9, 2_952),
+    ],
+    events: 58,
+    events_hash: 0x0d6e_b3db_5b38_4657,
+    station_hash: 0x27e5_936e_a601_64b8,
+};
+
+const TREE_REVIVAL: Golden = Golden {
+    delivered: &[45, 594, 2_706],
+    cost: cost(174, 21, 3_345, 132_528, 0),
+    per_node_bytes: &[
+        (0, 3_048),
+        (1, 5_648),
+        (2, 5_880),
+        (3, 8_652),
+        (4, 9_048),
+        (5, 9_072),
+        (6, 8_748),
+        (7, 12_064),
+        (8, 11_968),
+        (9, 11_728),
+        (10, 11_200),
+        (12, 12_048),
+        (13, 11_472),
+        (14, 11_952),
+    ],
+    events: 76,
+    events_hash: 0x2f8d_ab9d_ed5f_88cb,
+    station_hash: 0x13ef_d16d_b9ee_3673,
+};
+
+/// Flat: nodes 3 and 6 start dead; node 3 revives for the last round.
+#[test]
+fn flat_round_matches_its_golden_under_a_zero_probability_revival() {
+    run_replanned(flat(), revival(&[3, 6], &[6]), &FLAT_REVIVAL);
+}
+
+/// Tree: interior node 1 (cutting off {3, 4, 7, 8, 9, 10}) and leaf 11
+/// start dead; node 1 revives for the last round, so its whole subtree
+/// catches up from nothing to the final target at once.
+#[test]
+fn tree_round_matches_its_golden_under_a_zero_probability_revival() {
+    run_replanned(
+        tree_with_dead_interior(),
+        revival(&[1, 11], &[11]),
+        &TREE_REVIVAL,
     );
 }

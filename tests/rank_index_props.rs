@@ -13,6 +13,7 @@
 use proptest::prelude::*;
 
 use prc::core::broker::IndexPolicy;
+use prc::core::estimator::index::scan_rank_terms;
 use prc::net::base_station::BaseStation;
 use prc::net::message::{NodeId, SampleEntry, SampleMessage};
 use prc::prelude::*;
@@ -33,6 +34,11 @@ fn collected_station(mut partitions: Vec<Vec<f64>>, seed: u64, p: f64) -> BaseSt
 fn quantize(raw: Vec<f64>, buckets: f64) -> Vec<f64> {
     raw.into_iter().map(|v| (v * buckets).floor()).collect()
 }
+
+/// The few distinct values the tie-order sweep stores, both zeros
+/// included, so every node holds runs of equal values shared with the
+/// other nodes.
+const TIE_VALUES: [f64; 6] = [-3.5, -0.0, 0.0, 1.0, 2.0, 7.25];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -95,7 +101,7 @@ proptest! {
 
     /// Duplicate-heavy values (a handful of distinct values across every
     /// node) cannot break the identity: partition-point cuts never split
-    /// a run of numerically equal values, so merge tie order is moot.
+    /// a run of numerically equal values, so the sort's tie order is moot.
     #[test]
     fn duplicate_heavy_values_keep_the_identity(
         seed in 0u64..1_000,
@@ -125,6 +131,67 @@ proptest! {
                 RankCounting.estimate(&station, query).to_bits(),
                 "range [{}, {}]", l, u
             );
+        }
+    }
+
+    /// The build sorts all entries once, unstably, so equal values may
+    /// land in any order within and across nodes. The prefix arrays are
+    /// read only at `partition_point` cuts, which never fall inside a run
+    /// of equal values (`±0.0` included), so the integer terms themselves
+    /// — not only the estimates — must match the per-node scan. The
+    /// station grows the way a ladder of rungs grows it: 2–4 escalating
+    /// top-up rounds on a tree whose dead nodes revive after the first.
+    #[test]
+    fn tie_order_cannot_move_the_rank_terms(
+        seed in 0u64..1_000,
+        picks in proptest::collection::vec(
+            proptest::collection::vec(0usize..TIE_VALUES.len(), 0..40),
+            2..12,
+        ),
+        dead in proptest::collection::vec(any::<bool>(), 12..13),
+        steps in proptest::collection::vec(1u32..21, 2..5),
+    ) {
+        // Targets in 0.05..=1.0, escalating (a repeat is a no-op round).
+        let mut targets: Vec<f64> = steps.iter().map(|&k| f64::from(k) / 20.0).collect();
+        targets.sort_by(f64::total_cmp);
+        let partitions: Vec<Vec<f64>> = picks
+            .iter()
+            .map(|node| node.iter().map(|&i| TIE_VALUES[i]).collect())
+            .collect();
+        let mut network = TreeNetwork::from_partitions(partitions, 4, seed);
+        let mut plan = FailurePlan::none();
+        for (id, _) in dead.iter().enumerate().filter(|(_, &d)| d) {
+            plan.kill_node(NodeId(id as u32));
+        }
+        network.set_failure_plan(plan);
+        // Bounds on every distinct stored value, between them and beyond.
+        let bounds = [-10.0, -3.5, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0, 3.0, 7.25, 9.0];
+        for (round, &target) in targets.iter().enumerate() {
+            if round == 1 {
+                network.set_failure_plan(FailurePlan::none());
+            }
+            network.collect_samples(target);
+            let station = network.station();
+            let Some(index) = RankIndex::build(station) else {
+                // Only a station without data declines.
+                prop_assert_eq!(station.total_population(), 0);
+                continue;
+            };
+            for (i, &l) in bounds.iter().enumerate() {
+                for &u in &bounds[i..] {
+                    let query = RangeQuery::new(l, u).unwrap();
+                    prop_assert_eq!(
+                        index.rank_terms(query),
+                        scan_rank_terms(station, query),
+                        "terms on [{}, {}] after round {}", l, u, round
+                    );
+                    prop_assert_eq!(
+                        index.estimate(query).to_bits(),
+                        RankCounting.estimate(station, query).to_bits(),
+                        "estimate on [{}, {}] after round {}", l, u, round
+                    );
+                }
+            }
         }
     }
 

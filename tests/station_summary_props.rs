@@ -10,6 +10,9 @@
 //! every step. Each read must equal, bit for bit, a plain fold over
 //! `node_samples()`: the definition each accessor memoizes. A stale memo
 //! is served on the read after a changing step and fails the comparison.
+//! The batches arrive sorted, unsorted and with repeated ranks, and each
+//! node's entry list must equal the plain extend–sort–dedup fold of
+//! everything it was sent.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -85,20 +88,39 @@ fn folded(station: &BaseStation) -> Aggregates {
     }
 }
 
-/// A batch of entries at ranks drawn from `word`, within `1..=population`.
+/// A batch of up to seven entries at ranks drawn from `word`, within
+/// `1..=population`. When bit 3 of `word` is set the batch is a
+/// strictly rank-increasing run, as a node ships it; otherwise it keeps
+/// the drawn order, so it may be unsorted and may repeat a rank. A value
+/// is its rank plus its draw index in eighths: rank order stays value
+/// order, and the entry lists show which copy of a repeated rank a
+/// merge kept.
 fn entries(word: u64, population: usize) -> Vec<SampleEntry> {
     if population == 0 {
         return Vec::new();
     }
-    (0..(word % 4))
+    let mut batch: Vec<SampleEntry> = (0..(word % 8))
         .map(|i| {
-            let rank = ((word >> (8 * i + 16)) % population as u64) as u32 + 1;
+            let rank = ((word >> (5 * i + 4)) % population as u64) as u32 + 1;
             SampleEntry {
-                value: f64::from(rank),
+                value: f64::from(rank) + i as f64 / 8.0,
                 rank,
             }
         })
-        .collect()
+        .collect();
+    if word & 8 != 0 {
+        batch.sort_by_key(|e| e.rank);
+        batch.dedup_by_key(|e| e.rank);
+    }
+    batch
+}
+
+/// The reference merge: extend, stable sort by rank, keep the first
+/// entry of each rank.
+fn reference_merge(held: &mut Vec<SampleEntry>, batch: &[SampleEntry]) {
+    held.extend_from_slice(batch);
+    held.sort_by_key(|e| e.rank);
+    held.dedup_by_key(|e| e.rank);
 }
 
 /// Decodes one step of a sequence into the message it ingests, given the
@@ -165,29 +187,52 @@ fn check(station: &BaseStation, at: usize) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Every reported node's entry list equals its reference fold.
+fn check_entries(
+    station: &BaseStation,
+    reference: &[Vec<SampleEntry>],
+    at: usize,
+) -> Result<(), TestCaseError> {
+    for sample in station.node_samples() {
+        prop_assert_eq!(
+            sample.entries(),
+            &reference[sample.node_id.0 as usize][..],
+            "entries of node {} at step {}",
+            sample.node_id.0,
+            at
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// After every ingest, each aggregate equals its reference fold bit
-    /// for bit, and an exact re-delivery leaves the revision unchanged.
+    /// for bit, each node's entry list equals the reference merge of
+    /// every batch it was sent (unsorted and repeated ranks included),
+    /// and an exact re-delivery leaves the revision unchanged.
     #[test]
     fn aggregates_match_the_reference_after_every_ingest(
         words in proptest::collection::vec(any::<u64>(), 1..64),
     ) {
         let mut station = BaseStation::new();
         let mut last: Vec<Option<SampleMessage>> = vec![None; NODES as usize];
+        let mut reference: Vec<Vec<SampleEntry>> = vec![Vec::new(); NODES as usize];
         check(&station, 0)?;
         for (at, &word) in words.iter().enumerate() {
             let message = step(word, &station, last[(word % NODES) as usize].as_ref());
             let slot = message.node_id.0 as usize;
             let redelivery = last[slot].as_ref() == Some(&message);
             let before = station.revision();
+            reference_merge(&mut reference[slot], &message.entries);
             station.ingest(message.clone());
             if redelivery {
                 prop_assert_eq!(station.revision(), before, "re-delivery at step {}", at);
             }
             last[slot] = Some(message);
             check(&station, at + 1)?;
+            check_entries(&station, &reference, at + 1)?;
             // A clone carries the memo; it must still describe the state.
             check(&station.clone(), at + 1)?;
         }
