@@ -19,12 +19,6 @@
 //! bits, and writes the trajectory to `BENCH_rank_index.json` at the
 //! repository root.
 //!
-//! A third section times the shared `prc-runtime` pool against the
-//! spawn-per-call pattern it replaced (fresh scoped threads on every
-//! fan-out), asserts both strategies compute identical results, and
-//! writes the comparison to `BENCH_runtime_pool.json` at the repository
-//! root.
-//!
 //! Run with `cargo run -p prc-bench --release --bin bench_batch`. Set
 //! `PRC_BENCH_SMOKE=1` to shrink every dimension to CI-smoke sizes
 //! (the determinism and identity self-checks still run and must pass;
@@ -42,7 +36,6 @@ use prc_net::tree::TreeNetwork;
 use prc_pricing::functions::InverseVariancePricing;
 use prc_pricing::reuse::{PostedPriceReuse, ReuseGuard};
 use prc_pricing::variance::ChebyshevVariance;
-use prc_runtime::{CutoffPolicy, Runtime};
 
 const SEED: u64 = 2014;
 const NODES: usize = 16;
@@ -184,13 +177,12 @@ fn mode_json(mode: &ModeResult, total_requests: usize) -> String {
     ];
     if let Some(stats) = &mode.stats {
         fields.push(format!(
-            "\"stats\": {{\"rate_tiers\": {}, \"collection_rounds\": {}, \"samples_collected\": {}, \"cache_hits\": {}, \"chargeable_messages\": {}, \"fan_out_threads\": {}}}",
+            "\"stats\": {{\"rate_tiers\": {}, \"collection_rounds\": {}, \"samples_collected\": {}, \"cache_hits\": {}, \"chargeable_messages\": {}}}",
             stats.rate_tiers,
             stats.collection_rounds,
             stats.samples_collected,
             stats.cache_hits,
             stats.chargeable_messages,
-            stats.fan_out_threads,
         ));
     }
     format!("    {{{}}}", fields.join(", "))
@@ -323,97 +315,6 @@ fn index_trajectory() -> Vec<IndexCell> {
     cells
 }
 
-/// The pool-vs-spawn comparison: many small fan-outs, where dispatch
-/// overhead (not per-item work) dominates.
-struct PoolComparison {
-    rounds: usize,
-    len: usize,
-    lanes: usize,
-    pool_seconds: f64,
-    spawn_seconds: f64,
-    identical: bool,
-}
-
-impl PoolComparison {
-    /// How much faster reusing the persistent pool is than spawning
-    /// fresh threads on every call.
-    fn speedup(&self) -> f64 {
-        self.spawn_seconds / self.pool_seconds.max(1e-12)
-    }
-
-    fn json(&self) -> String {
-        format!(
-            "{{\n  \"bench\": \"runtime_pool\",\n  \"smoke\": {},\n  \"rounds\": {},\n  \"items_per_round\": {},\n  \"lanes\": {},\n  \"pool_seconds\": {:.6},\n  \"spawn_seconds\": {:.6},\n  \"pool_calls_per_sec\": {:.2},\n  \"spawn_calls_per_sec\": {:.2},\n  \"pool_reuse_speedup\": {:.2},\n  \"identical\": {}\n}}",
-            smoke(),
-            self.rounds,
-            self.len,
-            self.lanes,
-            self.pool_seconds,
-            self.spawn_seconds,
-            queries_per_sec(self.rounds, self.pool_seconds),
-            queries_per_sec(self.rounds, self.spawn_seconds),
-            self.speedup(),
-            self.identical,
-        )
-    }
-}
-
-/// Times `rounds` chunked sum fan-outs through the persistent pool and
-/// through freshly spawned scoped threads (the pre-runtime pattern that
-/// paid thread creation on every call).
-fn pool_vs_spawn() -> PoolComparison {
-    let (rounds, len) = if smoke() { (64, 4_096) } else { (512, 16_384) };
-    let runtime = Runtime::global();
-    let lanes = runtime.lanes_for(len);
-    let data: Vec<u64> = (0..len as u64)
-        .map(|i| i.wrapping_mul(0x9e37_79b9))
-        .collect();
-
-    let pool_start = Instant::now();
-    let mut pool_total = 0u64;
-    for _ in 0..rounds {
-        pool_total = pool_total.wrapping_add(
-            runtime
-                .map_chunked(&data, len, CutoffPolicy::always_parallel(), |chunk| {
-                    chunk.items.iter().fold(0u64, |a, &v| a.wrapping_add(v))
-                })
-                .into_iter()
-                .fold(0u64, u64::wrapping_add),
-        );
-    }
-    let pool_seconds = pool_start.elapsed().as_secs_f64();
-
-    // The replaced idiom: fresh scoped threads per call, same chunking.
-    let spawn_start = Instant::now();
-    let mut spawn_total = 0u64;
-    let chunk_len = len.div_ceil(lanes);
-    for _ in 0..rounds {
-        let partials = std::thread::scope(|scope| {
-            let handles: Vec<_> = data
-                .chunks(chunk_len)
-                .map(|chunk| {
-                    scope.spawn(move || chunk.iter().fold(0u64, |a, &v| a.wrapping_add(v)))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("spawned summer"))
-                .collect::<Vec<u64>>()
-        });
-        spawn_total = spawn_total.wrapping_add(partials.into_iter().fold(0u64, u64::wrapping_add));
-    }
-    let spawn_seconds = spawn_start.elapsed().as_secs_f64();
-
-    PoolComparison {
-        rounds,
-        len,
-        lanes,
-        pool_seconds,
-        spawn_seconds,
-        identical: pool_total == spawn_total,
-    }
-}
-
 fn main() {
     let requests = workload();
     let total = requests.len();
@@ -510,37 +411,6 @@ fn main() {
             cell.queries,
         );
     }
-    // Pool-reuse vs spawn-per-call: the dispatch-overhead bar the
-    // runtime extraction is accountable to.
-    let pool = pool_vs_spawn();
-    let pool_json = pool.json();
-    println!("{pool_json}");
-    let pool_target = if root.is_dir() {
-        root.join("BENCH_runtime_pool.json")
-    } else {
-        std::path::PathBuf::from("BENCH_runtime_pool.json")
-    };
-    match std::fs::write(&pool_target, &pool_json) {
-        Ok(()) => eprintln!("json: {}", pool_target.display()),
-        Err(e) => eprintln!("could not write {}: {e}", pool_target.display()),
-    }
-    assert!(
-        pool.identical,
-        "pool and spawn-per-call strategies must compute identical sums"
-    );
-    let pool_speedup = pool.speedup();
-    assert!(
-        pool_speedup.is_finite() && pool_speedup > 0.0,
-        "pool-reuse speedup degenerated (got {pool_speedup})"
-    );
-    if !smoke() {
-        assert!(
-            pool_speedup >= 1.0,
-            "reusing the pool must beat spawn-per-call on small fan-outs \
-             (got {pool_speedup:.2}×)"
-        );
-    }
-
     if !smoke() {
         // Cost-model honesty: the adaptive policy's paper decision must
         // agree with the measured amortized outcome on every *decisive*

@@ -5,9 +5,8 @@
 //! [`prc_net::network::Network`]) and over the estimator. Besides the
 //! one-request [`DataBroker::answer`] pipeline it offers a batched engine,
 //! [`DataBroker::answer_batch`], which partitions a request batch by
-//! required sampling rate, collects samples once per rate tier, fans the
-//! per-tier estimator evaluations out over the shared
-//! [`prc_runtime::Runtime`] pool, and
+//! required sampling rate, collects samples once per rate tier, answers
+//! each tier's estimates in one pass over the shared sample, and
 //! serves repeat requests from an arbitrage-consistent answer cache
 //! guarded by the pricing layer ([`prc_pricing::reuse`]).
 //!
@@ -149,8 +148,6 @@ pub struct BatchStats {
     pub cache_hits: u64,
     /// Chargeable (non-piggybacked) messages the batch added to the meter.
     pub chargeable_messages: u64,
-    /// Widest estimator fan-out used by any tier.
-    pub fan_out_threads: u64,
     /// Query-index builds triggered by this batch.
     pub index_builds: u64,
     /// Estimates in this batch answered through a query index.
@@ -428,21 +425,15 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// tops the network up to that tier (lower tiers are answered at
     /// their own, cheaper rate — exactly what a sorted sequence of
     /// [`DataBroker::answer`] calls would do). Within a tier, cache
-    /// lookups, perturbation planning, and budget accounting run
-    /// sequentially in input order; the estimator evaluations fan out
-    /// over the shared [`prc_runtime::Runtime`] pool against the shared
-    /// base-station
-    /// sample; noise is then drawn sequentially in input order, keeping
-    /// the whole batch deterministic in the broker's seed regardless of
-    /// thread scheduling.
+    /// lookups, perturbation planning, and budget accounting run in
+    /// input order; each tier's estimates are computed in one pass over
+    /// the shared base-station sample; noise is then drawn in input
+    /// order, keeping the whole batch deterministic in the broker's seed.
     ///
     /// Per-request failures (infeasible accuracy, exhausted budget) land
     /// in that request's slot of [`BatchReport::answers`]; the rest of
     /// the batch proceeds.
-    pub fn answer_batch(&mut self, requests: &[QueryRequest]) -> BatchReport
-    where
-        E: Sync,
-    {
+    pub fn answer_batch(&mut self, requests: &[QueryRequest]) -> BatchReport {
         crate::pipeline::batch::run_batch(self, requests)
     }
 
@@ -714,7 +705,6 @@ mod tests {
         assert_eq!(report.stats.cache_hits, 1);
         assert!(report.stats.samples_collected > 0);
         assert!(report.stats.chargeable_messages > 0);
-        assert!(report.stats.fan_out_threads >= 1);
         for (i, result) in report.answers.iter().enumerate() {
             let answer = result.as_ref().unwrap();
             assert_eq!(answer.query, workload[i].query, "slot {i} out of order");
@@ -793,14 +783,9 @@ mod tests {
             request(-10.0, -1.0, 0.15, 0.5),      // below support
             request(1_000.0, 3_000.0, 0.08, 0.7), // duplicate
         ];
-        // The Estimate stage fans a tier out only once it declares enough
-        // boundary searches. The widest tier holds the three (0.15, 0.5)
-        // requests and the other tier two, so on `wide` nodes both scan
-        // tiers clear the cutoff while the indexed tiers' one search per
-        // query does not; on 8 nodes every tier runs inline.
-        let wide = crate::pipeline::batch::ESTIMATE_MIN_SEARCHES.div_ceil(2);
-        let scan_lanes = prc_runtime::Runtime::global().lanes_for(3) as u64;
-        for (nodes, per_node, scan_fan_out) in [(8, 700, 1), (wide, 4, scan_lanes)] {
+        // A few nodes with many values each, and many nodes with a few
+        // values each.
+        for (nodes, per_node) in [(8, 700), (2_048, 4)] {
             let run = |policy: IndexPolicy| {
                 let mut broker = DataBroker::new(network(nodes, per_node, 21), 21);
                 broker.set_index_policy(policy);
@@ -819,11 +804,6 @@ mod tests {
             assert!(indexed_stats.indexed_estimates >= workload.len() as u64 - 1);
             assert_eq!(scan_stats.index_builds, 0);
             assert_eq!(scan_stats.indexed_estimates, 0);
-            assert_eq!(indexed_stats.fan_out_threads, 1, "{nodes} nodes, indexed");
-            assert_eq!(
-                scan_stats.fan_out_threads, scan_fan_out,
-                "{nodes} nodes, scan"
-            );
         }
     }
 

@@ -10,10 +10,10 @@
 //! answers stay bit-identical across the scan, indexed, and batched
 //! paths.
 //!
-//! The module also houses the optimizer [`PlanCache`](plan_cache): the
-//! grid sweep of problem (3) is a pure function of the accuracy target,
-//! the rate tier, and the station state, so its result is memoized
-//! under the same revision stamps that pin the query index to an epoch.
+//! The module also houses the optimizer's plan cache: the grid sweep of
+//! problem (3) is a pure function of the accuracy target, the rate tier,
+//! and the station state, so its result is memoized under the same
+//! revision stamps that pin the query index to an epoch.
 
 mod boundary;
 mod plan_cache;

@@ -102,10 +102,11 @@ pub fn finish_rank_terms(sum_a: i64, sum_b: i64, p: f64) -> f64 {
 /// The per-node reference path: accumulates the exact integer aggregates
 /// `(ΣA, ΣB)` with two binary searches per data-bearing node.
 ///
-/// [`crate::estimator::RankCounting::estimate`] uses this whenever the
-/// station reports a uniform sampling probability; the index must agree
-/// with it bit-for-bit on every query (enforced by the property tests
-/// and the benches' self-checks) — it is the one oracle.
+/// [`RankCounting`](crate::estimator::RankCounting)'s
+/// [`estimate`](crate::estimator::RangeCountEstimator::estimate) uses
+/// this whenever the station reports a uniform sampling probability; the
+/// index must agree with it bit-for-bit on every query (enforced by the
+/// property tests and the benches' self-checks) — it is the one oracle.
 pub fn scan_rank_terms(station: &BaseStation, query: RangeQuery) -> (i64, i64) {
     let mut sum_a: i64 = 0;
     let mut sum_b: i64 = 0;

@@ -16,12 +16,9 @@
 //!
 //! The tail constraint gives the closed form
 //! `ε(α′) = Δγ̂/((α−α′)n) · ln(δ′/(δ′−δ))`; the solver sweeps a discrete
-//! grid of `α′ ∈ (0, α)` and keeps the minimum. Grids of at least
-//! [`PARALLEL_GRID_MIN`] points are swept across the shared
-//! [`prc_runtime::Runtime`] pool; chunks are folded in ascending grid
-//! order with the same strict-`<` argmin and first-error rule as the
-//! sequential loop, so the returned plan (and error) is bit-identical
-//! either way.
+//! grid of `α′ ∈ (0, α)` in ascending order and keeps the minimum: the
+//! first error ends the sweep, and the strict `<` keeps the lowest grid
+//! point on `ε′` ties.
 //!
 //! **Direction of the tail constraint.** The paper prints the constraint
 //! as `Pr[|Lap(ε)| ≤ (α−α′)n] ≤ δ/δ′`, but its own derivation (and the
@@ -37,7 +34,6 @@ use prc_dp::amplification::amplify;
 use prc_dp::budget::Epsilon;
 use prc_dp::laplace::required_epsilon;
 use prc_net::base_station::BaseStation;
-use prc_runtime::{CutoffPolicy, Runtime};
 
 use crate::accuracy::achieved_delta;
 use crate::error::CoreError;
@@ -230,42 +226,6 @@ pub fn plan_for_alpha_prime(
     }))
 }
 
-/// Grids of at least this many points are swept in parallel; smaller
-/// sweeps stay sequential because the dispatch overhead would exceed
-/// the per-point work. This is the `min_work` of [`GRID_CUTOFF`].
-pub const PARALLEL_GRID_MIN: usize = 512;
-
-/// The sweep's cutoff policy, with `work` measured in grid points.
-const GRID_CUTOFF: CutoffPolicy = CutoffPolicy::min_work(PARALLEL_GRID_MIN);
-
-/// Sweeps the grid points `indices` (of a `grid_points`-point grid),
-/// returning the feasible plan with the smallest `ε′` — ties keep the
-/// lowest grid point — or the first error.
-fn sweep_grid(
-    indices: &[usize],
-    grid_points: usize,
-    accuracy: Accuracy,
-    p: f64,
-    shape: NetworkShape,
-    config: &OptimizerConfig,
-) -> Result<Option<PerturbationPlan>, CoreError> {
-    let alpha = accuracy.alpha();
-    let mut best: Option<PerturbationPlan> = None;
-    for &j in indices {
-        let alpha_prime = alpha * j as f64 / (grid_points + 1) as f64;
-        if let Some(plan) = plan_for_alpha_prime(alpha_prime, accuracy, p, shape, config)? {
-            let better = match &best {
-                Some(b) => plan.effective_epsilon < b.effective_epsilon,
-                None => true,
-            };
-            if better {
-                best = Some(plan);
-            }
-        }
-    }
-    Ok(best)
-}
-
 /// Solves the paper's optimization problem (3): sweeps `α′` over a grid in
 /// `(0, α)` and returns the feasible plan with the smallest effective
 /// budget `ε′`.
@@ -292,12 +252,6 @@ fn sweep_grid(
 /// * [`CoreError::InfeasibleAccuracy`] — no grid point satisfies the
 ///   constraints; the error carries the sampling probability that would
 ///   make the demand feasible so the broker can top up.
-///
-/// # Panics
-///
-/// Only to propagate a sweep worker's panic, re-raised through the
-/// runtime's single panic path ([`Runtime::reduce_ordered`]); the sweep
-/// itself does not panic.
 pub fn optimize(
     accuracy: Accuracy,
     p: f64,
@@ -309,30 +263,18 @@ pub fn optimize(
     }
     let alpha = accuracy.alpha();
     let grid_points = config.grid_points.max(2);
-    let grid: Vec<usize> = (1..=grid_points).collect();
-    // Fold in ascending grid order: the earliest chunk's error wins (the
-    // sequential loop would have hit it first), and the strict `<` keeps
-    // the lowest-j plan on ε′ ties — so the result is bit-identical to
-    // the sequential sweep for any chunking, including the sequential
-    // fallback below [`PARALLEL_GRID_MIN`].
-    let best = Runtime::global().reduce_ordered(
-        &grid,
-        grid_points,
-        GRID_CUTOFF,
-        |chunk| sweep_grid(chunk.items, grid_points, accuracy, p, shape, config),
-        Ok(None),
-        |best: Result<Option<PerturbationPlan>, CoreError>, partial| {
-            let best = best?;
-            let Some(plan) = partial? else {
-                return Ok(best);
-            };
-            let better = match &best {
-                Some(b) => plan.effective_epsilon < b.effective_epsilon,
-                None => true,
-            };
-            Ok(if better { Some(plan) } else { best })
-        },
-    )?;
+    let mut best: Option<PerturbationPlan> = None;
+    for j in 1..=grid_points {
+        let alpha_prime = alpha * j as f64 / (grid_points + 1) as f64;
+        if let Some(plan) = plan_for_alpha_prime(alpha_prime, accuracy, p, shape, config)? {
+            if best
+                .as_ref()
+                .is_none_or(|b| plan.effective_epsilon < b.effective_epsilon)
+            {
+                best = Some(plan);
+            }
+        }
+    }
     best.ok_or_else(|| {
         // Feasibility needs δ′(α′) > δ for some α′ < α; report the p that
         // achieves δ′ = (1+δ)/2 at α′ = 0.9α, a comfortably feasible point.
@@ -561,16 +503,16 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_is_bit_identical_to_the_sequential_reference() {
+    fn large_grid_sweep_is_bit_identical_to_the_inline_reference() {
         let accuracy = acc(0.08, 0.6);
         let p = 0.4;
-        let grid_points = 2 * PARALLEL_GRID_MIN; // forces the parallel path
+        let grid_points = 1_024;
         let config = OptimizerConfig {
             grid_points,
             ..OptimizerConfig::default()
         };
         let plan = optimize(accuracy, p, shape(), &config).unwrap();
-        // Reference: the plain sequential loop over the same grid.
+        // Reference: the plain loop over the same grid.
         let mut best: Option<PerturbationPlan> = None;
         for j in 1..=grid_points {
             let alpha_prime = accuracy.alpha() * j as f64 / (grid_points + 1) as f64;
@@ -595,13 +537,13 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_reports_infeasibility_like_the_sequential_one() {
+    fn large_grid_sweep_reports_infeasibility() {
         let accuracy = acc(0.02, 0.95);
-        let parallel_cfg = OptimizerConfig {
-            grid_points: 2 * PARALLEL_GRID_MIN,
+        let config = OptimizerConfig {
+            grid_points: 1_024,
             ..OptimizerConfig::default()
         };
-        let err = optimize(accuracy, 0.01, shape(), &parallel_cfg).unwrap_err();
+        let err = optimize(accuracy, 0.01, shape(), &config).unwrap_err();
         assert!(matches!(err, CoreError::InfeasibleAccuracy { .. }));
     }
 

@@ -7,21 +7,18 @@
 //! network up to that tier (lower tiers are answered at their own,
 //! cheaper rate — exactly what a sorted sequence of single sessions
 //! would do). Within a tier, admission, planning, and budget holds run
-//! sequentially in input order; the [`Estimate`] stage fans out over
-//! the shared [`prc_runtime::Runtime`] pool against the shared
-//! base-station sample when the tier declares enough boundary searches
-//! to pay for the dispatch, and runs on the caller otherwise; the
-//! [`Perturb`] stage then runs sequentially in input order, keeping the
-//! whole batch deterministic in the broker's seed regardless of thread
-//! scheduling. Each member's hold is committed at its [`Settle`] or
-//! rolled back if its release fails.
+//! in input order; the [`Estimate`](crate::pipeline::stages::Estimate)
+//! stage answers the whole tier against the shared base-station sample
+//! in one pass; the [`Perturb`] stage then runs in input order, keeping
+//! the whole batch deterministic in the broker's seed. Each member's
+//! hold is committed at its [`Settle`] or rolled back if its release
+//! fails.
 
 use std::collections::BTreeMap;
 
 use prc_dp::budget::Reservation;
 use prc_net::network::Network;
 use prc_pricing::reuse::Demand;
-use prc_runtime::{CutoffPolicy, Runtime};
 
 use crate::accuracy::required_probability_clamped;
 use crate::broker::{
@@ -37,16 +34,6 @@ use crate::pipeline::stages::{
 use crate::pipeline::QuerySession;
 use crate::query::QueryRequest;
 
-/// A tier's Estimate stage fans out over the pool only when it declares
-/// at least this many boundary searches: one per query through a ready
-/// index, one per data-bearing node per query on the scan. Smaller tiers
-/// run on the caller, where they finish before a dispatch would. Set
-/// from the measured crossover in DESIGN.md §14.
-pub(crate) const ESTIMATE_MIN_SEARCHES: usize = 4096;
-
-/// The Estimate stage's cutoff policy, with `work` in boundary searches.
-const ESTIMATE_CUTOFF: CutoffPolicy = CutoffPolicy::min_work(ESTIMATE_MIN_SEARCHES);
-
 /// One tier member that survived admission and reservation, awaiting its
 /// estimate and release.
 struct Pending {
@@ -59,18 +46,15 @@ struct Pending {
 ///
 /// # Panics
 ///
-/// Only to propagate an estimate worker's panic, re-raised through the
-/// runtime's single panic path ([`Runtime::map_chunked`]), or if the
-/// tier scheduler violates its own invariant and leaves a member's slot
-/// unfilled.
+/// Only if the tier scheduler violates its own invariant and leaves a
+/// member's slot unfilled.
 pub fn run_batch<E, N>(broker: &mut DataBroker<E, N>, requests: &[QueryRequest]) -> BatchReport
 where
-    E: RangeCountEstimator + Sync,
+    E: RangeCountEstimator,
     N: Network,
 {
     let meter_before = broker.network.meter().snapshot();
     let counters_before = broker.counters;
-    let mut fan_out_threads: u64 = 0;
     let mut answers: Vec<Option<Result<PrivateAnswer, CoreError>>> =
         requests.iter().map(|_| None).collect();
 
@@ -154,59 +138,40 @@ where
         }
 
         if !pending.is_empty() {
-            // Estimate: fan out over the shared sample once the tier's
-            // searches clear the cutoff. The station is immutable for the
-            // rest of the tier, so worker threads share it; chunked
-            // spawning keeps the result order (and therefore the released
-            // answers) deterministic. With a query index ready for this
-            // epoch, every worker answers through it — same bits as the
-            // scan, `O(log S)` per query instead of `O(k log s)`.
+            // Estimate: the whole tier in one pass over the shared
+            // sample. With a query index ready for this epoch it answers
+            // through the index — same bits as the scan, `O(log S)` per
+            // query instead of `O(k log s)`.
             prepare_index(broker, pending.len() as u64);
             let station = broker.network.station();
-            let estimator = &broker.estimator;
             let index = match &broker.index {
                 IndexState::Ready(_, index) => Some(index.as_ref()),
                 _ => None,
             };
-            let searches = match index {
-                Some(_) => pending.len(),
-                None => pending.len().saturating_mul(station.data_bearing_count()),
-            };
-            let runtime = Runtime::global();
-            let lanes = if ESTIMATE_CUTOFF.is_sequential(searches) {
-                1
-            } else {
-                runtime.lanes_for(pending.len())
-            };
-            fan_out_threads = fan_out_threads.max(lanes as u64);
-            // Chunk results flatten in submission order, so the released
-            // answers are independent of worker count and scheduling.
-            let estimates: Vec<f64> = runtime
-                .map_chunked(&pending, searches, ESTIMATE_CUTOFF, |chunk| match index {
-                    Some(index) => {
-                        let queries: Vec<_> = chunk
-                            .items
-                            .iter()
-                            .map(|member| requests[member.slot].query)
-                            .collect();
-                        index.estimate_batch(&queries).estimates
-                    }
-                    None => chunk
-                        .items
+            let estimates: Vec<f64> = match index {
+                Some(index) => {
+                    let queries: Vec<_> = pending
                         .iter()
-                        .map(|member| estimator.estimate(station, requests[member.slot].query))
-                        .collect(),
-                })
-                .into_iter()
-                .flatten()
-                .collect();
+                        .map(|member| requests[member.slot].query)
+                        .collect();
+                    index.estimate_batch(&queries).estimates
+                }
+                None => pending
+                    .iter()
+                    .map(|member| {
+                        broker
+                            .estimator
+                            .estimate(station, requests[member.slot].query)
+                    })
+                    .collect(),
+            };
             if index.is_some() {
                 broker.counters.indexed_estimates += pending.len() as u64;
             }
 
-            // Perturb + Settle: sequential in input order so the broker's
-            // noise stream is independent of the fan-out. Each member's
-            // hold commits with its release, or rolls back on failure.
+            // Perturb + Settle: in input order, so the broker's noise
+            // stream follows the batch. Each member's hold commits with its
+            // release, or rolls back on failure.
             let shape = NetworkShape::from_station(broker.network.station());
             for (member, sample_estimate) in pending.into_iter().zip(estimates) {
                 let result = shape.clone().and_then(|shape| {
@@ -263,7 +228,6 @@ where
             cache_hits: counters_after.cache_hits - counters_before.cache_hits,
             chargeable_messages: meter_after.chargeable_messages()
                 - meter_before.chargeable_messages(),
-            fan_out_threads,
             index_builds: counters_after.index_builds - counters_before.index_builds,
             indexed_estimates: counters_after.indexed_estimates - counters_before.indexed_estimates,
             plan_cache_hits: counters_after.plan_cache_hits - counters_before.plan_cache_hits,

@@ -24,7 +24,7 @@
 //!
 //! Budgeting is two-phase: Reserve places a [`prc_dp::budget::Reservation`]
 //! hold, Settle commits it, and any failure between the two rolls it
-//! back through [`stages::abort`] — a failed noise draw can no longer
+//! back through the stages' `abort` — a failed noise draw can no longer
 //! leak budget the way the old single-phase `spend` did.
 //!
 //! Pricing rides the same stages: a priced session

@@ -221,7 +221,7 @@ pub(crate) fn evict_touched_answers<E, N: Network>(
 /// A planned and budget-held request, ready for [`Estimate`].
 ///
 /// `reservation` is a two-phase hold on the accountant: [`Settle`]
-/// commits it after a successful release, [`abort`] rolls it back if any
+/// commits it after a successful release, `abort` rolls it back if any
 /// later stage fails — the budget leak the old single-phase `spend` had
 /// on failed answers cannot happen here.
 #[derive(Debug)]

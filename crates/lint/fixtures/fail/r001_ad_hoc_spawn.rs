@@ -1,6 +1,6 @@
 // prc-lint-fixture: path = crates/core/src/worker.rs
-//! Ad-hoc thread creation outside the executor crate: R001. All
-//! parallel fan-out must go through the shared prc-runtime pool.
+//! Thread creation in library code: R001. Library code runs on the
+//! caller's thread.
 
 pub fn fan_out() {
     let handle = std::thread::spawn(|| {});

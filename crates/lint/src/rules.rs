@@ -15,7 +15,7 @@
 //! | P002 | no `.expect(` in library code |
 //! | P003 | no `panic!` / `unreachable!` / `todo!` / `unimplemented!` in library code |
 //! | P004 | no indexing by integer literal (`xs[0]`) in library code |
-//! | R001 | no ad-hoc threads (`thread::spawn` / scoped threads) outside `crates/runtime` |
+//! | R001 | no thread creation (`thread::spawn` / scoped threads) in library code |
 //! | F001 | budget-flow: sampling reachable only under a reservation holder |
 //! | F002 | determinism scope propagates through calls from pipeline roots |
 //! | F003 | public API reaching a sanctioned panic documents `# Panics` |
@@ -74,10 +74,7 @@ pub const RULE_SUMMARIES: [(&str, &str); 17] = [
     ("P002", "no .expect( in library code"),
     ("P003", "no panicking macros in library code"),
     ("P004", "no indexing by integer literal in library code"),
-    (
-        "R001",
-        "ad-hoc thread creation only inside the prc-runtime executor",
-    ),
+    ("R001", "no thread creation in library code"),
     (
         "F001",
         "sampling reachable only under a budget reservation holder",
@@ -153,12 +150,6 @@ pub(crate) mod scope {
     /// The privacy substrate, where sampling primitives are sanctioned.
     pub fn is_dp_crate(path: &str) -> bool {
         starts_with_components(path, &["crates", "dp"])
-    }
-
-    /// The structured-concurrency executor, the one crate allowed to
-    /// create threads (R001).
-    pub fn is_runtime_crate(path: &str) -> bool {
-        starts_with_components(path, &["crates", "runtime"])
     }
 
     /// The staged pipeline, where budget reservations are held.
@@ -380,7 +371,7 @@ fn line_violations(path: &str, code: &str) -> Vec<(&'static str, String)> {
             out.push((
                 "P002",
                 "library code must not `.expect(`; return a typed error (or carry a \
-                 reasoned allow for a re-raised worker panic)"
+                 reasoned allow for a checked invariant)"
                     .to_owned(),
             ));
         }
@@ -400,22 +391,17 @@ fn line_violations(path: &str, code: &str) -> Vec<(&'static str, String)> {
                     .to_owned(),
             ));
         }
-        if !scope::is_runtime_crate(path) {
-            for token in [
-                "thread::spawn",
-                "thread::scope",
-                "thread::Builder",
-                "crossbeam::thread",
-            ] {
-                if contains_token(code, token) {
-                    out.push((
-                        "R001",
-                        format!(
-                            "`{token}` creates ad-hoc threads; outside crates/runtime all \
-                             parallelism must go through the shared prc_runtime::Runtime pool"
-                        ),
-                    ));
-                }
+        for token in [
+            "thread::spawn",
+            "thread::scope",
+            "thread::Builder",
+            "crossbeam::thread",
+        ] {
+            if contains_token(code, token) {
+                out.push((
+                    "R001",
+                    format!("`{token}` creates a thread; library code runs on the caller's thread"),
+                ));
             }
         }
     }
@@ -672,7 +658,7 @@ mod tests {
     }
 
     #[test]
-    fn ad_hoc_threads_are_r001_outside_the_runtime_crate() {
+    fn thread_creation_is_r001_in_every_library_crate() {
         for src in [
             "fn f() { std::thread::spawn(|| {}); }\n",
             "fn f() { thread::scope(|s| {}); }\n",
@@ -682,17 +668,16 @@ mod tests {
             let f = lint_source("crates/core/src/x.rs", src);
             assert!(rules_of(&f).contains(&"R001"), "{src}");
         }
-        // The executor itself is the sanctioned home for thread creation.
+        // The runtime crate gets no exemption.
         let spawn = "fn f() { std::thread::spawn(|| {}); }\n";
-        assert!(lint_source("crates/runtime/src/pool.rs", spawn).is_empty());
-        // Test code stays exempt, like every per-file production rule.
-        assert!(lint_source("crates/core/tests/x.rs", spawn).is_empty());
-        assert!(lint_source("crates/bench/src/x.rs", spawn).is_empty());
-        // Sibling directories cannot spoof the runtime scope.
         assert_eq!(
-            rules_of(&lint_source("crates/runtime2/src/x.rs", spawn)),
+            rules_of(&lint_source("crates/runtime/src/lib.rs", spawn)),
             vec!["R001"]
         );
+        // Test code stays exempt, like every per-file production rule.
+        assert!(lint_source("crates/core/tests/x.rs", spawn).is_empty());
+        assert!(lint_source("tests/cost_meter_stress.rs", spawn).is_empty());
+        assert!(lint_source("crates/bench/src/x.rs", spawn).is_empty());
     }
 
     #[test]
