@@ -35,8 +35,8 @@ use prc_dp::budget::{BudgetAccountant, Epsilon};
 use rand::{rngs::StdRng, SeedableRng};
 
 use prc_net::network::{FlatNetwork, Network};
-use prc_pricing::engine::PricingEngine;
-use prc_pricing::reuse::ReuseGuard;
+use prc_pricing::engine::{PricingEngine, Quote};
+use prc_pricing::reuse::{Demand, ReuseGuard};
 
 use crate::error::CoreError;
 use crate::estimator::engine::PlanCache;
@@ -180,22 +180,13 @@ impl BatchReport {
 /// range).
 pub(crate) type CacheKey = (u64, u64, u64);
 
-/// Snapshot of the station state a query index was built against: the
-/// uniform sampling probability (as exact bits, `None` when the station
-/// is heterogeneous) and the total sample count. Used for the
-/// [`IndexState::Unavailable`] memo: while it matches, re-attempting a
-/// build at this station state is pointless.
-pub(crate) type IndexFingerprint = (Option<u64>, usize);
-
 /// The broker's query-index slot.
 #[derive(Debug, Default)]
 pub(crate) enum IndexState {
-    /// No index and no knowledge of the station (initial state).
+    /// No index: none was built yet, the station moved, or the estimator
+    /// declined to build one.
     #[default]
     Stale,
-    /// The station was inspected at this fingerprint and no index could
-    /// be built; don't retry until the station changes.
-    Unavailable(IndexFingerprint),
     /// A live index built at this station revision. Every mutation flows
     /// through [`prc_net::base_station::BaseStation::ingest`], so while
     /// the revision stands the index describes the station; once it
@@ -396,14 +387,34 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
             .map(|priced| priced.answer)
     }
 
+    /// Prices `request` for `buyer` without selling it: the quote Admit
+    /// takes for [`DataBroker::answer_as`]. `None` without an engine.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Pricing`] when the engine refuses the demand.
+    pub fn quote(
+        &mut self,
+        buyer: &str,
+        request: &QueryRequest,
+    ) -> Result<Option<Quote>, CoreError> {
+        let (query, accuracy) = (request.query, request.accuracy);
+        let range = [query.lower().to_bits(), query.upper().to_bits()];
+        let demand = Demand::new(accuracy.alpha(), accuracy.delta());
+        match self.pricing.as_deref_mut() {
+            Some(engine) => Ok(Some(engine.quote_for(buyer, range, demand)?)),
+            None => Ok(None),
+        }
+    }
+
     /// Answers one request as a *priced transaction* for a named buyer.
     ///
     /// Requires a pricing engine ([`DataBroker::enable_pricing`]): the
-    /// Admit stage quotes the demand against the posted curve (refusing
-    /// invalid or arbitrageable demands before any budget is touched),
-    /// and the Settle stage records the trade — buyer, price, and the
-    /// released plan's [`crate::optimizer::PlanSummary`] — into the
-    /// engine's ledger.
+    /// Admit stage quotes the demand through [`DataBroker::quote`]
+    /// (refusing invalid or arbitrageable demands before any budget is
+    /// touched), and the Settle stage records the trade — buyer, range,
+    /// price, and the released plan's [`crate::optimizer::PlanSummary`] —
+    /// into the engine's ledger.
     ///
     /// # Errors
     ///

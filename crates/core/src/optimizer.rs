@@ -209,7 +209,9 @@ pub fn plan_for_alpha_prime(
     let tolerance = (alpha - alpha_prime) * shape.n as f64;
     let sensitivity = resolve_sensitivity(config.sensitivity, p, shape)?;
     let eps_value = required_epsilon(sensitivity, tolerance, tau)?;
-    if eps_value <= 0.0 || !eps_value.is_finite() {
+    let noise_scale = sensitivity / eps_value;
+    // A subnormal ε gives an infinite noise scale, which no draw can use.
+    if eps_value <= 0.0 || !eps_value.is_finite() || !noise_scale.is_finite() {
         return Ok(None);
     }
     let epsilon = Epsilon::new(eps_value)?;
@@ -220,7 +222,7 @@ pub fn plan_for_alpha_prime(
         epsilon,
         effective_epsilon,
         sensitivity,
-        noise_scale: sensitivity / eps_value,
+        noise_scale,
         probability: p,
         tail_probability: tau,
     }))
@@ -251,7 +253,9 @@ pub fn plan_for_alpha_prime(
 /// * [`CoreError::InvalidProbability`] — `p ∉ (0, 1]`;
 /// * [`CoreError::InfeasibleAccuracy`] — no grid point satisfies the
 ///   constraints; the error carries the sampling probability that would
-///   make the demand feasible so the broker can top up.
+///   make the demand feasible so the broker can top up;
+/// * [`CoreError::InvalidAccuracy`] — no grid point is feasible although
+///   `p` already reaches that probability, so no top-up can help.
 pub fn optimize(
     accuracy: Accuracy,
     p: f64,
@@ -284,6 +288,13 @@ pub fn optimize(
                 crate::accuracy::required_probability_clamped(target, shape.k, shape.n).ok()
             })
             .unwrap_or(1.0);
+        // A top-up to a rate the station already has cannot help.
+        if required <= p {
+            return CoreError::InvalidAccuracy {
+                alpha,
+                delta: accuracy.delta(),
+            };
+        }
         CoreError::InfeasibleAccuracy {
             available_probability: p,
             required_probability: required,

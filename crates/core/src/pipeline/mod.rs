@@ -28,12 +28,12 @@
 //! leak budget the way the old single-phase `spend` did.
 //!
 //! Pricing rides the same stages: a priced session
-//! ([`QuerySession::for_buyer`]) quotes the demand at Admit — refusing
-//! invalid or arbitrageable demands before any budget or sample moves —
-//! and settles the sale (buyer, price, the plan's
-//! [`crate::optimizer::PlanSummary`]) into the engine's ledger at
-//! Settle, as numbers: a sale formats no text and, after its buyer's
-//! first, copies no string.
+//! ([`QuerySession::for_buyer`]) quotes the demand at Admit through
+//! [`DataBroker::quote`] — refusing invalid or arbitrageable demands
+//! before any budget or sample moves — and settles the sale (buyer,
+//! range, price, the plan's [`crate::optimizer::PlanSummary`]) into the
+//! engine's ledger at Settle, as numbers: a sale formats no text and,
+//! after its buyer's first, copies no string.
 
 pub mod batch;
 pub mod stages;
@@ -54,7 +54,8 @@ use stages::{
 pub struct PricedAnswer {
     /// The released private answer.
     pub answer: PrivateAnswer,
-    /// The posted price quoted for the demand (priced sessions only).
+    /// The price the engine quoted for the demand at Admit (priced
+    /// sessions only).
     pub price: Option<f64>,
     /// The ledger sequence number of the settled sale (priced sessions
     /// with an installed engine only).

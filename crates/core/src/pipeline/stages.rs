@@ -31,7 +31,7 @@ use prc_pricing::reuse::Demand;
 
 use crate::accuracy::required_probability_clamped;
 use crate::broker::{
-    sampling_target, CacheKey, DataBroker, IndexFingerprint, IndexPolicy, IndexState, PrivateAnswer,
+    sampling_target, CacheKey, DataBroker, IndexPolicy, IndexState, PrivateAnswer,
 };
 use crate::error::CoreError;
 use crate::estimator::engine::PlanCache;
@@ -124,12 +124,9 @@ impl Admit<'_> {
         broker: &mut DataBroker<E, N>,
     ) -> Result<Admission, CoreError> {
         let quote = match self.request {
-            Request::Demand(request) => match (&mut broker.pricing, self.buyer) {
-                (Some(engine), Some(_)) => Some(engine.quote(Demand::new(
-                    request.accuracy.alpha(),
-                    request.accuracy.delta(),
-                ))?),
-                _ => None,
+            Request::Demand(request) => match self.buyer {
+                Some(buyer) => broker.quote(buyer, &request)?,
+                None => None,
             },
             Request::Fixed { probability: p, .. } => {
                 if !(0.0..=1.0).contains(&p) || p == 0.0 {
@@ -422,8 +419,10 @@ impl Settle<'_> {
         cache_store(broker, &self.answer);
         let (price, settlement) = match (self.quote, self.buyer, &mut broker.pricing) {
             (Some(quote), Some(buyer), Some(engine)) => {
+                let query = self.answer.query;
                 let sequence = engine.settle(Settlement {
                     buyer,
+                    range: [query.lower().to_bits(), query.upper().to_bits()],
                     demand: quote.demand,
                     price: quote.price,
                     plan: self.answer.plan.summary(),
@@ -553,17 +552,7 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
         broker.index = IndexState::Stale;
     }
 
-    let fingerprint: IndexFingerprint = (
-        station.uniform_probability().map(f64::to_bits),
-        station.total_samples(),
-    );
-    if let IndexState::Unavailable(f) = &broker.index {
-        if *f == fingerprint {
-            return;
-        }
-    }
-
-    // 3: build-from-scratch decision.
+    // 3: build-from-scratch decision (the slot is stale here).
     let entries = station.total_samples();
     let should_build = match broker.index_policy {
         IndexPolicy::Always => true,
@@ -576,17 +565,13 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
         }
     };
     if !should_build {
-        broker.index = IndexState::Stale;
         return;
     }
-    broker.index = match broker.estimator.build_index(station) {
-        Some(index) => {
-            broker.counters.index_builds += 1;
-            broker.build_accrual = crate::estimator::BuildAccrual::default();
-            IndexState::Ready(revision, index)
-        }
-        None => IndexState::Unavailable(fingerprint),
-    };
+    if let Some(index) = broker.estimator.build_index(station) {
+        broker.counters.index_builds += 1;
+        broker.build_accrual = crate::estimator::BuildAccrual::default();
+        broker.index = IndexState::Ready(revision, index);
+    }
 }
 
 /// Looks a request up in the answer cache, if caching is enabled.

@@ -209,7 +209,11 @@ pub fn required_epsilon(sensitivity: f64, t: f64, prob: f64) -> Result<f64, DpEr
     if !sensitivity.is_finite() || sensitivity <= 0.0 {
         return Err(DpError::InvalidSensitivity { value: sensitivity });
     }
-    Ok(sensitivity / t * (1.0 / (1.0 - prob)).ln())
+    // Where 1 − prob rounds to 1, −ln(1 − prob) equals prob to double
+    // precision, while the closed form would read 0.
+    let keep = 1.0 - prob;
+    let log_term = if keep == 1.0 { prob } else { (1.0 / keep).ln() };
+    Ok(sensitivity / t * log_term)
 }
 
 #[cfg(test)]
@@ -321,6 +325,15 @@ mod tests {
     fn required_epsilon_zero_prob_is_zero() {
         // prob = 0 needs no noise control at all.
         assert_eq!(required_epsilon(1.0, 1.0, 0.0).unwrap(), 0.0);
+    }
+
+    #[test]
+    fn required_epsilon_stays_positive_below_the_rounding_of_one_minus_prob() {
+        // 1 − 1e-20 rounds to 1, so ln(1/(1 − prob)) reads 0 there.
+        let eps = required_epsilon(2.0, 4.0, 1e-20).unwrap();
+        assert_eq!(eps, 0.5 * 1e-20);
+        let subnormal = required_epsilon(1.0, 1.0, f64::from_bits(1)).unwrap();
+        assert_eq!(subnormal.to_bits(), 1);
     }
 
     #[test]

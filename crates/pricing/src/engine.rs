@@ -6,9 +6,10 @@
 //! settled in the ledger. [`PricingEngine`] is the seam the broker's
 //! query pipeline drives that transaction through:
 //!
-//! 1. **Admit** calls [`PricingEngine::quote`] — the demand is validated,
-//!    certified free of averaging arbitrage (Definition 2.3, via the
-//!    [`crate::arbitrage`] simulator), and priced;
+//! 1. **Admit** calls [`PricingEngine::quote_for`] with the buyer and the
+//!    range — the demand is validated, certified free of averaging
+//!    arbitrage (Definition 2.3, via the [`crate::arbitrage`] simulator),
+//!    and priced;
 //! 2. the broker runs its private pipeline (reserve → collect →
 //!    estimate → perturb);
 //! 3. **Settle** calls [`PricingEngine::settle`] with the released
@@ -18,7 +19,8 @@
 //! [`PostedPriceEngine`] is the canonical implementation: a posted price
 //! curve over a variance model, with per-demand arbitrage certification
 //! memoized so each distinct demand pays the (deterministic, seeded)
-//! simulator cost once.
+//! simulator cost once. [`crate::history::HistoryAwarePricing`] wraps it
+//! and charges each buyer the marginal price of what they already hold.
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
@@ -35,7 +37,8 @@ use crate::variance::VarianceModel;
 pub struct Quote {
     /// The demand quoted.
     pub demand: Demand,
-    /// The posted price of the demand.
+    /// The price of the demand: the posted price, or for a history-aware
+    /// engine the buyer's marginal price.
     pub price: f64,
     /// The variance the model promises an answer at this demand.
     pub variance: f64,
@@ -48,6 +51,9 @@ pub struct Quote {
 pub struct Settlement<'a> {
     /// The purchasing consumer.
     pub buyer: &'a str,
+    /// The bits of the queried range's bounds, `[lower, upper]`, with a
+    /// `−0.0` bound read as `+0.0` (so one range has one key).
+    pub range: [u64; 2],
     /// The demand that was quoted and answered.
     pub demand: Demand,
     /// The price quoted at admission (what the buyer pays).
@@ -74,6 +80,23 @@ pub trait PricingEngine: Debug + Send + Sync {
     /// * [`PricingError::ArbitrageDetected`] — the posted curve is
     ///   exploitable at this demand, so the engine refuses to sell.
     fn quote(&mut self, demand: Demand) -> Result<Quote, PricingError>;
+
+    /// Prices `demand` for `buyer` over the range with bound bits
+    /// `range` (as in [`Settlement::range`]); Admit calls this. The
+    /// default is [`PricingEngine::quote`]. A wrapping engine must
+    /// forward it, or the inner engine's history is lost.
+    ///
+    /// # Errors
+    ///
+    /// As [`PricingEngine::quote`].
+    fn quote_for(
+        &mut self,
+        _buyer: &str,
+        _range: [u64; 2],
+        demand: Demand,
+    ) -> Result<Quote, PricingError> {
+        self.quote(demand)
+    }
 
     /// Records a completed sale in the ledger and returns its sequence
     /// number.
@@ -114,6 +137,7 @@ pub trait PricingEngine: Debug + Send + Sync {
 /// };
 /// let seq = engine.settle(Settlement {
 ///     buyer: "alice",
+///     range: [80f64.to_bits(), 120f64.to_bits()],
 ///     demand: quote.demand,
 ///     price: quote.price,
 ///     plan,
@@ -122,13 +146,12 @@ pub trait PricingEngine: Debug + Send + Sync {
 /// assert_eq!(engine.ledger().len(), 1);
 /// let record = engine.ledger().records()[0];
 /// assert_eq!(engine.ledger().buyers()[record.buyer], "alice");
-/// assert_eq!(record.plan.map(|p| p.to_string()), Some(plan.to_string()));
+/// assert_eq!(record.plan.to_string(), plan.to_string());
 /// ```
 #[derive(Debug)]
 pub struct PostedPriceEngine<F, M> {
     pricing: F,
-    model: M,
-    attack_config: AttackConfig,
+    pub(crate) model: M,
     certified: BTreeSet<(u64, u64)>,
     ledger: TradeLedger,
 }
@@ -138,18 +161,11 @@ where
     F: PricingFunction,
     M: VarianceModel,
 {
-    /// Wraps a posted pricing function and its variance model, with the
-    /// default arbitrage-search configuration.
+    /// Wraps a posted pricing function and its variance model.
     pub fn new(pricing: F, model: M) -> Self {
-        PostedPriceEngine::with_attack_config(pricing, model, AttackConfig::default())
-    }
-
-    /// Same, with an explicit arbitrage-search configuration.
-    pub fn with_attack_config(pricing: F, model: M, attack_config: AttackConfig) -> Self {
         PostedPriceEngine {
             pricing,
             model,
-            attack_config,
             certified: BTreeSet::new(),
             ledger: TradeLedger::new(),
         }
@@ -182,7 +198,7 @@ where
                 &self.pricing,
                 &self.model,
                 &[(alpha, delta)],
-                &self.attack_config,
+                &AttackConfig::default(),
             );
             if let Some(attack) = attacks.first() {
                 return Err(PricingError::ArbitrageDetected {
@@ -297,6 +313,7 @@ mod tests {
         };
         let seq = e.settle(Settlement {
             buyer: "alice",
+            range: [0, 1],
             demand: quote.demand,
             price: quote.price,
             plan,
@@ -304,7 +321,7 @@ mod tests {
         assert_eq!(seq, 0);
         let record = &e.ledger().records()[0];
         assert_eq!(e.ledger().buyers()[record.buyer], "alice");
-        assert_eq!(record.plan.map(|p| p.noise_variance), Some(2.5));
+        assert_eq!(record.plan.noise_variance, 2.5);
         assert!((record.price - quote.price).abs() < 1e-12);
     }
 

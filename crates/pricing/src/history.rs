@@ -23,10 +23,15 @@
 //! small pieces never *loses* money either.
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 
+use crate::engine::{PostedPriceEngine, PricingEngine, Quote, Settlement};
+use crate::error::PricingError;
 use crate::functions::{
     InverseVariancePricing, LogPrecisionPricing, PricingFunction, SqrtPrecisionPricing,
 };
+use crate::ledger::TradeLedger;
+use crate::reuse::Demand;
 use crate::variance::VarianceModel;
 
 /// A pricing function expressed over *precision* `w = 1/V`.
@@ -68,122 +73,160 @@ impl<M: VarianceModel> PrecisionPricing for LogPrecisionPricing<M> {
     }
 }
 
-/// Marginal-information pricing over a buyer/query purchase history.
+/// Marginal-information pricing: a [`PricingEngine`] that charges each
+/// buyer `f(w_before + w_new) − f(w_before)` for one more answer over a
+/// range they already hold precision `w_before` on.
+///
+/// It wraps a [`PostedPriceEngine`] over the same curve, so validation,
+/// arbitrage certification and the ledger are the posted engine's. History
+/// adds the marginal price at quote ([`PricingEngine::quote_for`]) and the
+/// held precision at settle. Holdings are keyed by the buyer's ledger id
+/// and the range's bound bits; a buyer with no sale yet holds nothing.
 ///
 /// # Examples
 ///
 /// ```
-/// use prc_pricing::functions::SqrtPrecisionPricing;
-/// use prc_pricing::history::HistoryAwarePricing;
-/// use prc_pricing::variance::ChebyshevVariance;
+/// use prc_pricing::{ChebyshevVariance, Demand, HistoryAwarePricing, PlanSummary};
+/// use prc_pricing::{PricingEngine, Settlement, SqrtPrecisionPricing};
 ///
 /// let model = ChebyshevVariance::new(10_000);
 /// let mut pricing = HistoryAwarePricing::new(SqrtPrecisionPricing::new(1e3, model), model);
-/// let first = pricing.purchase("alice", "ozone:[80,120]", 0.1, 0.5);
-/// let second = pricing.purchase("alice", "ozone:[80,120]", 0.1, 0.5);
+/// let (range, demand) = ([80f64.to_bits(), 120f64.to_bits()], Demand::new(0.1, 0.5));
+/// let first = pricing.quote_for("alice", range, demand).unwrap().price;
+/// let plan = PlanSummary {
+///     epsilon: 0.9,
+///     effective_epsilon: 0.4,
+///     sensitivity: 1.2,
+///     noise_scale: 1.2 / 0.9,
+///     noise_variance: 2.0 * (1.2f64 / 0.9).powi(2),
+///     probability: 0.4,
+/// };
+/// pricing.settle(Settlement { buyer: "alice", range, demand, price: first, plan });
 /// // Under a concave posted price, the repeat purchase is discounted.
-/// assert!(second < first);
+/// assert!(pricing.quote_for("alice", range, demand).unwrap().price < first);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HistoryAwarePricing<F, M> {
-    base: F,
-    model: M,
-    /// Accumulated precision per (buyer, query key). A `BTreeMap` keeps
-    /// every exported view of the ledger in a stable, reproducible order.
-    holdings: BTreeMap<(String, String), f64>,
+    posted: PostedPriceEngine<F, M>,
+    /// Accumulated precision per (ledger buyer id, range bound bits).
+    holdings: BTreeMap<(usize, [u64; 2]), f64>,
 }
 
 impl<F, M> HistoryAwarePricing<F, M>
 where
-    F: PricingFunction + PrecisionPricing,
-    M: VarianceModel,
+    F: PricingFunction + PrecisionPricing + Debug + Send + Sync,
+    M: VarianceModel + Debug + Send + Sync,
 {
     /// Wraps a posted pricing function and its variance model.
     pub fn new(base: F, model: M) -> Self {
         HistoryAwarePricing {
-            base,
-            model,
+            posted: PostedPriceEngine::new(base, model),
             holdings: BTreeMap::new(),
         }
     }
 
-    /// The underlying posted pricing function.
-    pub fn base(&self) -> &F {
-        &self.base
+    /// The posted engine's quote for `demand`, priced at the marginal
+    /// cost of adding its precision to `w_before`.
+    fn marginal(&mut self, w_before: f64, demand: Demand) -> Result<Quote, PricingError> {
+        let quote = self.posted.quote(demand)?;
+        let w_new = 1.0 / quote.variance;
+        let f = |w| self.posted.pricing().price_of_precision(w);
+        let price = (f(w_before + w_new) - f(w_before)).max(0.0);
+        Ok(Quote { price, ..quote })
+    }
+}
+
+impl<F, M> PricingEngine for HistoryAwarePricing<F, M>
+where
+    F: PricingFunction + PrecisionPricing + Debug + Send + Sync,
+    M: VarianceModel + Debug + Send + Sync,
+{
+    /// The price for a buyer who holds nothing yet.
+    fn quote(&mut self, demand: Demand) -> Result<Quote, PricingError> {
+        self.marginal(0.0, demand)
     }
 
-    /// Precision the buyer already holds for the query.
-    pub fn held_precision(&self, buyer: &str, query_key: &str) -> f64 {
-        self.holdings
-            .get(&(buyer.to_owned(), query_key.to_owned()))
-            .copied()
-            .unwrap_or(0.0)
+    fn quote_for(
+        &mut self,
+        buyer: &str,
+        range: [u64; 2],
+        demand: Demand,
+    ) -> Result<Quote, PricingError> {
+        let id = self.posted.ledger().buyer_id(buyer);
+        let held = id.and_then(|id| self.holdings.get(&(id, range)).copied());
+        self.marginal(held.unwrap_or(0.0), demand)
     }
 
-    /// The marginal price of one more `(α, δ)` answer for this buyer and
-    /// query, without recording a purchase.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `α` or `δ` is outside `(0, 1)` (propagated from the
-    /// variance model).
-    pub fn quote(&self, buyer: &str, query_key: &str, alpha: f64, delta: f64) -> f64 {
-        let w_new = 1.0 / self.model.variance(alpha, delta);
-        let w_before = self.held_precision(buyer, query_key);
-        (self.base.price_of_precision(w_before + w_new) - self.base.price_of_precision(w_before))
-            .max(0.0)
-    }
-
-    /// Records a purchase and returns the charged (marginal) price.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `α` or `δ` is outside `(0, 1)`.
-    pub fn purchase(&mut self, buyer: &str, query_key: &str, alpha: f64, delta: f64) -> f64 {
-        let price = self.quote(buyer, query_key, alpha, delta);
-        let w_new = 1.0 / self.model.variance(alpha, delta);
-        *self
+    fn settle(&mut self, settlement: Settlement<'_>) -> u64 {
+        let sequence = self.posted.settle(settlement);
+        let buyer = self.posted.ledger().records()[sequence as usize].buyer;
+        let Demand { alpha, delta } = settlement.demand;
+        let held = self
             .holdings
-            .entry((buyer.to_owned(), query_key.to_owned()))
-            .or_insert(0.0) += w_new;
-        price
+            .entry((buyer, settlement.range))
+            .or_insert(0.0);
+        *held += 1.0 / self.posted.model.variance(alpha, delta);
+        sequence
     }
 
-    /// Forgets one buyer's history (e.g. after a data refresh makes old
-    /// answers stale).
-    pub fn forget_buyer(&mut self, buyer: &str) {
-        self.holdings.retain(|(b, _), _| b != buyer);
-    }
-
-    /// The full ledger of held precisions, sorted by `(buyer, query key)`.
-    ///
-    /// The iteration order is deterministic — identical purchase
-    /// histories always export identical sequences — so audit logs and
-    /// serialized reports built from it are byte-reproducible.
-    pub fn holdings(&self) -> impl Iterator<Item = (&str, &str, f64)> {
-        self.holdings
-            .iter()
-            .map(|((buyer, query), &w)| (buyer.as_str(), query.as_str(), w))
+    fn ledger(&self) -> &TradeLedger {
+        self.posted.ledger()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ledger::PlanSummary;
     use crate::variance::ChebyshevVariance;
 
     fn model() -> ChebyshevVariance {
         ChebyshevVariance::new(10_000)
     }
 
+    /// The bound bits of test range `q`.
+    fn range(q: u64) -> [u64; 2] {
+        [q, q + 1]
+    }
+
+    /// What `buyer` would pay for one more `(α, δ)` answer over `q`.
+    fn quote(pricing: &mut dyn PricingEngine, buyer: &str, q: u64, a: f64, d: f64) -> f64 {
+        pricing
+            .quote_for(buyer, range(q), Demand::new(a, d))
+            .unwrap()
+            .price
+    }
+
+    /// Sells one `(α, δ)` answer over `q` and returns the price charged.
+    fn buy(pricing: &mut dyn PricingEngine, buyer: &str, q: u64, a: f64, d: f64) -> f64 {
+        let price = quote(pricing, buyer, q, a, d);
+        let plan = PlanSummary {
+            epsilon: 1.0,
+            effective_epsilon: 0.5,
+            sensitivity: 1.0,
+            noise_scale: 1.0,
+            noise_variance: 2.0,
+            probability: 0.5,
+        };
+        pricing.settle(Settlement {
+            buyer,
+            range: range(q),
+            demand: Demand::new(a, d),
+            price,
+            plan,
+        });
+        price
+    }
+
     #[test]
     fn first_purchase_matches_posted_price() {
         let base = InverseVariancePricing::new(1e6, model());
         let mut pricing = HistoryAwarePricing::new(base, model());
-        let quoted = pricing.quote("alice", "q1", 0.1, 0.5);
+        let quoted = quote(&mut pricing, "alice", 1, 0.1, 0.5);
         assert!((quoted - base.price(0.1, 0.5)).abs() < 1e-9);
-        let charged = pricing.purchase("alice", "q1", 0.1, 0.5);
+        let charged = buy(&mut pricing, "alice", 1, 0.1, 0.5);
         assert_eq!(charged, quoted);
+        assert_eq!(pricing.ledger().records()[0].price, charged);
     }
 
     #[test]
@@ -192,10 +235,10 @@ mod tests {
         // answer never depends on history.
         let base = InverseVariancePricing::new(1e6, model());
         let mut pricing = HistoryAwarePricing::new(base, model());
-        let fresh = pricing.quote("alice", "q1", 0.05, 0.8);
-        pricing.purchase("alice", "q1", 0.2, 0.5);
-        pricing.purchase("alice", "q1", 0.1, 0.9);
-        let after_history = pricing.quote("alice", "q1", 0.05, 0.8);
+        let fresh = quote(&mut pricing, "alice", 1, 0.05, 0.8);
+        buy(&mut pricing, "alice", 1, 0.2, 0.5);
+        buy(&mut pricing, "alice", 1, 0.1, 0.9);
+        let after_history = quote(&mut pricing, "alice", 1, 0.05, 0.8);
         assert!((fresh - after_history).abs() / fresh < 1e-9);
     }
 
@@ -206,9 +249,9 @@ mod tests {
         // information.
         let base = SqrtPrecisionPricing::new(1e3, model());
         let mut pricing = HistoryAwarePricing::new(base, model());
-        let p1 = pricing.purchase("bob", "q1", 0.1, 0.5);
-        let p2 = pricing.purchase("bob", "q1", 0.1, 0.5);
-        let p3 = pricing.purchase("bob", "q1", 0.1, 0.5);
+        let p1 = buy(&mut pricing, "bob", 1, 0.1, 0.5);
+        let p2 = buy(&mut pricing, "bob", 1, 0.1, 0.5);
+        let p3 = buy(&mut pricing, "bob", 1, 0.1, 0.5);
         assert!(p1 > p2 && p2 > p3, "{p1} > {p2} > {p3} expected");
         assert!(p3 > 0.0);
     }
@@ -225,7 +268,7 @@ mod tests {
         let total = |path: &[(f64, f64)]| {
             let mut pricing = HistoryAwarePricing::new(base, m);
             path.iter()
-                .map(|&(a, d)| pricing.purchase("carol", "q", a, d))
+                .map(|&(a, d)| buy(&mut pricing, "carol", 1, a, d))
                 .sum::<f64>()
         };
         let total_a = total(&path_a);
@@ -245,11 +288,10 @@ mod tests {
         let m = model();
         let target_w = 1.0 / m.variance(0.03, 0.9);
 
-        fn check<F: PricingFunction + PrecisionPricing + Clone>(
-            base: F,
-            m: ChebyshevVariance,
-            target_w: f64,
-        ) {
+        fn check<F>(base: F, m: ChebyshevVariance, target_w: f64)
+        where
+            F: PricingFunction + PrecisionPricing + Clone + Debug + Send + Sync,
+        {
             let direct = base.price_of_precision(target_w);
             let mut pricing = HistoryAwarePricing::new(base, m);
             // Ten equal slices of the target precision: realized as ten
@@ -261,7 +303,7 @@ mod tests {
             let delta = m.delta_for_variance(alpha, slice_v);
             assert!(delta > 0.0 && delta < 1.0, "crafted slice must be valid");
             let total: f64 = (0..10)
-                .map(|_| pricing.purchase("dave", "q", alpha, delta))
+                .map(|_| buy(&mut pricing, "dave", 1, alpha, delta))
                 .sum();
             assert!(
                 (total - direct).abs() / direct < 1e-6,
@@ -277,71 +319,14 @@ mod tests {
     fn histories_are_isolated_per_buyer_and_query() {
         let base = SqrtPrecisionPricing::new(1e3, model());
         let mut pricing = HistoryAwarePricing::new(base, model());
-        let fresh = pricing.quote("alice", "q1", 0.1, 0.5);
-        pricing.purchase("alice", "q1", 0.1, 0.5);
+        let fresh = quote(&mut pricing, "alice", 1, 0.1, 0.5);
+        buy(&mut pricing, "alice", 1, 0.1, 0.5);
         // Other buyer and other query still pay the fresh price.
-        assert_eq!(pricing.quote("bob", "q1", 0.1, 0.5), fresh);
-        assert_eq!(pricing.quote("alice", "q2", 0.1, 0.5), fresh);
-        // Alice on q1 pays less.
-        assert!(pricing.quote("alice", "q1", 0.1, 0.5) < fresh);
-        assert!(pricing.held_precision("alice", "q1") > 0.0);
-        assert_eq!(pricing.held_precision("bob", "q1"), 0.0);
-    }
-
-    #[test]
-    fn forget_buyer_resets_their_discounts() {
-        let base = SqrtPrecisionPricing::new(1e3, model());
-        let mut pricing = HistoryAwarePricing::new(base, model());
-        let fresh = pricing.quote("alice", "q1", 0.1, 0.5);
-        pricing.purchase("alice", "q1", 0.1, 0.5);
-        pricing.purchase("bob", "q1", 0.1, 0.5);
-        pricing.forget_buyer("alice");
-        assert_eq!(pricing.quote("alice", "q1", 0.1, 0.5), fresh);
-        // Bob's history survives.
-        assert!(pricing.quote("bob", "q1", 0.1, 0.5) < fresh);
-    }
-
-    #[test]
-    fn holdings_export_is_sorted_and_insertion_order_independent() {
-        let keys = [
-            ("carol", "q2"),
-            ("alice", "q9"),
-            ("bob", "q1"),
-            ("alice", "q1"),
-            ("carol", "q1"),
-        ];
-        let export = |order: &[(&str, &str)]| {
-            let mut pricing =
-                HistoryAwarePricing::new(SqrtPrecisionPricing::new(1e3, model()), model());
-            for &(buyer, query) in order {
-                pricing.purchase(buyer, query, 0.1, 0.5);
-            }
-            pricing
-                .holdings()
-                .map(|(b, q, w)| (b.to_owned(), q.to_owned(), w))
-                .collect::<Vec<_>>()
-        };
-        let forward = export(&keys);
-        let mut reversed_keys = keys;
-        reversed_keys.reverse();
-        let backward = export(&reversed_keys);
-        // The emitted order is pinned to the sorted key order, whatever
-        // order purchases arrived in.
-        assert_eq!(forward, backward);
-        let emitted: Vec<(&str, &str)> = forward
-            .iter()
-            .map(|(b, q, _)| (b.as_str(), q.as_str()))
-            .collect();
-        assert_eq!(
-            emitted,
-            vec![
-                ("alice", "q1"),
-                ("alice", "q9"),
-                ("bob", "q1"),
-                ("carol", "q1"),
-                ("carol", "q2"),
-            ]
-        );
+        assert_eq!(quote(&mut pricing, "bob", 1, 0.1, 0.5), fresh);
+        assert_eq!(quote(&mut pricing, "alice", 2, 0.1, 0.5), fresh);
+        // Alice on q1 pays less; a quote without a buyer is the fresh price.
+        assert!(quote(&mut pricing, "alice", 1, 0.1, 0.5) < fresh);
+        assert_eq!(pricing.quote(Demand::new(0.1, 0.5)).unwrap().price, fresh);
     }
 
     #[test]
@@ -349,7 +334,7 @@ mod tests {
         let base = LogPrecisionPricing::new(10.0, model());
         let mut pricing = HistoryAwarePricing::new(base, model());
         for _ in 0..50 {
-            let q = pricing.purchase("eve", "q", 0.9, 0.01);
+            let q = buy(&mut pricing, "eve", 1, 0.9, 0.01);
             assert!(q >= 0.0);
         }
     }

@@ -2,10 +2,10 @@
 //!
 //! A sale is recorded as plain numbers: the buyer is an id into the
 //! ledger's name table (names are copied on a buyer's first sale, not
-//! on every sale), and a pipeline settlement carries the released
-//! answer's [`PlanSummary`] as its six `f64`s. Text is rendered only
-//! when someone reads it (`record.plan.map(|p| p.to_string())`), so a
-//! record is fixed-size and recording one formats nothing.
+//! on every sale), and every sale is a pipeline settlement carrying the
+//! released answer's [`PlanSummary`] as its six `f64`s. Text is
+//! rendered only when someone reads it (`record.plan.to_string()`), so
+//! a record is fixed-size and recording one formats nothing.
 
 use std::collections::BTreeMap;
 
@@ -13,8 +13,8 @@ use std::collections::BTreeMap;
 /// settlement record or log line needs, with the noise variance
 /// derived once from the plan's own scale.
 ///
-/// Owned by the pricing ledger, which stores one per pipeline
-/// settlement; the broker builds it with `prc_core`'s
+/// Owned by the pricing ledger, which stores one per settlement; the
+/// broker builds it with `prc_core`'s
 /// `PerturbationPlan::summary()` (re-exported there as
 /// `prc_core::PlanSummary`). `Display` renders the summary as one line.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -61,10 +61,8 @@ pub struct TradeRecord {
     pub delta: f64,
     /// Price charged.
     pub price: f64,
-    /// Perturbation-plan summary of the released answer, when the sale
-    /// was settled through the broker pipeline (`None` for bare quotes
-    /// recorded without a released answer).
-    pub plan: Option<PlanSummary>,
+    /// Perturbation-plan summary of the released answer.
+    pub plan: PlanSummary,
 }
 
 /// An append-only ledger of sales with revenue accounting.
@@ -83,17 +81,9 @@ impl TradeLedger {
         TradeLedger::default()
     }
 
-    /// Records one sale and returns its sequence number.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `price` is negative or not finite.
-    pub fn record(&mut self, buyer: &str, alpha: f64, delta: f64, price: f64) -> u64 {
-        self.push(buyer, alpha, delta, price, None)
-    }
-
     /// Records one pipeline settlement — a sale carrying the released
-    /// answer's plan summary — and returns its sequence number.
+    /// answer's plan summary — and returns its sequence number, interning
+    /// `buyer` on its first sale.
     ///
     /// # Panics
     ///
@@ -106,24 +96,12 @@ impl TradeLedger {
         price: f64,
         plan: PlanSummary,
     ) -> u64 {
-        self.push(buyer, alpha, delta, price, Some(plan))
-    }
-
-    /// Appends one record, interning `buyer` on its first sale.
-    fn push(
-        &mut self,
-        buyer: &str,
-        alpha: f64,
-        delta: f64,
-        price: f64,
-        plan: Option<PlanSummary>,
-    ) -> u64 {
         assert!(
             price.is_finite() && price >= 0.0,
             "price must be finite and non-negative, got {price}"
         );
-        let buyer = match self.buyer_ids.get(buyer) {
-            Some(&id) => id,
+        let buyer = match self.buyer_id(buyer) {
+            Some(id) => id,
             None => {
                 let id = self.buyers.len();
                 self.buyers.push(buyer.to_owned());
@@ -141,6 +119,11 @@ impl TradeLedger {
             plan,
         });
         sequence
+    }
+
+    /// The id [`TradeRecord::buyer`] gives `buyer`, if they have bought.
+    pub(crate) fn buyer_id(&self, buyer: &str) -> Option<usize> {
+        self.buyer_ids.get(buyer).copied()
     }
 
     /// Number of recorded sales.
@@ -180,7 +163,7 @@ impl TradeLedger {
 
     /// Total spend of one buyer.
     pub fn buyer_spend(&self, buyer: &str) -> f64 {
-        let id = self.buyer_ids.get(buyer).copied();
+        let id = self.buyer_id(buyer);
         self.records
             .iter()
             .filter(|r| Some(r.buyer) == id)
@@ -204,13 +187,18 @@ mod tests {
         }
     }
 
+    /// Records a sale whose plan is the same for every test sale.
+    fn sell(ledger: &mut TradeLedger, buyer: &str, alpha: f64, delta: f64, price: f64) -> u64 {
+        ledger.record_settlement(buyer, alpha, delta, price, plan(2.0))
+    }
+
     #[test]
     fn records_accumulate_in_order() {
         let mut ledger = TradeLedger::new();
         assert!(ledger.is_empty());
-        assert_eq!(ledger.record("alice", 0.1, 0.8, 10.0), 0);
-        assert_eq!(ledger.record("bob", 0.2, 0.5, 4.0), 1);
-        assert_eq!(ledger.record("alice", 0.05, 0.9, 25.0), 2);
+        assert_eq!(sell(&mut ledger, "alice", 0.1, 0.8, 10.0), 0);
+        assert_eq!(sell(&mut ledger, "bob", 0.2, 0.5, 4.0), 1);
+        assert_eq!(sell(&mut ledger, "alice", 0.05, 0.9, 25.0), 2);
         assert_eq!(ledger.len(), 3);
         assert_eq!(ledger.buyers()[ledger.records()[1].buyer], "bob");
     }
@@ -218,9 +206,9 @@ mod tests {
     #[test]
     fn revenue_accounting() {
         let mut ledger = TradeLedger::new();
-        ledger.record("alice", 0.1, 0.8, 10.0);
-        ledger.record("bob", 0.2, 0.5, 4.0);
-        ledger.record("alice", 0.05, 0.9, 25.0);
+        sell(&mut ledger, "alice", 0.1, 0.8, 10.0);
+        sell(&mut ledger, "bob", 0.2, 0.5, 4.0);
+        sell(&mut ledger, "alice", 0.05, 0.9, 25.0);
         assert!((ledger.total_revenue() - 39.0).abs() < 1e-12);
         assert!((ledger.buyer_spend("alice") - 35.0).abs() < 1e-12);
         assert_eq!(ledger.buyer_spend("carol"), 0.0);
@@ -232,24 +220,18 @@ mod tests {
     #[test]
     #[should_panic(expected = "price must be finite")]
     fn negative_price_panics() {
-        TradeLedger::new().record("mallory", 0.1, 0.5, -1.0);
+        sell(&mut TradeLedger::new(), "mallory", 0.1, 0.5, -1.0);
     }
 
     #[test]
     fn settlements_carry_the_released_answer_metadata() {
         let mut ledger = TradeLedger::new();
-        ledger.record("alice", 0.1, 0.8, 10.0);
+        sell(&mut ledger, "alice", 0.1, 0.8, 10.0);
         let seq = ledger.record_settlement("bob", 0.05, 0.9, 25.0, plan(3.125));
         assert_eq!(seq, 1);
-        let bare = &ledger.records()[0];
-        assert_eq!(bare.plan, None);
         let settled = &ledger.records()[1];
-        assert_eq!(settled.plan.map(|p| p.noise_variance), Some(3.125));
-        assert_eq!(
-            settled.plan.map(|p| p.to_string()),
-            Some(plan(3.125).to_string())
-        );
-        // Settlements participate in revenue accounting like any sale.
+        assert_eq!(settled.plan.noise_variance, 3.125);
+        assert_eq!(settled.plan.to_string(), plan(3.125).to_string());
         assert!((ledger.total_revenue() - 35.0).abs() < 1e-12);
     }
 
@@ -257,8 +239,8 @@ mod tests {
     fn each_buyer_gets_one_id() {
         let mut ledger = TradeLedger::new();
         for _ in 0..3 {
-            ledger.record_settlement("alice", 0.1, 0.8, 1.0, plan(2.0));
-            ledger.record("bob", 0.1, 0.8, 1.0);
+            sell(&mut ledger, "alice", 0.1, 0.8, 1.0);
+            sell(&mut ledger, "bob", 0.1, 0.8, 1.0);
         }
         assert_eq!(ledger.buyers(), ["alice", "bob"]);
         let ids: Vec<usize> = ledger.records().iter().map(|r| r.buyer).collect();

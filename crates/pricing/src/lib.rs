@@ -30,7 +30,9 @@
 //!   records carrying each released answer's [`ledger::PlanSummary`];
 //! * [`engine`] — the [`engine::PricingEngine`] seam the broker's query
 //!   pipeline drives the whole transaction through (quote → release →
-//!   settle).
+//!   settle);
+//! * [`history`] — [`history::HistoryAwarePricing`], an engine charging
+//!   each buyer the marginal price of the precision they already hold.
 //!
 //! ## Quick start
 //!

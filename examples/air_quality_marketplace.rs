@@ -20,9 +20,8 @@ struct Customer {
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let dataset = CityPulseGenerator::new(2014).generate();
-    let n = dataset.len();
-    let pricing = InverseVariancePricing::new(5e8, ChebyshevVariance::new(n));
-    let mut ledger = TradeLedger::new();
+    let model = ChebyshevVariance::new(dataset.len());
+    let mut sales = Vec::new();
 
     // One broker per air-quality index, sharing nothing (parallel
     // composition would apply across disjoint series; we keep separate
@@ -72,19 +71,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let truth = network.exact_range_count(customer.range.0, customer.range.1);
         let mut broker = DataBroker::new(network, 99);
         broker.set_privacy_budget(Epsilon::new(1.0)?);
+        broker.enable_pricing(Box::new(PostedPriceEngine::new(
+            InverseVariancePricing::new(5e8, model),
+            model,
+        )));
 
         let request = QueryRequest::new(
             RangeQuery::new(customer.range.0, customer.range.1)?,
             Accuracy::new(customer.accuracy.0, customer.accuracy.1)?,
         );
-        let answer = broker.answer(&request)?;
-        let price = pricing.price(customer.accuracy.0, customer.accuracy.1);
-        ledger.record(
-            customer.name,
-            customer.accuracy.0,
-            customer.accuracy.1,
-            price,
-        );
+        let PricedAnswer { answer, price, .. } = broker.answer_as(customer.name, &request)?;
+        let price = price.unwrap();
+        sales.push((customer.name, price));
 
         let rel_err = if truth > 0 {
             (answer.value - truth as f64).abs() / truth as f64 * 100.0
@@ -106,10 +104,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{:-<100}", "");
     println!(
         "broker revenue: {:.2} credits over {} trades",
-        ledger.total_revenue(),
-        ledger.len()
+        sales.iter().map(|&(_, price)| price).sum::<f64>(),
+        sales.len()
     );
-    for (buyer, revenue) in ledger.revenue_by_buyer() {
+    sales.sort_by_key(|&(buyer, _)| buyer);
+    for (buyer, revenue) in sales {
         println!("  {buyer:<16} {revenue:>10.2}");
     }
     println!("\nnote: stricter accuracy (health-agency) pays the most — price is c/V(α, δ),");

@@ -91,17 +91,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\nmarketplace session (history-aware pricing, audited answers):");
     let request = QueryRequest::new(RangeQuery::new(100.0, 200.0)?, Accuracy::new(0.08, 0.8)?);
     for round in 1..=3 {
-        let quote = market.quote("analyst", &request);
-        let receipt = market.buy("analyst", &request)?;
+        let quote = market.quote("analyst", &request)?.unwrap().price;
+        let sale = market.buy("analyst", &request)?;
         let shape = NetworkShape::from_station(market.broker().network().station())?;
-        let audit = if verify_answer(&receipt.answer, shape).is_ok() {
+        let audit = if verify_answer(&sale.answer, shape).is_ok() {
             "audit PASS"
         } else {
             "audit FAIL"
         };
         println!(
             "  purchase {round}: quoted {quote:>9.2}, charged {:>9.2}, answer {:>8.1}  [{audit}]",
-            receipt.price, receipt.answer.value
+            sale.price.unwrap(),
+            sale.answer.value
         );
     }
     println!(

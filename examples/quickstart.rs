@@ -27,11 +27,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     let truth = network.exact_range_count(80.0, 120.0);
 
-    // 3. Broker. Ask for the number of readings in [80, 120] with at most
-    //    5% relative error, 80% of the time.
+    // 3. Broker, selling at the arbitrage-avoiding price c/V(α, δ). Buy
+    //    the number of readings in [80, 120] with at most 5% relative
+    //    error, 80% of the time.
     let mut broker = DataBroker::new(network, 42);
+    let model = ChebyshevVariance::new(dataset.len());
+    broker.enable_pricing(Box::new(PostedPriceEngine::new(
+        InverseVariancePricing::new(1e9, model),
+        model,
+    )));
     let request = QueryRequest::new(RangeQuery::new(80.0, 120.0)?, Accuracy::new(0.05, 0.8)?);
-    let answer = broker.answer(&request)?;
+    let PricedAnswer { answer, price, .. } = broker.answer_as("quickstart", &request)?;
 
     println!("query:            {}", request);
     println!("true count:       {truth}");
@@ -44,10 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         answer.plan.effective_epsilon.value()
     );
 
-    // 4. Price. The canonical arbitrage-avoiding price is c/V(α, δ).
-    let pricing = InverseVariancePricing::new(1e9, ChebyshevVariance::new(dataset.len()));
-    let price = pricing.price(request.accuracy.alpha(), request.accuracy.delta());
-    println!("price charged:    {price:.2} credits");
+    // 4. Price, quoted before the answer was released.
+    println!("price charged:    {:.2} credits", price.unwrap());
 
     // 5. Cost. How much communication did serving this cost the network?
     let cost = broker.network().meter().snapshot();

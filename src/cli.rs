@@ -20,6 +20,7 @@ use rand::SeedableRng;
 use prc_core::broker::DataBroker;
 use prc_core::estimator::RankCounting;
 use prc_core::histogram::private_histogram;
+use prc_core::pipeline::PricedAnswer;
 use prc_core::query::{Accuracy, QueryRequest, RangeQuery};
 use prc_data::generator::CityPulseGenerator;
 use prc_data::partition::PartitionStrategy;
@@ -28,7 +29,8 @@ use prc_data::stats;
 use prc_dp::budget::Epsilon;
 use prc_dp::mechanism::Sensitivity;
 use prc_net::network::FlatNetwork;
-use prc_pricing::functions::{InverseVariancePricing, PricingFunction};
+use prc_pricing::engine::PostedPriceEngine;
+use prc_pricing::functions::InverseVariancePricing;
 use prc_pricing::variance::ChebyshevVariance;
 
 /// Errors produced while parsing or executing a CLI invocation.
@@ -381,15 +383,18 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                 *seed,
             );
             let mut broker = DataBroker::new(network, *seed);
+            let model = ChebyshevVariance::new(dataset.len());
+            broker.enable_pricing(Box::new(PostedPriceEngine::new(
+                InverseVariancePricing::new(*coefficient, model),
+                model,
+            )));
             let request = QueryRequest::new(
                 RangeQuery::new(*lower, *upper).map_err(|e| CliError::Run(e.to_string()))?,
                 Accuracy::new(*alpha, *delta).map_err(|e| CliError::Run(e.to_string()))?,
             );
-            let answer = broker
-                .answer(&request)
+            let PricedAnswer { answer, price, .. } = broker
+                .answer_as("prc-cli", &request)
                 .map_err(|e| CliError::Run(e.to_string()))?;
-            let pricing =
-                InverseVariancePricing::new(*coefficient, ChebyshevVariance::new(dataset.len()));
             writeln!(out, "query:        {request}").map_err(io_err)?;
             writeln!(out, "answer:       {:.1}", answer.value).map_err(io_err)?;
             writeln!(
@@ -401,7 +406,9 @@ pub fn run<W: Write>(command: &Command, out: &mut W) -> Result<(), CliError> {
                 answer.plan.effective_epsilon.value()
             )
             .map_err(io_err)?;
-            writeln!(out, "price:        {:.2}", pricing.price(*alpha, *delta)).map_err(io_err)?;
+            if let Some(price) = price {
+                writeln!(out, "price:        {price:.2}").map_err(io_err)?;
+            }
             let cost = broker.network().meter().snapshot();
             writeln!(
                 out,

@@ -31,18 +31,21 @@
 //!     42,
 //! );
 //!
-//! // 2. A broker answers (α, δ)-range-counting requests privately.
+//! // 2. A broker sells (α, δ)-range counts at the canonical
+//! //    arbitrage-avoiding price c/V(α, δ).
 //! let mut broker = DataBroker::new(network, 42);
-//! let request = QueryRequest::new(
-//!     RangeQuery::new(80.0, 120.0)?,
-//!     Accuracy::new(0.08, 0.7)?,
-//! );
-//! let answer = broker.answer(&request)?;
+//! let model = ChebyshevVariance::new(dataset.len());
+//! broker.enable_pricing(Box::new(PostedPriceEngine::new(
+//!     InverseVariancePricing::new(1e7, model),
+//!     model,
+//! )));
 //!
-//! // 3. Price the trade with the canonical arbitrage-avoiding function.
-//! let pricing = InverseVariancePricing::new(1e7, ChebyshevVariance::new(dataset.len()));
-//! let price = pricing.price(0.08, 0.7);
-//! assert!(answer.value.is_finite() && price > 0.0);
+//! // 3. One sale: the demand is priced, then the private answer released.
+//! let request = QueryRequest::new(RangeQuery::new(80.0, 120.0)?, Accuracy::new(0.08, 0.7)?);
+//! let sale = broker.answer_as("analyst", &request)?;
+//! let price = sale.price.ok_or("the engine prices every sale")?;
+//! println!("answer {:.1} for {price:.2} credits", sale.answer.value);
+//! assert!(sale.answer.value.is_finite() && price > 0.0);
 //! # Ok(())
 //! # }
 //! ```

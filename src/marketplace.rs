@@ -1,112 +1,86 @@
-//! The assembled marketplace: broker + pricing + ledger + history in one
-//! front door.
+//! The assembled marketplace: a broker that sells every answer at a
+//! history-aware price, behind one front door.
 //!
 //! The paper's three entities — IoT network, data broker, data consumers
-//! — meet here. A [`Marketplace`] owns the private-answer pipeline
-//! (`prc-core`), a posted pricing function (`prc-pricing`), the trade
-//! ledger, and per-buyer purchase history, exposing the two calls a
-//! consumer-facing service needs:
+//! — meet here. A [`Marketplace`] owns a broker (`prc-core`) with a
+//! [`HistoryAwarePricing`] engine (`prc-pricing`) installed, and exposes
+//! the two calls a consumer-facing service needs:
 //!
 //! * [`Marketplace::quote`] — what would this `(α, δ)` answer cost me?
 //! * [`Marketplace::buy`] — charge me and release the answer.
 //!
-//! Prices are *history-aware* (marginal information, see
-//! `prc_pricing::history`): a buyer accumulating precision on the same
-//! query pays exactly the posted price of what they end up holding, so
+//! A sale is the broker's [`DataBroker::answer_as`]: the demand is priced
+//! and certified before any budget moves, and the settled sale lands in
+//! the engine's ledger. Prices are *history-aware* (marginal information,
+//! see `prc_pricing::history`): a buyer accumulating precision on the same
+//! range pays exactly the posted price of what they end up holding, so
 //! splitting purchases neither saves nor wastes money.
 
-use prc_core::broker::{DataBroker, PrivateAnswer};
+use std::fmt::Debug;
+
+use prc_core::broker::DataBroker;
+use prc_core::pipeline::PricedAnswer;
 use prc_core::query::QueryRequest;
 use prc_core::CoreError;
+use prc_pricing::engine::Quote;
 use prc_pricing::functions::PricingFunction;
 use prc_pricing::history::{HistoryAwarePricing, PrecisionPricing};
 use prc_pricing::ledger::TradeLedger;
-use prc_pricing::variance::{ChebyshevVariance, VarianceModel};
-
-/// A completed purchase: the released answer plus its billing record.
-#[derive(Debug, Clone)]
-pub struct Receipt {
-    /// The released private answer.
-    pub answer: PrivateAnswer,
-    /// The price charged (marginal, given the buyer's history).
-    pub price: f64,
-    /// Ledger sequence number of the sale.
-    pub sequence: u64,
-}
+use prc_pricing::variance::ChebyshevVariance;
 
 /// A data marketplace selling differentially private range counts.
 #[derive(Debug)]
-pub struct Marketplace<F> {
+pub struct Marketplace {
     broker: DataBroker,
-    pricing: HistoryAwarePricing<F, ChebyshevVariance>,
-    ledger: TradeLedger,
 }
 
-impl<F> Marketplace<F>
-where
-    F: PricingFunction + PrecisionPricing,
-{
+impl Marketplace {
     /// Assembles a marketplace from a broker pipeline and a posted
-    /// pricing function over the broker's population.
-    pub fn new(broker: DataBroker, posted_pricing: F) -> Self {
-        let population = broker.network().total_data_size().max(1);
-        let model = ChebyshevVariance::new(population);
-        Marketplace {
-            broker,
-            pricing: HistoryAwarePricing::new(posted_pricing, model),
-            ledger: TradeLedger::new(),
-        }
+    /// pricing function, installing history-aware pricing over the
+    /// broker's population.
+    pub fn new<F>(mut broker: DataBroker, posted_pricing: F) -> Self
+    where
+        F: PricingFunction + PrecisionPricing + Debug + Send + Sync + 'static,
+    {
+        let model = ChebyshevVariance::new(broker.network().total_data_size().max(1));
+        broker.enable_pricing(Box::new(HistoryAwarePricing::new(posted_pricing, model)));
+        Marketplace { broker }
     }
 
-    /// The marginal price `buyer` would pay for this request, without
-    /// buying.
-    pub fn quote(&self, buyer: &str, request: &QueryRequest) -> f64 {
-        self.pricing.quote(
-            buyer,
-            &Self::query_key(request),
-            request.accuracy.alpha(),
-            request.accuracy.delta(),
-        )
-    }
-
-    /// Sells one answer: runs the private pipeline, charges the marginal
-    /// price, and records the trade.
+    /// The quote `buyer` would get for this request, without buying
+    /// ([`DataBroker::quote`]): the marginal price, and the variance the
+    /// posted model promises so consumers can verify it.
     ///
     /// # Errors
     ///
-    /// Propagates every pipeline error ([`CoreError`]); failed pipelines
-    /// charge nothing and record nothing.
-    pub fn buy(&mut self, buyer: &str, request: &QueryRequest) -> Result<Receipt, CoreError> {
-        // Run the pipeline first: a failed answer must not charge.
-        let answer = self.broker.answer(request)?;
-        let key = Self::query_key(request);
-        let price = self.pricing.purchase(
-            buyer,
-            &key,
-            request.accuracy.alpha(),
-            request.accuracy.delta(),
-        );
-        let sequence = self.ledger.record(
-            buyer,
-            request.accuracy.alpha(),
-            request.accuracy.delta(),
-            price,
-        );
-        Ok(Receipt {
-            answer,
-            price,
-            sequence,
-        })
+    /// [`CoreError::Pricing`] when the engine refuses the demand.
+    pub fn quote(
+        &mut self,
+        buyer: &str,
+        request: &QueryRequest,
+    ) -> Result<Option<Quote>, CoreError> {
+        self.broker.quote(buyer, request)
+    }
+
+    /// Sells one answer ([`DataBroker::answer_as`]): quotes the marginal
+    /// price, runs the private pipeline, and settles the trade.
+    ///
+    /// # Errors
+    ///
+    /// Propagates every pipeline error ([`CoreError`]); a failed sale
+    /// charges nothing and records nothing.
+    pub fn buy(&mut self, buyer: &str, request: &QueryRequest) -> Result<PricedAnswer, CoreError> {
+        self.broker.answer_as(buyer, request)
     }
 
     /// The broker's total revenue so far.
     pub fn revenue(&self) -> f64 {
-        self.ledger.total_revenue()
+        self.ledger().map_or(0.0, TradeLedger::total_revenue)
     }
 
-    /// The trade ledger.
-    pub fn ledger(&self) -> &TradeLedger {
-        &self.ledger
+    /// The trade ledger of the installed engine.
+    pub fn ledger(&self) -> Option<&TradeLedger> {
+        self.broker.pricing().map(|engine| engine.ledger())
     }
 
     /// The underlying broker (network metrics, privacy accountant).
@@ -119,19 +93,6 @@ where
     pub fn broker_mut(&mut self) -> &mut DataBroker {
         &mut self.broker
     }
-
-    /// The variance the posted price would assign to a request — exposed
-    /// so consumers can verify quotes against the model.
-    pub fn posted_variance(&self, request: &QueryRequest) -> f64 {
-        ChebyshevVariance::new(self.broker.network().total_data_size().max(1))
-            .variance(request.accuracy.alpha(), request.accuracy.delta())
-    }
-
-    /// Canonical history key for a request: the exact range queried
-    /// (`RangeQuery::new` already reads a `−0.0` bound as `+0.0`).
-    fn query_key(request: &QueryRequest) -> String {
-        format!("[{};{}]", request.query.lower(), request.query.upper())
-    }
 }
 
 #[cfg(test)]
@@ -140,8 +101,9 @@ mod tests {
     use prc_core::query::{Accuracy, RangeQuery};
     use prc_net::network::FlatNetwork;
     use prc_pricing::functions::SqrtPrecisionPricing;
+    use prc_pricing::variance::VarianceModel;
 
-    fn marketplace(seed: u64) -> Marketplace<SqrtPrecisionPricing<ChebyshevVariance>> {
+    fn marketplace(seed: u64) -> Marketplace {
         let partitions: Vec<Vec<f64>> = (0..10)
             .map(|i| (0..500).map(|j| (i * 500 + j) as f64).collect())
             .collect();
@@ -161,12 +123,12 @@ mod tests {
     fn quote_matches_first_purchase_price() {
         let mut market = marketplace(1);
         let req = request(0.1, 0.6);
-        let quoted = market.quote("alice", &req);
-        let receipt = market.buy("alice", &req).unwrap();
-        assert_eq!(receipt.price, quoted);
-        assert_eq!(receipt.sequence, 0);
-        assert!(receipt.answer.value.is_finite());
-        assert_eq!(market.revenue(), quoted);
+        let quoted = market.quote("alice", &req).unwrap().map(|q| q.price);
+        let sale = market.buy("alice", &req).unwrap();
+        assert_eq!(sale.price, quoted);
+        assert_eq!(sale.settlement, Some(0));
+        assert!(sale.answer.value.is_finite());
+        assert_eq!(Some(market.revenue()), quoted);
     }
 
     #[test]
@@ -184,7 +146,8 @@ mod tests {
             RangeQuery::new(0.0, 500.0).unwrap(),
             Accuracy::new(0.1, 0.6).unwrap(),
         );
-        assert_eq!(market.quote("alice", &other), first);
+        let fresh = market.quote("alice", &other).unwrap().map(|q| q.price);
+        assert_eq!(fresh, first);
     }
 
     #[test]
@@ -196,13 +159,16 @@ mod tests {
                 Accuracy::new(0.1, 0.6).unwrap(),
             )
         };
-        let first = market.buy("alice", &from(0.0)).unwrap().price;
-        let marginal = market.quote("alice", &from(0.0));
+        let first = market.buy("alice", &from(0.0)).unwrap().price.unwrap();
+        let marginal = market.quote("alice", &from(0.0)).unwrap().unwrap().price;
         assert!(marginal < first);
         // `[−0.0, u]` is the range alice already holds, not a fresh one.
         assert_eq!(
-            market.quote("alice", &from(-0.0)).to_bits(),
-            marginal.to_bits()
+            market
+                .quote("alice", &from(-0.0))
+                .unwrap()
+                .map(|q| q.price.to_bits()),
+            Some(marginal.to_bits())
         );
     }
 
@@ -216,9 +182,10 @@ mod tests {
         let err = market.buy("carol", &request(0.1, 0.6)).unwrap_err();
         assert!(matches!(err, CoreError::Dp(_)));
         assert_eq!(market.revenue(), 0.0);
-        assert!(market.ledger().is_empty());
+        assert!(market.ledger().unwrap().is_empty());
         // The quote is unaffected by the failed attempt.
-        assert!(market.quote("carol", &request(0.1, 0.6)) > 0.0);
+        let quote = market.quote("carol", &request(0.1, 0.6)).unwrap().unwrap();
+        assert!(quote.price > 0.0);
     }
 
     #[test]
@@ -227,17 +194,20 @@ mod tests {
         market.buy("a", &request(0.1, 0.6)).unwrap();
         market.buy("b", &request(0.05, 0.8)).unwrap();
         market.buy("a", &request(0.1, 0.6)).unwrap();
-        assert_eq!(market.ledger().len(), 3);
-        let by_buyer = market.ledger().revenue_by_buyer();
+        let ledger = market.ledger().unwrap();
+        assert_eq!(ledger.len(), 3);
+        let by_buyer = ledger.revenue_by_buyer();
         assert!(by_buyer["a"] > 0.0 && by_buyer["b"] > 0.0);
         assert!((market.revenue() - (by_buyer["a"] + by_buyer["b"])).abs() < 1e-9);
     }
 
     #[test]
     fn posted_variance_is_the_chebyshev_model() {
-        let market = marketplace(5);
-        let req = request(0.1, 0.6);
-        let v = market.posted_variance(&req);
-        assert_eq!(v, ChebyshevVariance::new(5_000).variance(0.1, 0.6));
+        let mut market = marketplace(5);
+        let quote = market.quote("alice", &request(0.1, 0.6)).unwrap().unwrap();
+        assert_eq!(
+            quote.variance,
+            ChebyshevVariance::new(5_000).variance(0.1, 0.6)
+        );
     }
 }

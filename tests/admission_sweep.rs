@@ -2,9 +2,9 @@
 //! empty or all-dead stations through every public answer path.
 //!
 //! The inputs are NaN, ±∞ and −0.0 bounds, inverted ranges, α and δ at
-//! and past the edges of `(0, 1)` (the smallest subnormal α and
-//! δ = 1 − 2⁻⁵³ included), and the same edges for the fixed-ε hook's
-//! `(ε, p)`. They go through `answer`, a priced and cached `answer_as`
+//! and past the edges of `(0, 1)` (the smallest subnormal α and δ,
+//! δ = 10⁻²⁰ and δ = 1 − 2⁻⁵³ included), and the same edges for the
+//! fixed-ε hook's `(ε, p)`. They go through `answer`, a priced and cached `answer_as`
 //! under a budget, `answer_batch`, `answer_with_epsilon` and the
 //! monitor, on populated, empty and all-dead stations of the flat and
 //! tree drivers. Every case must end in a typed error or a finite
@@ -31,6 +31,8 @@ const POPULATION: usize = NODES * PER_NODE;
 
 const MIN_SUBNORMAL: f64 = f64::from_bits(1);
 const ONE_MINUS: f64 = 1.0 - f64::EPSILON / 2.0;
+/// A confidence below 2⁻⁵³.
+const TINY_DELTA: f64 = 1e-20;
 
 /// Range bounds: NaN, both infinities, both zeros, the extreme finite
 /// values, and two bounds inside the support.
@@ -46,12 +48,14 @@ const BOUNDS: [f64; 9] = [
     f64::INFINITY,
 ];
 
-/// `(α, δ)` demands: one ordinary, three valid extremes, four past the
-/// edges of `(0, 1)`.
-const ACCURACIES: [(f64, f64); 8] = [
+/// `(α, δ)` demands: one ordinary, four valid extremes, four past the
+/// edges of `(0, 1)`. At δ = 10⁻²⁰, `1 − τ` rounds to 1 in the plan's
+/// tail mass `τ = δ/δ′`.
+const ACCURACIES: [(f64, f64); 9] = [
     (0.1, 0.6),
     (MIN_SUBNORMAL, 0.6),
     (0.1, ONE_MINUS),
+    (0.5, TINY_DELTA),
     (ONE_MINUS, MIN_SUBNORMAL),
     (0.0, 0.6),
     (1.0, 0.6),
@@ -389,6 +393,38 @@ fn every_edge_case_gets_a_typed_error_or_a_finite_release() {
             }
         }
     }
+}
+
+#[test]
+fn a_tiny_delta_is_answered_and_a_subnormal_one_is_refused_by_name() {
+    let query = RangeQuery::new(60.5, 239.0).expect("valid range");
+    let sell = |broker: &mut DataBroker, accuracy: Accuracy| {
+        let request = QueryRequest::new(query, accuracy);
+        broker
+            .answer_as("alice", &request)
+            .map(|priced| priced.answer)
+    };
+    for delta in [TINY_DELTA, 1e-300] {
+        let mut priced = broker(flat(Shape::Populated, 11), 11, true);
+        let accuracy = Accuracy::new(0.5, delta).expect("valid demand");
+        let answer = sell(&mut priced, accuracy).unwrap_or_else(|e| panic!("δ={delta:e}: {e:?}"));
+        assert!(answer.value.is_finite() && answer.plan.noise_scale.is_finite());
+        assert!(answer.plan.epsilon.value() > 0.0, "δ={delta:e}");
+    }
+    // At the smallest subnormal δ every grid point's noise scale is
+    // infinite. The station already samples at the rate a top-up would
+    // reach, so the demand itself is refused, before any hold.
+    let mut priced = broker(flat(Shape::Populated, 11), 11, true);
+    let before = books(&priced);
+    let accuracy = Accuracy::new(ONE_MINUS, MIN_SUBNORMAL).expect("valid demand");
+    assert_eq!(
+        sell(&mut priced, accuracy),
+        Err(CoreError::InvalidAccuracy {
+            alpha: ONE_MINUS,
+            delta: MIN_SUBNORMAL,
+        })
+    );
+    assert_eq!(books(&priced), before);
 }
 
 #[test]

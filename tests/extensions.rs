@@ -184,31 +184,35 @@ fn advanced_accountant_tightens_a_long_broker_session() {
 
 #[test]
 fn history_pricing_integrates_with_the_marketplace() {
-    use prc::pricing::history::HistoryAwarePricing;
+    use prc::marketplace::Marketplace;
+    use prc::pricing::history::PrecisionPricing;
     let (dataset, parts) = setup();
     let model = ChebyshevVariance::new(dataset.len());
-    let mut pricing = HistoryAwarePricing::new(SqrtPrecisionPricing::new(1e4, model), model);
-    let mut broker = DataBroker::new(FlatNetwork::from_partitions(parts, 41), 41);
-    let mut ledger = TradeLedger::new();
+    let posted = SqrtPrecisionPricing::new(1e4, model);
+    let broker = DataBroker::new(FlatNetwork::from_partitions(parts, 41), 41);
+    let mut market = Marketplace::new(broker, posted);
 
     // A repeat customer pays marginal prices; the total equals the posted
     // price of their accumulated precision.
-    let query = RangeQuery::new(70.0, 130.0).unwrap();
+    let request = QueryRequest::new(
+        RangeQuery::new(70.0, 130.0).unwrap(),
+        Accuracy::new(0.1, 0.6).unwrap(),
+    );
     let mut total_paid = 0.0;
     for _ in 0..4 {
-        let accuracy = Accuracy::new(0.1, 0.6).unwrap();
-        broker.answer(&QueryRequest::new(query, accuracy)).unwrap();
-        let price = pricing.purchase("repeat-customer", "ozone:[70,130]", 0.1, 0.6);
-        ledger.record("repeat-customer", 0.1, 0.6, price);
-        total_paid += price;
+        total_paid += market
+            .buy("repeat-customer", &request)
+            .unwrap()
+            .price
+            .unwrap();
     }
-    use prc::pricing::history::PrecisionPricing;
-    let held = pricing.held_precision("repeat-customer", "ozone:[70,130]");
-    let posted_for_held = pricing.base().price_of_precision(held);
+    let held = 4.0 / model.variance(0.1, 0.6);
+    let posted_for_held = posted.price_of_precision(held);
     assert!(
         (total_paid - posted_for_held).abs() < 1e-6,
         "telescoping broke: paid {total_paid} vs posted {posted_for_held}"
     );
+    let ledger = market.ledger().unwrap();
     assert_eq!(ledger.len(), 4);
     // Marginal prices decrease for the concave family.
     let prices: Vec<f64> = ledger.records().iter().map(|r| r.price).collect();

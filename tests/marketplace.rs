@@ -78,9 +78,10 @@ fn broken_pricing_is_exploitable_in_the_live_marketplace() {
 #[test]
 fn ledger_tracks_a_full_trading_session() {
     let (dataset, network) = marketplace_network(3);
-    let pricing = InverseVariancePricing::new(1e8, ChebyshevVariance::new(dataset.len()));
+    let model = ChebyshevVariance::new(dataset.len());
+    let pricing = InverseVariancePricing::new(1e8, model);
     let mut broker = DataBroker::new(network, 3);
-    let mut ledger = TradeLedger::new();
+    broker.enable_pricing(Box::new(PostedPriceEngine::new(pricing, model)));
 
     let buyers = ["alice", "bob", "alice", "carol", "bob", "alice"];
     let demands = [
@@ -96,10 +97,11 @@ fn ledger_tracks_a_full_trading_session() {
             RangeQuery::new(50.0, 120.0).unwrap(),
             Accuracy::new(alpha, delta).unwrap(),
         );
-        let answer = broker.answer(&request).unwrap();
-        assert!(answer.value.is_finite());
-        ledger.record(buyer, alpha, delta, pricing.price(alpha, delta));
+        let sale = broker.answer_as(buyer, &request).unwrap();
+        assert!(sale.answer.value.is_finite());
+        assert_eq!(sale.price, Some(pricing.price(alpha, delta)));
     }
+    let ledger = broker.pricing().unwrap().ledger();
     assert_eq!(ledger.len(), 6);
     let by_buyer = ledger.revenue_by_buyer();
     assert_eq!(by_buyer.len(), 3);

@@ -19,30 +19,29 @@ fn full_pipeline_produces_a_priced_private_answer() {
     let (dataset, network) = standard_setup(1);
     let truth = network.exact_range_count(80.0, 130.0) as f64;
     let mut broker = DataBroker::new(network, 1);
+    // Pricing closes the loop: the sale is priced before the release.
+    let model = ChebyshevVariance::new(dataset.len());
+    broker.enable_pricing(Box::new(PostedPriceEngine::new(
+        InverseVariancePricing::new(1e8, model),
+        model,
+    )));
 
     let request = QueryRequest::new(
         RangeQuery::new(80.0, 130.0).unwrap(),
         Accuracy::new(0.06, 0.8).unwrap(),
     );
-    let answer = broker.answer(&request).unwrap();
+    let sale = broker.answer_as("customer-1", &request).unwrap();
+    let answer = sale.answer;
 
     // The answer is noisy but close to the truth.
     assert!((answer.value - truth).abs() < 0.2 * dataset.len() as f64);
     // The internal estimate differs from the released value (noise added).
     assert_ne!(answer.value, answer.sample_estimate);
 
-    // Pricing closes the loop.
-    let pricing = InverseVariancePricing::new(1e8, ChebyshevVariance::new(dataset.len()));
-    let price = pricing.price(request.accuracy.alpha(), request.accuracy.delta());
-    let mut ledger = TradeLedger::new();
-    ledger.record(
-        "customer-1",
-        request.accuracy.alpha(),
-        request.accuracy.delta(),
-        price,
-    );
+    let ledger = broker.pricing().unwrap().ledger();
     assert_eq!(ledger.len(), 1);
     assert!(ledger.total_revenue() > 0.0);
+    assert_eq!(Some(ledger.total_revenue()), sale.price);
 }
 
 #[test]

@@ -386,12 +386,12 @@ fn priced_end_to_end_transaction_settles_in_the_ledger() {
     let record = &engine.ledger().records()[0];
     assert_eq!(engine.ledger().buyers()[record.buyer], "alice");
     assert_eq!(
-        record.plan.map(|p| p.noise_variance),
-        Some(priced.answer.plan.noise_variance())
+        record.plan.noise_variance,
+        priced.answer.plan.noise_variance()
     );
     assert_eq!(
-        record.plan.map(|p| p.to_string()),
-        Some(priced.answer.plan.summary().to_string())
+        record.plan.to_string(),
+        priced.answer.plan.summary().to_string()
     );
     assert!((record.price - expected_price).abs() < 1e-9);
     assert_eq!(broker.counters().settlements, 1);
@@ -430,8 +430,8 @@ fn priced_cached_resales_settle_the_cached_plan() {
     assert_eq!(buyers, ["alice", "bob"]);
     let resale = ledger.records()[1];
     assert_eq!(
-        resale.plan.map(|p| p.to_string()),
-        Some(fresh.answer.plan.summary().to_string())
+        resale.plan.to_string(),
+        fresh.answer.plan.summary().to_string()
     );
     assert_eq!(resale.price, quote);
 }
