@@ -3,12 +3,12 @@
 //!
 //! The broker is generic over the network driver (any
 //! [`prc_net::network::Network`]) and over the estimator. Besides the
-//! one-request [`DataBroker::answer`] pipeline it offers a batched engine,
+//! one-request [`DataBroker::answer`] pipeline it offers
 //! [`DataBroker::answer_batch`], which partitions a request batch by
-//! required sampling rate, collects samples once per rate tier, answers
-//! each tier's estimates in one pass over the shared sample, and
-//! serves repeat requests from an arbitrage-consistent answer cache
-//! guarded by the pricing layer ([`prc_pricing::reuse`]).
+//! required sampling rate, collects samples once per rate tier and then
+//! answers each member as a single request would. Both serve repeat
+//! requests from an arbitrage-consistent answer cache guarded by the
+//! pricing layer ([`prc_pricing::reuse`]).
 //!
 //! # Query index
 //!
@@ -43,7 +43,7 @@ use crate::estimator::engine::PlanCache;
 use crate::estimator::{BuildAccrual, QueryIndex, RangeCountEstimator, RankCounting};
 use crate::optimizer::{OptimizerConfig, PerturbationPlan};
 use crate::pipeline::stages::Request;
-use crate::pipeline::{PricedAnswer, QuerySession};
+use crate::pipeline::{drive, PricedAnswer};
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
 
 /// Fraction of the customer's `α` the broker aims its sampling at.
@@ -215,7 +215,7 @@ pub enum IndexPolicy {
 ///
 /// Every entry point — [`DataBroker::answer`], [`DataBroker::answer_as`],
 /// [`DataBroker::answer_batch`], [`DataBroker::answer_with_epsilon`] — is
-/// a thin wrapper over the staged [`crate::pipeline`] session:
+/// a thin wrapper over the staged [`crate::pipeline`]:
 /// Admit (quote + cache) → Collect (sample top-up to a target strictly
 /// tighter than the demand) → Reserve (plan + two-phase budget hold) →
 /// Estimate → Perturb (`Lap(Δγ̂/ε)`) → Settle (commit, cache, ledger).
@@ -382,9 +382,7 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// * [`CoreError::NoSamples`] — the network delivered nothing (e.g.
     ///   every node dead).
     pub fn answer(&mut self, request: &QueryRequest) -> Result<PrivateAnswer, CoreError> {
-        QuerySession::new(self)
-            .run(request)
-            .map(|priced| priced.answer)
+        drive(self, None, Request::Demand(*request)).map(|priced| priced.answer)
     }
 
     /// Prices `request` for `buyer` without selling it: the quote Admit
@@ -425,21 +423,20 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
         buyer: &str,
         request: &QueryRequest,
     ) -> Result<PricedAnswer, CoreError> {
-        QuerySession::for_buyer(self, buyer).run(request)
+        drive(self, Some(buyer), Request::Demand(*request))
     }
 
-    /// Answers a batch of requests through the batched engine.
+    /// Answers a batch of requests, one collection round per rate tier.
     ///
     /// The batch is partitioned by each request's *required sampling
-    /// rate*; rates are visited in ascending order, so every tier's
-    /// queries are evaluated right after the single collection round that
-    /// tops the network up to that tier (lower tiers are answered at
-    /// their own, cheaper rate — exactly what a sorted sequence of
-    /// [`DataBroker::answer`] calls would do). Within a tier, cache
-    /// lookups, perturbation planning, and budget accounting run in
-    /// input order; each tier's estimates are computed in one pass over
-    /// the shared base-station sample; noise is then drawn in input
-    /// order, keeping the whole batch deterministic in the broker's seed.
+    /// rate*; rates are visited in ascending order (ties in input order),
+    /// so every tier's queries are evaluated right after the single
+    /// collection round that tops the network up to that tier (lower
+    /// tiers are answered at their own, cheaper rate). Each member then
+    /// runs the same cache lookup, planning, budget hold, estimate, noise
+    /// draw and settlement as [`DataBroker::answer`], in that order, so
+    /// without a cache the batch releases exactly what a sorted sequence
+    /// of [`DataBroker::answer`] calls would.
     ///
     /// Per-request failures (infeasible accuracy, exhausted budget) land
     /// in that request's slot of [`BatchReport::answers`]; the rest of
@@ -464,13 +461,12 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
         epsilon: Epsilon,
         p: f64,
     ) -> Result<PrivateAnswer, CoreError> {
-        QuerySession::new(self)
-            .drive(Request::Fixed {
-                query,
-                epsilon,
-                probability: p,
-            })
-            .map(|priced| priced.answer)
+        let request = Request::Fixed {
+            query,
+            epsilon,
+            probability: p,
+        };
+        drive(self, None, request).map(|priced| priced.answer)
     }
 }
 
@@ -912,8 +908,8 @@ mod tests {
     fn signed_zero_bounds_share_one_cache_entry() {
         // `[−0.0, u]` is the range `[+0.0, u]`: asked second at the same
         // demand, it is a cache hit that spends no ε, on either entry
-        // point (in a batch it is first deferred as an in-flight
-        // duplicate, then served from the cache).
+        // point (in a batch, the first member's answer is already cached
+        // when the second looks it up).
         let positive = request(0.0, 2_500.0, 0.1, 0.6);
         let negative = request(-0.0, 2_500.0, 0.1, 0.6);
         let fresh = || {

@@ -17,10 +17,10 @@
 //!    effective budget `ε′ = ln(1 + p(e^ε − 1))` is smallest while the
 //!    noisy answer still meets `(α, δ)`.
 //! 3. **The broker pipeline** (§II-A): every [`broker::DataBroker`]
-//!    entry point drives the staged [`pipeline`] session — Admit (price
-//!    quote, cache), Collect (sample top-up), Reserve (plan + two-phase
-//!    budget hold), Estimate, Perturb, Settle (commit, cache, ledger) —
-//!    and returns a [`broker::PrivateAnswer`]; [`consumer`] provides the
+//!    entry point runs the staged [`pipeline`] — Admit (price quote,
+//!    cache), Collect (sample top-up), Reserve (plan + two-phase budget
+//!    hold), Estimate, Perturb, Settle (commit, cache, ledger) — and
+//!    returns a [`broker::PrivateAnswer`]; [`consumer`] provides the
 //!    client side, including the averaging combinator adversaries use in
 //!    arbitrage attacks (Eq. 4).
 //!
@@ -75,5 +75,5 @@ pub use broker::{DataBroker, PrivateAnswer};
 pub use error::CoreError;
 pub use estimator::{BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, RankIndex};
 pub use optimizer::{OptimizerConfig, PerturbationPlan, PlanSummary, SensitivityPolicy};
-pub use pipeline::{PricedAnswer, QuerySession};
+pub use pipeline::PricedAnswer;
 pub use query::{Accuracy, QueryRequest, RangeQuery};

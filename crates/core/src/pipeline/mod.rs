@@ -1,6 +1,6 @@
 //! The staged query pipeline every broker entry point runs through.
 //!
-//! One request, one [`QuerySession`], six stages:
+//! One request, six stages:
 //!
 //! ```text
 //!  Admit ──► Collect ──► Reserve ──► Estimate ──► Perturb ──► Settle
@@ -24,26 +24,33 @@
 //!
 //! Budgeting is two-phase: Reserve places a [`prc_dp::budget::Reservation`]
 //! hold, Settle commits it, and any failure between the two rolls it
-//! back through the stages' `abort` — a failed noise draw can no longer
-//! leak budget the way the old single-phase `spend` did.
+//! back through the stages' `abort`, so a failed noise draw spends no ε.
 //!
-//! Pricing rides the same stages: a priced session
-//! ([`QuerySession::for_buyer`]) quotes the demand at Admit through
-//! [`DataBroker::quote`] — refusing invalid or arbitrageable demands
-//! before any budget or sample moves — and settles the sale (buyer,
-//! range, price, the plan's [`crate::optimizer::PlanSummary`]) into the
-//! engine's ledger at Settle, as numbers: a sale formats no text and,
-//! after its buyer's first, copies no string.
+//! Pricing rides the same stages: a sale ([`DataBroker::answer_as`])
+//! quotes the demand at Admit through [`DataBroker::quote`] — refusing
+//! invalid or arbitrageable demands before any budget or sample moves —
+//! and settles the sale (buyer, range, price, the plan's
+//! [`crate::optimizer::PlanSummary`]) into the engine's ledger at Settle,
+//! as numbers: a sale formats no text and, after its buyer's first,
+//! copies no string.
+//!
+//! There is one request path. A single request runs `drive`; a batch
+//! ([`DataBroker::answer_batch`]) collects once per rate tier and then
+//! sends each member through the same cache lookup and the same fresh
+//! half, `release`. The stage `run`s, `prepare_index` and `release` are
+//! `#[inline]`: a batch runs them once per member, and without the hints
+//! those calls cost `bench_e2e`'s `batch` workload about a seventh of its
+//! throughput (release build, 2 vCPUs).
 
-pub mod batch;
-pub mod stages;
+pub(crate) mod batch;
+pub(crate) mod stages;
 
 use prc_net::network::Network;
+use prc_pricing::engine::Quote;
 
 use crate::broker::{DataBroker, PrivateAnswer};
 use crate::error::CoreError;
 use crate::estimator::RangeCountEstimator;
-use crate::query::QueryRequest;
 
 use stages::{
     abort, Admission, Admit, Collect, Estimate, Perturb, Request, Reserve, Reserved, Settle,
@@ -55,110 +62,87 @@ pub struct PricedAnswer {
     /// The released private answer.
     pub answer: PrivateAnswer,
     /// The price the engine quoted for the demand at Admit (priced
-    /// sessions only).
+    /// requests only).
     pub price: Option<f64>,
-    /// The ledger sequence number of the settled sale (priced sessions
+    /// The ledger sequence number of the settled sale (priced requests
     /// with an installed engine only).
     pub settlement: Option<u64>,
 }
 
-/// One request's pass through the staged pipeline.
+/// The single-request driver behind [`DataBroker::answer`],
+/// [`DataBroker::answer_as`] and [`DataBroker::answer_with_epsilon`]:
+/// Admit, then either Settle a cached answer or Collect and `release` a
+/// fresh one. `buyer` prices the request when an engine is installed.
 ///
-/// Constructed over a broker (plain, via [`QuerySession::new`], or on
-/// behalf of a named buyer via [`QuerySession::for_buyer`]) and consumed
-/// by one driver, [`QuerySession::run`]. The fixed-ε experiment hook
-/// ([`DataBroker::answer_with_epsilon`]) runs the same driver with a
-/// fixed `(ε, p)` request in place of an `(α, δ)` demand. The batch
-/// engine ([`batch::run_batch`]) composes the same stages with a
-/// per-tier schedule instead of using a session per request.
-#[derive(Debug)]
-pub struct QuerySession<'b, E, N> {
-    broker: &'b mut DataBroker<E, N>,
-    buyer: Option<&'b str>,
+/// # Errors
+///
+/// Any stage's error; on a failure after Reserve the budget hold is
+/// rolled back before the error propagates.
+pub(crate) fn drive<E: RangeCountEstimator, N: Network>(
+    broker: &mut DataBroker<E, N>,
+    buyer: Option<&str>,
+    request: Request,
+) -> Result<PricedAnswer, CoreError> {
+    match (Admit { request, buyer }).run(broker)? {
+        Admission::Cached { answer, quote } => Ok(Settle {
+            answer,
+            reservation: None,
+            quote,
+            buyer,
+        }
+        .run(broker)),
+        Admission::Fresh(admitted) => {
+            Collect {
+                target_probability: admitted.target_probability,
+            }
+            .run(broker);
+            release(broker, request, admitted.quote, buyer, 1)
+        }
+    }
 }
 
-impl<'b, E: RangeCountEstimator, N: Network> QuerySession<'b, E, N> {
-    /// An unpriced session: no quote, no settlement.
-    pub fn new(broker: &'b mut DataBroker<E, N>) -> Self {
-        QuerySession {
-            broker,
-            buyer: None,
-        }
+/// The fresh half of every request, single or batched: Reserve →
+/// Estimate → Perturb → Settle, rolling the hold back if the release
+/// fails. `accrues` is the number of queries Estimate adds to the index
+/// policy's accrual: 1 for a single request, 0 for a batch member whose
+/// tier the batch driver already accrued.
+///
+/// # Errors
+///
+/// Reserve's and Perturb's errors; a Perturb failure rolls the hold back
+/// first.
+#[inline]
+pub(crate) fn release<E: RangeCountEstimator, N: Network>(
+    broker: &mut DataBroker<E, N>,
+    request: Request,
+    quote: Option<Quote>,
+    buyer: Option<&str>,
+    accrues: u64,
+) -> Result<PricedAnswer, CoreError> {
+    let Reserved { plan, reservation } = Reserve { request }.run(broker)?;
+    let sample_estimate = Estimate {
+        query: request.query(),
+        accrues,
     }
-
-    /// A priced session for `buyer`; requires the broker to have a
-    /// pricing engine installed for the quote/settle stages to engage.
-    pub fn for_buyer(broker: &'b mut DataBroker<E, N>, buyer: &'b str) -> Self {
-        QuerySession {
-            broker,
-            buyer: Some(buyer),
-        }
+    .run(broker);
+    let perturbed = Perturb {
+        query: request.query(),
+        accuracy: request.accuracy(),
+        plan,
+        sample_estimate,
     }
-
-    /// Drives an `(α, δ)` request through all six stages.
-    ///
-    /// # Errors
-    ///
-    /// Any stage's error; on a failure after Reserve the budget hold is
-    /// rolled back before the error propagates.
-    pub fn run(self, request: &QueryRequest) -> Result<PricedAnswer, CoreError> {
-        self.drive(Request::Demand(*request))
-    }
-
-    /// The single-request driver behind [`QuerySession::run`] and the
-    /// fixed-ε hook: one request of either kind through all six stages.
-    ///
-    /// # Errors
-    ///
-    /// Any stage's error; on a failure after Reserve the budget hold is
-    /// rolled back before the error propagates.
-    pub(crate) fn drive(self, request: Request) -> Result<PricedAnswer, CoreError> {
-        let broker = self.broker;
-        let admitted = match (Admit {
-            request,
-            buyer: self.buyer,
-        })
-        .run(broker)?
-        {
-            Admission::Cached { answer, quote } => {
-                return Ok(Settle {
-                    answer,
-                    reservation: None,
-                    quote,
-                    buyer: self.buyer,
-                }
-                .run(broker))
-            }
-            Admission::Fresh(admitted) => admitted,
-        };
-        Collect {
-            target_probability: admitted.target_probability,
+    .run(broker);
+    match perturbed {
+        Ok(answer) => Ok(Settle {
+            answer,
+            reservation,
+            quote,
+            buyer,
         }
-        .run(broker);
-        let Reserved { plan, reservation } = Reserve { request }.run(broker)?;
-        let estimated = Estimate {
-            query: request.query(),
-        }
-        .run(broker);
-        let perturbed = Perturb {
-            query: request.query(),
-            accuracy: request.accuracy(),
-            plan,
-            sample_estimate: estimated.sample_estimate,
-        }
-        .run(broker);
-        match perturbed {
-            Ok(answer) => Ok(Settle {
-                answer,
-                reservation,
-                quote: admitted.quote,
-                buyer: self.buyer,
-            }
-            .run(broker)),
-            Err(e) => {
-                abort(broker, reservation);
-                Err(e)
-            }
+        .run(broker)),
+        Err(e) => {
+            abort(broker, reservation);
+            Err(e)
         }
     }
 }

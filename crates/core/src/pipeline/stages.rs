@@ -21,6 +21,7 @@
 //! A single request is either an `(α, δ)` demand or a fixed `(ε, p)`
 //! experiment request; both kinds run the same stages, and only Admit's
 //! checks, the cache match rule and Reserve's plan depend on the kind.
+//! The drivers that compose the stages live in [`crate::pipeline`].
 
 use prc_dp::budget::{Epsilon, Reservation};
 use prc_dp::laplace::draw_centered;
@@ -40,9 +41,9 @@ use crate::optimizer::{optimize, NetworkShape, PerturbationPlan, SensitivityPoli
 use crate::pipeline::PricedAnswer;
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
 
-/// What one single request asks for. Private: callers reach it through
-/// [`crate::pipeline::QuerySession::run`] and
-/// [`DataBroker::answer_with_epsilon`].
+/// What one request asks for: an `(α, δ)` demand from
+/// [`DataBroker::answer`], [`DataBroker::answer_as`] or a batch, or a
+/// fixed `(ε, p)` request from [`DataBroker::answer_with_epsilon`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Request {
     /// An `(α, δ)` demand, planned by the optimizer.
@@ -82,7 +83,7 @@ pub enum Admission {
     Cached {
         /// The cached answer, bit-identical to its first release.
         answer: PrivateAnswer,
-        /// The quote issued for this request, if the session is priced.
+        /// The quote issued for this request, if the request is priced.
         quote: Option<Quote>,
     },
     /// No reusable answer; run the full pipeline.
@@ -94,17 +95,17 @@ pub enum Admission {
 pub struct Admitted {
     /// Sampling probability the collection stage must reach.
     pub target_probability: f64,
-    /// The quote issued for this request, if the session is priced.
+    /// The quote issued for this request, if the request is priced.
     pub quote: Option<Quote>,
 }
 
-/// Stage 1 — Admit: quote the demand (priced sessions), consult the
+/// Stage 1 — Admit: quote the demand (priced requests), consult the
 /// answer cache, and validate that the network can be sampled at all.
 #[derive(Debug)]
 pub struct Admit<'r> {
     /// The incoming request.
     pub(crate) request: Request,
-    /// The purchasing consumer, when the session is priced.
+    /// The purchasing consumer, when the request is priced.
     pub(crate) buyer: Option<&'r str>,
 }
 
@@ -119,6 +120,7 @@ impl Admit<'_> {
     /// or arbitrageable — checked *before* any budget or sample moves);
     /// [`CoreError::NoSamples`] when a demand meets an empty network;
     /// [`CoreError::InvalidAccuracy`] from the sampling-target solver.
+    #[inline]
     pub fn run<E: RangeCountEstimator, N: Network>(
         self,
         broker: &mut DataBroker<E, N>,
@@ -136,18 +138,10 @@ impl Admit<'_> {
             }
         };
         if let Some(answer) = cache_lookup(broker, &self.request) {
-            broker.counters.answers_released += 1;
             return Ok(Admission::Cached { answer, quote });
         }
         let target_probability = match self.request {
-            Request::Demand(request) => {
-                let k = broker.network.node_count();
-                let n = broker.network.total_data_size();
-                if n == 0 {
-                    return Err(CoreError::NoSamples);
-                }
-                required_probability_clamped(sampling_target(request.accuracy)?, k, n)?
-            }
+            Request::Demand(request) => sampling_rate(broker, request.accuracy)?,
             // An empty station fails later, at Reserve, after Collect.
             Request::Fixed { probability, .. } => probability,
         };
@@ -156,6 +150,25 @@ impl Admit<'_> {
             quote,
         }))
     }
+}
+
+/// The sampling rate a demand needs: the rate that meets the broker's
+/// sampling target for `accuracy` on this network.
+///
+/// # Errors
+///
+/// [`CoreError::NoSamples`] when the network holds no data;
+/// [`CoreError::InvalidAccuracy`] from the sampling-target solver.
+pub(crate) fn sampling_rate<E, N: Network>(
+    broker: &DataBroker<E, N>,
+    accuracy: Accuracy,
+) -> Result<f64, CoreError> {
+    let k = broker.network.node_count();
+    let n = broker.network.total_data_size();
+    if n == 0 {
+        return Err(CoreError::NoSamples);
+    }
+    required_probability_clamped(sampling_target(accuracy)?, k, n)
 }
 
 /// Stage 2 — Collect: top the network up to the admitted target.
@@ -177,6 +190,7 @@ pub struct Collect {
 impl Collect {
     /// Runs the stage (infallible: a short delivery simply leaves the
     /// achieved probability below target, which later stages re-check).
+    #[inline]
     pub fn run<E, N: Network>(self, broker: &mut DataBroker<E, N>) {
         if let Some(delta) = broker.network.top_up_delta(self.target_probability) {
             broker.counters.collection_rounds += 1;
@@ -190,10 +204,7 @@ impl Collect {
 /// value span, so only answers the round could not have affected keep
 /// being re-served. A changed node without entries has no known span and
 /// is treated as touching everything (conservative full clear).
-pub(crate) fn evict_touched_answers<E, N: Network>(
-    broker: &mut DataBroker<E, N>,
-    changed: &[NodeId],
-) {
+fn evict_touched_answers<E, N: Network>(broker: &mut DataBroker<E, N>, changed: &[NodeId]) {
     if broker.cache.is_empty() || changed.is_empty() {
         return;
     }
@@ -219,8 +230,7 @@ pub(crate) fn evict_touched_answers<E, N: Network>(
 ///
 /// `reservation` is a two-phase hold on the accountant: [`Settle`]
 /// commits it after a successful release, `abort` rolls it back if any
-/// later stage fails — the budget leak the old single-phase `spend` had
-/// on failed answers cannot happen here.
+/// later stage fails, so a failed answer spends no ε.
 #[derive(Debug)]
 pub struct Reserved {
     /// The perturbation plan the answer will be released under.
@@ -248,6 +258,7 @@ impl Reserve {
     /// meet a demand; [`CoreError::NoSamples`] on an empty station;
     /// [`CoreError::Dp`] from amplification or when the hold would
     /// overdraw the budget.
+    #[inline]
     pub fn run<E: RangeCountEstimator, N: Network>(
         self,
         broker: &mut DataBroker<E, N>,
@@ -294,31 +305,26 @@ fn fixed_plan<E, N: Network>(
     })
 }
 
-/// The pre-noise sample estimate.
-#[derive(Debug, Clone, Copy)]
-pub struct Estimated {
-    /// The estimator's (or index's) range-count estimate.
-    pub sample_estimate: f64,
-}
-
 /// Stage 4 — Estimate: answer the range count from the station's current
 /// sample, through the epoch's query index when one is available
 /// (bit-identical to the direct scan by the
-/// [`crate::estimator::QueryIndex`] contract).
+/// [`crate::estimator::QueryIndex`] contract). The result is the
+/// pre-noise sample estimate.
 #[derive(Debug)]
 pub struct Estimate {
     /// The queried range.
     pub query: RangeQuery,
+    /// Queries this estimate adds to the index policy's accrual (0 for a
+    /// batch member: its driver accrued the whole tier).
+    pub accrues: u64,
 }
 
 impl Estimate {
     /// Runs the stage.
-    pub fn run<E: RangeCountEstimator, N: Network>(
-        self,
-        broker: &mut DataBroker<E, N>,
-    ) -> Estimated {
-        prepare_index(broker, 1);
-        let sample_estimate = match &broker.index {
+    #[inline]
+    pub fn run<E: RangeCountEstimator, N: Network>(self, broker: &mut DataBroker<E, N>) -> f64 {
+        prepare_index(broker, self.accrues);
+        match &broker.index {
             IndexState::Ready(_, index) => {
                 broker.counters.indexed_estimates += 1;
                 index.estimate(self.query)
@@ -326,16 +332,14 @@ impl Estimate {
             _ => broker
                 .estimator
                 .estimate(broker.network.station(), self.query),
-        };
-        Estimated { sample_estimate }
+        }
     }
 }
 
 /// Stage 5 — Perturb: draw the Laplace noise and assemble the answer.
 ///
-/// The only stage that consumes broker randomness; batch drivers run it
-/// sequentially in input order so the noise stream is independent of any
-/// estimator fan-out.
+/// The only stage that consumes broker randomness, so the noise stream
+/// follows the order in which requests reach it.
 #[derive(Debug)]
 pub struct Perturb {
     /// The queried range.
@@ -355,26 +359,12 @@ impl Perturb {
     ///
     /// [`CoreError::NoSamples`] on an empty station; [`CoreError::Dp`]
     /// when the plan's noise scale is not a positive finite number.
+    #[inline]
     pub fn run<E: RangeCountEstimator, N: Network>(
         self,
         broker: &mut DataBroker<E, N>,
     ) -> Result<PrivateAnswer, CoreError> {
         let shape = NetworkShape::from_station(broker.network.station())?;
-        self.run_with_shape(broker, shape)
-    }
-
-    /// Runs the stage with a shape the caller already computed (the batch
-    /// driver computes it once per tier).
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::Dp`] when the plan's noise scale is not a positive
-    /// finite number.
-    pub fn run_with_shape<E: RangeCountEstimator, N: Network>(
-        self,
-        broker: &mut DataBroker<E, N>,
-        shape: NetworkShape,
-    ) -> Result<PrivateAnswer, CoreError> {
         let noise = draw_centered(self.plan.noise_scale, &mut broker.rng)?;
         let variance_bound =
             broker
@@ -394,22 +384,23 @@ impl Perturb {
 }
 
 /// Stage 6 — Settle: commit the budget hold, store the answer for
-/// reuse, and (priced sessions) record the sale in the engine's ledger.
+/// reuse, and (priced requests) record the sale in the engine's ledger.
 #[derive(Debug)]
 pub struct Settle<'r> {
     /// The released answer.
     pub answer: PrivateAnswer,
     /// The budget hold to commit (`None`: unbudgeted, or a cached hit).
     pub reservation: Option<Reservation>,
-    /// The quote issued at admission, if the session is priced.
+    /// The quote issued at admission, if the request is priced.
     pub quote: Option<Quote>,
-    /// The purchasing consumer, when the session is priced.
+    /// The purchasing consumer, when the request is priced.
     pub buyer: Option<&'r str>,
 }
 
 impl Settle<'_> {
     /// Runs the stage (infallible: everything that can refuse the
     /// transaction already has).
+    #[inline]
     pub fn run<E, N: Network>(self, broker: &mut DataBroker<E, N>) -> PricedAnswer {
         if let Some(hold) = self.reservation {
             if let Some(accountant) = &mut broker.accountant {
@@ -441,7 +432,7 @@ impl Settle<'_> {
     }
 }
 
-/// Rolls a failed session's budget hold back, restoring the reserved
+/// Rolls a failed request's budget hold back, restoring the reserved
 /// `ε′` to the accountant.
 pub(crate) fn abort<E, N>(broker: &mut DataBroker<E, N>, reservation: Option<Reservation>) {
     if let Some(hold) = reservation {
@@ -453,7 +444,7 @@ pub(crate) fn abort<E, N>(broker: &mut DataBroker<E, N>, reservation: Option<Res
 }
 
 /// Places a hold for `epsilon` on the accountant, if one is installed.
-pub(crate) fn reserve_effective<E, N>(
+fn reserve_effective<E, N>(
     broker: &mut DataBroker<E, N>,
     epsilon: Epsilon,
 ) -> Result<Option<Reservation>, CoreError> {
@@ -465,7 +456,7 @@ pub(crate) fn reserve_effective<E, N>(
 
 /// Solves problem (3), topping up once more if the optimizer reports the
 /// demand infeasible at the achieved probability.
-pub(crate) fn plan_with_retry<E: RangeCountEstimator, N: Network>(
+fn plan_with_retry<E: RangeCountEstimator, N: Network>(
     broker: &mut DataBroker<E, N>,
     accuracy: Accuracy,
 ) -> Result<PerturbationPlan, CoreError> {
@@ -531,6 +522,7 @@ fn plan<E: RangeCountEstimator, N: Network>(
 ///    adaptive policy accrues the scanning cost of `upcoming_queries`
 ///    into its ski-rental meter and builds once scanning has foregone a
 ///    build's worth of savings.
+#[inline]
 pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     broker: &mut DataBroker<E, N>,
     upcoming_queries: u64,
@@ -574,8 +566,9 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     }
 }
 
-/// Looks a request up in the answer cache, if caching is enabled.
-/// Candidates are the answers over the same range, matched per kind:
+/// Looks a request up in the answer cache, if caching is enabled, and
+/// counts a hit as a released answer. Candidates are the answers over the
+/// same range, matched per kind:
 ///
 /// * a demand reuses a demand-path answer (one with a recorded accuracy)
 ///   when the guard decides re-serving it cannot undercut the posted
@@ -615,6 +608,7 @@ pub(crate) fn cache_lookup<E, N>(
     .copied();
     if hit.is_some() {
         broker.counters.cache_hits += 1;
+        broker.counters.answers_released += 1;
     } else {
         broker.counters.cache_misses += 1;
     }
@@ -622,7 +616,7 @@ pub(crate) fn cache_lookup<E, N>(
 }
 
 /// Stores a freshly released answer for future reuse.
-pub(crate) fn cache_store<E, N>(broker: &mut DataBroker<E, N>, answer: &PrivateAnswer) {
+fn cache_store<E, N>(broker: &mut DataBroker<E, N>, answer: &PrivateAnswer) {
     if broker.reuse_guard.is_none() {
         return;
     }

@@ -98,11 +98,10 @@ impl Reservation {
 /// Tracks privacy-budget spend against a total cap under sequential
 /// composition.
 ///
-/// Spending is two-phase: [`BudgetAccountant::reserve`] places a hold
-/// that [`BudgetAccountant::commit`] converts into spend or
-/// [`BudgetAccountant::rollback`] releases. The one-shot
-/// [`BudgetAccountant::spend`] is reserve-then-commit in one call, for
-/// callers with no failure window between charging and releasing.
+/// Spending is two-phase, and that is the only way to spend:
+/// [`BudgetAccountant::reserve`] places a hold that
+/// [`BudgetAccountant::commit`] converts into spend or
+/// [`BudgetAccountant::rollback`] releases.
 ///
 /// # Examples
 ///
@@ -111,11 +110,12 @@ impl Reservation {
 ///
 /// # fn main() -> Result<(), prc_dp::DpError> {
 /// let mut accountant = BudgetAccountant::new(Epsilon::new(1.0)?);
-/// accountant.spend(Epsilon::new(0.4)?)?;
+/// let hold = accountant.reserve(Epsilon::new(0.4)?)?;
+/// accountant.commit(hold);
 /// assert!((accountant.remaining().value() - 0.6).abs() < 1e-12);
-/// assert!(accountant.spend(Epsilon::new(0.7)?).is_err());
+/// assert!(accountant.reserve(Epsilon::new(0.7)?).is_err());
 ///
-/// // Two-phase: a rolled-back hold costs nothing.
+/// // A rolled-back hold costs nothing.
 /// let hold = accountant.reserve(Epsilon::new(0.5)?)?;
 /// assert!((accountant.remaining().value() - 0.1).abs() < 1e-12);
 /// accountant.rollback(hold);
@@ -205,20 +205,6 @@ impl BudgetAccountant {
         self.reserved = (self.reserved - reservation.amount.0).max(0.0);
     }
 
-    /// Attempts to spend `epsilon` from the remaining budget
-    /// (reserve-then-commit in one step).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DpError::BudgetExhausted`] (and spends nothing) when the
-    /// request exceeds the remaining budget. A tiny tolerance (1e-12 of
-    /// the total) absorbs floating-point accumulation error.
-    pub fn spend(&mut self, epsilon: Epsilon) -> Result<(), DpError> {
-        let reservation = self.reserve(epsilon)?;
-        self.commit(reservation);
-        Ok(())
-    }
-
     /// True when any further non-zero spend would fail.
     pub fn is_exhausted(&self) -> bool {
         self.remaining().0 <= 1e-12 * self.total.0.max(1.0)
@@ -228,6 +214,13 @@ impl BudgetAccountant {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Reserves `value` and commits the hold.
+    fn charge(acc: &mut BudgetAccountant, value: f64) -> Result<(), DpError> {
+        let hold = acc.reserve(Epsilon::new(value).unwrap())?;
+        acc.commit(hold);
+        Ok(())
+    }
 
     #[test]
     fn epsilon_validation() {
@@ -260,8 +253,8 @@ mod tests {
     fn accountant_tracks_spend() {
         let mut acc = BudgetAccountant::new(Epsilon::new(2.0).unwrap());
         assert_eq!(acc.operations(), 0);
-        acc.spend(Epsilon::new(0.5).unwrap()).unwrap();
-        acc.spend(Epsilon::new(1.0).unwrap()).unwrap();
+        charge(&mut acc, 0.5).unwrap();
+        charge(&mut acc, 1.0).unwrap();
         assert_eq!(acc.operations(), 2);
         assert!((acc.spent().value() - 1.5).abs() < 1e-12);
         assert!((acc.remaining().value() - 0.5).abs() < 1e-12);
@@ -271,32 +264,31 @@ mod tests {
     #[test]
     fn accountant_rejects_overspend_without_mutating() {
         let mut acc = BudgetAccountant::new(Epsilon::new(1.0).unwrap());
-        acc.spend(Epsilon::new(0.9).unwrap()).unwrap();
-        let err = acc.spend(Epsilon::new(0.2).unwrap()).unwrap_err();
+        charge(&mut acc, 0.9).unwrap();
+        let err = charge(&mut acc, 0.2).unwrap_err();
         assert!(matches!(err, DpError::BudgetExhausted { .. }));
-        // A failed spend leaves the accountant untouched.
+        // A refused hold leaves the accountant untouched.
         assert!((acc.spent().value() - 0.9).abs() < 1e-12);
         assert_eq!(acc.operations(), 1);
-        // A fitting spend still succeeds.
-        acc.spend(Epsilon::new(0.1).unwrap()).unwrap();
+        // A fitting charge still succeeds.
+        charge(&mut acc, 0.1).unwrap();
         assert!(acc.is_exhausted());
     }
 
     #[test]
     fn accountant_tolerates_float_accumulation() {
         let mut acc = BudgetAccountant::new(Epsilon::new(1.0).unwrap());
-        let step = Epsilon::new(0.1).unwrap();
         for _ in 0..10 {
-            acc.spend(step).unwrap();
+            charge(&mut acc, 0.1).unwrap();
         }
         assert!(acc.is_exhausted());
-        assert!(acc.spend(Epsilon::new(0.01).unwrap()).is_err());
+        assert!(charge(&mut acc, 0.01).is_err());
     }
 
     #[test]
     fn zero_spend_always_succeeds() {
         let mut acc = BudgetAccountant::new(Epsilon::new(0.0).unwrap());
-        acc.spend(Epsilon::new(0.0).unwrap()).unwrap();
+        charge(&mut acc, 0.0).unwrap();
         assert!(acc.is_exhausted());
     }
 
@@ -320,7 +312,7 @@ mod tests {
     #[test]
     fn rollback_restores_the_full_hold() {
         let mut acc = BudgetAccountant::new(Epsilon::new(1.0).unwrap());
-        acc.spend(Epsilon::new(0.3).unwrap()).unwrap();
+        charge(&mut acc, 0.3).unwrap();
         let hold = acc.reserve(Epsilon::new(0.5).unwrap()).unwrap();
         assert!((acc.remaining().value() - 0.2).abs() < 1e-12);
         acc.rollback(hold);
@@ -328,7 +320,7 @@ mod tests {
         assert!((acc.spent().value() - 0.3).abs() < 1e-12);
         assert_eq!(acc.operations(), 1, "rollbacks are not operations");
         // The released budget is spendable again.
-        acc.spend(Epsilon::new(0.7).unwrap()).unwrap();
+        charge(&mut acc, 0.7).unwrap();
         assert!(acc.is_exhausted());
     }
 
@@ -343,15 +335,5 @@ mod tests {
         assert!((acc.spent().value() - 0.4).abs() < 1e-12);
         assert!((acc.remaining().value() - 0.6).abs() < 1e-12);
         assert_eq!(acc.reserved().value(), 0.0);
-    }
-
-    #[test]
-    fn spend_is_reserve_then_commit() {
-        let mut one_shot = BudgetAccountant::new(Epsilon::new(2.0).unwrap());
-        one_shot.spend(Epsilon::new(0.7).unwrap()).unwrap();
-        let mut two_phase = BudgetAccountant::new(Epsilon::new(2.0).unwrap());
-        let hold = two_phase.reserve(Epsilon::new(0.7).unwrap()).unwrap();
-        two_phase.commit(hold);
-        assert_eq!(one_shot, two_phase);
     }
 }

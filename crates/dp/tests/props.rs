@@ -96,7 +96,8 @@ proptest! {
         let mut acc = BudgetAccountant::new(Epsilon::new(total).unwrap());
         let mut accepted = 0.0;
         for &s in &spends {
-            if acc.spend(Epsilon::new(s).unwrap()).is_ok() {
+            if let Ok(hold) = acc.reserve(Epsilon::new(s).unwrap()) {
+                acc.commit(hold);
                 accepted += s;
             }
         }

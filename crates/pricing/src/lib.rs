@@ -55,7 +55,6 @@ pub mod error;
 pub mod functions;
 pub mod history;
 pub mod ledger;
-pub mod market;
 pub mod reuse;
 pub mod theorem;
 pub mod variance;

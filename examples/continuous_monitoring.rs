@@ -1,7 +1,7 @@
 //! Long-term operation: a city runs a standing private query over the
-//! live pollution stream, a customer audits every answer it buys, and the
-//! assembled marketplace handles quoting/charging — the glue APIs working
-//! together.
+//! live pollution stream, a customer audits every answer it buys, and a
+//! broker selling at history-aware prices handles quoting/charging — the
+//! glue APIs working together.
 //!
 //! ```text
 //! cargo run --release --example continuous_monitoring
@@ -13,7 +13,6 @@
 use prc::core::monitor::{ContinuousMonitor, MonitorConfig};
 use prc::core::optimizer::NetworkShape;
 use prc::data::stream::StreamReplayer;
-use prc::marketplace::Marketplace;
 use prc::prelude::*;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -76,7 +75,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // --- 2. The assembled marketplace with auditing consumers ----------
+    // --- 2. A broker selling at history-aware prices to auditing consumers
     let network = FlatNetwork::from_dataset(
         &dataset,
         AirQualityIndex::ParticulateMatter,
@@ -84,16 +83,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         PartitionStrategy::RoundRobin,
         7,
     );
-    let broker = DataBroker::new(network, 7);
-    let posted = SqrtPrecisionPricing::new(2e4, ChebyshevVariance::new(dataset.len()));
-    let mut market = Marketplace::new(broker, posted);
+    let mut broker = DataBroker::new(network, 7);
+    let model = ChebyshevVariance::new(dataset.len());
+    let posted = SqrtPrecisionPricing::new(2e4, model);
+    broker.enable_pricing(Box::new(HistoryAwarePricing::new(posted, model)));
 
     println!("\nmarketplace session (history-aware pricing, audited answers):");
     let request = QueryRequest::new(RangeQuery::new(100.0, 200.0)?, Accuracy::new(0.08, 0.8)?);
     for round in 1..=3 {
-        let quote = market.quote("analyst", &request)?.unwrap().price;
-        let sale = market.buy("analyst", &request)?;
-        let shape = NetworkShape::from_station(market.broker().network().station())?;
+        let quote = broker.quote("analyst", &request)?.unwrap().price;
+        let sale = broker.answer_as("analyst", &request)?;
+        let shape = NetworkShape::from_station(broker.network().station())?;
         let audit = if verify_answer(&sale.answer, shape).is_ok() {
             "audit PASS"
         } else {
@@ -107,7 +107,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "  total revenue {:.2} — equal to the posted price of the precision the analyst now holds",
-        market.revenue()
+        broker.pricing().unwrap().ledger().total_revenue()
     );
     println!("  (marginal pricing: each repeat purchase of the same query costs less)");
     Ok(())

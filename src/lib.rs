@@ -61,7 +61,6 @@ pub use prc_pricing as pricing;
 pub use prc_sketch as sketch;
 
 pub mod cli;
-pub mod marketplace;
 
 /// The most common imports, re-exported flat.
 pub mod prelude {
@@ -75,7 +74,7 @@ pub mod prelude {
     pub use prc_core::optimizer::{
         optimize, NetworkShape, OptimizerConfig, PerturbationPlan, PlanSummary, SensitivityPolicy,
     };
-    pub use prc_core::pipeline::{PricedAnswer, QuerySession};
+    pub use prc_core::pipeline::PricedAnswer;
     pub use prc_core::quantile::{private_quantile, private_quantiles, QuantileConfig};
     pub use prc_core::query::{Accuracy, QueryRequest, RangeQuery};
     pub use prc_core::CoreError;

@@ -184,13 +184,11 @@ fn advanced_accountant_tightens_a_long_broker_session() {
 
 #[test]
 fn history_pricing_integrates_with_the_marketplace() {
-    use prc::marketplace::Marketplace;
-    use prc::pricing::history::PrecisionPricing;
     let (dataset, parts) = setup();
     let model = ChebyshevVariance::new(dataset.len());
     let posted = SqrtPrecisionPricing::new(1e4, model);
-    let broker = DataBroker::new(FlatNetwork::from_partitions(parts, 41), 41);
-    let mut market = Marketplace::new(broker, posted);
+    let mut broker = DataBroker::new(FlatNetwork::from_partitions(parts, 41), 41);
+    broker.enable_pricing(Box::new(HistoryAwarePricing::new(posted, model)));
 
     // A repeat customer pays marginal prices; the total equals the posted
     // price of their accumulated precision.
@@ -200,8 +198,8 @@ fn history_pricing_integrates_with_the_marketplace() {
     );
     let mut total_paid = 0.0;
     for _ in 0..4 {
-        total_paid += market
-            .buy("repeat-customer", &request)
+        total_paid += broker
+            .answer_as("repeat-customer", &request)
             .unwrap()
             .price
             .unwrap();
@@ -212,7 +210,7 @@ fn history_pricing_integrates_with_the_marketplace() {
         (total_paid - posted_for_held).abs() < 1e-6,
         "telescoping broke: paid {total_paid} vs posted {posted_for_held}"
     );
-    let ledger = market.ledger().unwrap();
+    let ledger = broker.pricing().unwrap().ledger();
     assert_eq!(ledger.len(), 4);
     // Marginal prices decrease for the concave family.
     let prices: Vec<f64> = ledger.records().iter().map(|r| r.price).collect();

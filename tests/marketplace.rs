@@ -1,4 +1,5 @@
-//! Marketplace-level integration: broker + pricing + adversaries + budget.
+//! Marketplace-level integration: broker + pricing + adversaries + budget,
+//! and a broker selling at history-aware prices through `answer_as`.
 
 use prc::prelude::*;
 
@@ -152,4 +153,140 @@ fn effective_epsilon_is_what_the_accountant_spends() {
     let spent = broker.accountant().unwrap().spent().value();
     let expected = a1.plan.effective_epsilon.value() + a2.plan.effective_epsilon.value();
     assert!((spent - expected).abs() < 1e-12);
+}
+
+// ---------------------------------------------------------------------
+// A broker selling at history-aware prices: quote and sale through
+// `DataBroker::quote` and `DataBroker::answer_as`.
+// ---------------------------------------------------------------------
+
+/// A broker over 10 nodes × 500 values with `HistoryAwarePricing`
+/// installed over a √-precision posted curve and the population's
+/// Chebyshev model.
+fn history_broker(seed: u64) -> DataBroker {
+    let partitions: Vec<Vec<f64>> = (0..10)
+        .map(|i| (0..500).map(|j| (i * 500 + j) as f64).collect())
+        .collect();
+    let mut broker = DataBroker::new(FlatNetwork::from_partitions(partitions, seed), seed);
+    let model = ChebyshevVariance::new(5_000);
+    broker.enable_pricing(Box::new(HistoryAwarePricing::new(
+        SqrtPrecisionPricing::new(1e4, model),
+        model,
+    )));
+    broker
+}
+
+fn history_request(alpha: f64, delta: f64) -> QueryRequest {
+    QueryRequest::new(
+        RangeQuery::new(1_000.0, 4_000.0).expect("valid range"),
+        Accuracy::new(alpha, delta).expect("valid demand"),
+    )
+}
+
+fn revenue(broker: &DataBroker) -> f64 {
+    broker
+        .pricing()
+        .map_or(0.0, |engine| engine.ledger().total_revenue())
+}
+
+#[test]
+fn quote_matches_first_purchase_price() {
+    let mut broker = history_broker(1);
+    let req = history_request(0.1, 0.6);
+    let quoted = broker.quote("alice", &req).unwrap().map(|q| q.price);
+    let sale = broker.answer_as("alice", &req).unwrap();
+    assert_eq!(sale.price, quoted);
+    assert_eq!(sale.settlement, Some(0));
+    assert!(sale.answer.value.is_finite());
+    assert_eq!(Some(revenue(&broker)), quoted);
+}
+
+#[test]
+fn repeat_buyers_get_marginal_prices() {
+    let mut broker = history_broker(2);
+    let req = history_request(0.1, 0.6);
+    let first = broker.answer_as("alice", &req).unwrap().price;
+    let second = broker.answer_as("alice", &req).unwrap().price;
+    assert!(second < first, "concave posted price must discount repeats");
+    // A different buyer still pays the fresh price.
+    let bob = broker.answer_as("bob", &req).unwrap().price;
+    assert_eq!(bob, first);
+    // A different *range* resets the history too.
+    let other = QueryRequest::new(
+        RangeQuery::new(0.0, 500.0).unwrap(),
+        Accuracy::new(0.1, 0.6).unwrap(),
+    );
+    let fresh = broker.quote("alice", &other).unwrap().map(|q| q.price);
+    assert_eq!(fresh, first);
+}
+
+#[test]
+fn negative_zero_bound_shares_the_purchase_history() {
+    let mut broker = history_broker(6);
+    let from = |lower: f64| {
+        QueryRequest::new(
+            RangeQuery::new(lower, 4_000.0).unwrap(),
+            Accuracy::new(0.1, 0.6).unwrap(),
+        )
+    };
+    let first = broker
+        .answer_as("alice", &from(0.0))
+        .unwrap()
+        .price
+        .unwrap();
+    let marginal = broker.quote("alice", &from(0.0)).unwrap().unwrap().price;
+    assert!(marginal < first);
+    // `[−0.0, u]` is the range alice already holds, not a fresh one.
+    assert_eq!(
+        broker
+            .quote("alice", &from(-0.0))
+            .unwrap()
+            .map(|q| q.price.to_bits()),
+        Some(marginal.to_bits())
+    );
+}
+
+#[test]
+fn failed_pipeline_charges_nothing() {
+    let mut broker = history_broker(3);
+    // Exhaust the privacy budget, then try to buy.
+    broker.set_privacy_budget(Epsilon::new(1e-9).unwrap());
+    let err = broker
+        .answer_as("carol", &history_request(0.1, 0.6))
+        .unwrap_err();
+    assert!(matches!(err, CoreError::Dp(_)));
+    assert_eq!(revenue(&broker), 0.0);
+    assert!(broker.pricing().unwrap().ledger().is_empty());
+    // The quote is unaffected by the failed attempt.
+    let quote = broker
+        .quote("carol", &history_request(0.1, 0.6))
+        .unwrap()
+        .unwrap();
+    assert!(quote.price > 0.0);
+}
+
+#[test]
+fn ledger_accumulates_across_buyers() {
+    let mut broker = history_broker(4);
+    broker.answer_as("a", &history_request(0.1, 0.6)).unwrap();
+    broker.answer_as("b", &history_request(0.05, 0.8)).unwrap();
+    broker.answer_as("a", &history_request(0.1, 0.6)).unwrap();
+    let ledger = broker.pricing().unwrap().ledger();
+    assert_eq!(ledger.len(), 3);
+    let by_buyer = ledger.revenue_by_buyer();
+    assert!(by_buyer["a"] > 0.0 && by_buyer["b"] > 0.0);
+    assert!((revenue(&broker) - (by_buyer["a"] + by_buyer["b"])).abs() < 1e-9);
+}
+
+#[test]
+fn posted_variance_is_the_chebyshev_model() {
+    let mut broker = history_broker(5);
+    let quote = broker
+        .quote("alice", &history_request(0.1, 0.6))
+        .unwrap()
+        .unwrap();
+    assert_eq!(
+        quote.variance,
+        ChebyshevVariance::new(5_000).variance(0.1, 0.6)
+    );
 }

@@ -1,13 +1,15 @@
-//! Equivalence suite for the staged `QuerySession` pipeline refactor.
+//! Equivalence suite for the staged query pipeline.
 //!
 //! Every golden constant below is the exact bit pattern of an answer
 //! released by the pre-refactor broker (captured from the commit before
 //! the pipeline module existed, same seeds, same workloads). The staged
-//! pipeline must release **byte-identical** values through every entry
-//! point — `answer`, `answer_batch`, `answer_with_epsilon`, and the
-//! monitor's `answer_epoch` — on both the flat and the tree network
-//! drivers. Any drift here means the refactor changed an observable
-//! release, which is a correctness bug, not a tolerance issue.
+//! pipeline — one request path, which a batch runs once per member
+//! after one collection round per rate tier — must release
+//! **byte-identical** values through every entry point — `answer`,
+//! `answer_batch`, `answer_with_epsilon`, and the monitor's
+//! `answer_epoch` — on both the flat and the tree network drivers. Any
+//! drift here means a change moved an observable release, which is a
+//! correctness bug, not a tolerance issue.
 //!
 //! The suite also pins the two behaviours the refactor *added*:
 //! two-phase budgeting (a failed release rolls its hold back — the old
@@ -51,7 +53,8 @@ const GOLDEN_CACHED: [u64; 4] = [
     0xc0ba60f611738c08,
 ];
 
-/// Pre-refactor bits: batched engine with cache + duplicate deferral.
+/// Pre-refactor bits: batched engine with cache and an in-flight
+/// duplicate (served its progenitor's cached answer).
 /// Scenario: partitions(8, 700), network seed 21, broker seed 21,
 /// guard(5_600).
 const GOLDEN_BATCH: [u64; 5] = [
