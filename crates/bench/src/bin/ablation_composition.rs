@@ -3,15 +3,16 @@
 //!
 //! The broker's accountant applies basic sequential composition; this
 //! ablation quantifies how much budget the advanced composition theorem
-//! recovers as the number of sold answers grows, for several per-query
-//! budgets.
+//! and Rényi accounting recover as a stream of independent mechanisms
+//! grows, for several per-query budgets. The broker's fresh answers are
+//! not such a stream: they share one sample, so their sound bound
+//! composes the base budgets on that sample and amplifies once.
 //!
 //! Run with `cargo run -p prc-bench --release --bin ablation_composition`.
 
 use prc_bench::print_table;
 use prc_dp::budget::Epsilon;
-use prc_dp::composition::{advanced_composition, basic_composition};
-use prc_dp::gaussian::ApproxDp;
+use prc_dp::composition::{advanced_composition, basic_composition, ApproxDp};
 use prc_dp::renyi::RdpAccountant;
 
 fn main() {
@@ -54,5 +55,5 @@ fn main() {
         &["per-query ε", "queries", "basic Σε", "advanced ε", "RDP ε", "tightest"],
         &rows,
     );
-    println!("\nexpected: the linear bound wins only for short sessions; advanced composition scales\nwith √k at a δ cost; the Rényi accountant (Laplace-specific curve) is tighter still on\nlong, small-ε sessions — the right choice for a broker selling thousands of answers.");
+    println!("\nexpected: the linear bound wins only for short sessions; advanced composition scales\nwith √k at a δ cost; the Rényi accountant (Laplace-specific curve) is tighter still on\nlong, small-ε sessions. Every row composes independent mechanisms. A broker's fresh\nanswers all come from one shared sample, so these rows do not bound them: compose the\nanswers' base ε on that sample, then amplify by sampling once.");
 }

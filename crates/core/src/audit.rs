@@ -21,7 +21,7 @@ use crate::broker::PrivateAnswer;
 use crate::optimizer::NetworkShape;
 
 /// A single failed audit check.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AuditFinding {
     /// Which check failed.
     pub check: AuditCheck,
@@ -30,7 +30,7 @@ pub struct AuditFinding {
 }
 
 /// The individual checks an audit performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AuditCheck {
     /// `0 < α′ < α`.
     AlphaSplit,

@@ -71,7 +71,7 @@ pub(crate) fn sampling_target(accuracy: Accuracy) -> Result<Accuracy, CoreError>
 }
 
 /// One differentially private, (α, δ)-approximate answer.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivateAnswer {
     /// The queried range.
     pub query: RangeQuery,
@@ -100,7 +100,7 @@ pub struct PrivateAnswer {
 /// while a reuse guard is installed), and the release stage. Message and
 /// byte traffic lives in the network's [`prc_net::network::CostMeter`];
 /// epoch-level consumers combine both views.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageCounters {
     /// Collection rounds that actually topped the network up.
     pub collection_rounds: u64,
@@ -120,12 +120,10 @@ pub struct StageCounters {
     /// Optimizer grid sweeps skipped because the plan cache held a
     /// memoized plan for the same accuracy target, rate tier, and
     /// station revision.
-    #[serde(default)]
     pub plan_cache_hits: u64,
     /// Always `0`: no index reports search steps and no stage adds to
     /// it. It stays only because the end-to-end benchmark reads it, and
     /// goes with that benchmark's next revision.
-    #[serde(default)]
     pub gallop_steps: u64,
     /// Priced transactions settled into the pricing engine's ledger.
     pub settlements: u64,
@@ -134,7 +132,7 @@ pub struct StageCounters {
 }
 
 /// Aggregate statistics for one [`DataBroker::answer_batch`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BatchStats {
     /// Requests in the batch.
     pub requests: u64,
@@ -153,7 +151,6 @@ pub struct BatchStats {
     /// Estimates in this batch answered through a query index.
     pub indexed_estimates: u64,
     /// Grid sweeps this batch skipped via the optimizer plan cache.
-    #[serde(default)]
     pub plan_cache_hits: u64,
 }
 

@@ -68,7 +68,7 @@ pub struct BatchEstimate {
 /// estimator's direct [`RangeCountEstimator::estimate`] on the same
 /// station, so switching between the paths can never change a released
 /// answer.
-pub trait QueryIndex: std::fmt::Debug + Send + Sync {
+pub trait QueryIndex: std::fmt::Debug {
     /// Estimates the global count `γ(l, u, D)` for one query.
     fn estimate(&self, query: RangeQuery) -> f64;
 

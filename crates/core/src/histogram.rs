@@ -30,7 +30,7 @@ use crate::estimator::RangeCountEstimator;
 use crate::query::RangeQuery;
 
 /// A released, ε-differentially private histogram.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PrivateHistogram {
     edges: Vec<f64>,
     counts: Vec<f64>,

@@ -30,7 +30,7 @@ use crate::error::CoreError;
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
 
 /// Configuration of a continuous monitor.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// The standing range query.
     pub query: RangeQuery,
@@ -49,7 +49,7 @@ pub struct MonitorConfig {
 }
 
 /// One epoch's released result.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochResult {
     /// Epoch number, starting at 0.
     pub epoch: u64,

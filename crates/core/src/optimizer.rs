@@ -42,7 +42,7 @@ use crate::query::Accuracy;
 pub use prc_pricing::ledger::PlanSummary;
 
 /// How the broker estimates the sensitivity `Δγ̂` of the sampled estimator.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SensitivityPolicy {
     /// The paper's choice: the expected sensitivity `1/p`.
     Expected,
@@ -55,7 +55,7 @@ pub enum SensitivityPolicy {
 }
 
 /// Shape of the network the optimizer plans for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkShape {
     /// Number of nodes `k`.
     pub k: usize,
@@ -102,7 +102,7 @@ impl NetworkShape {
 }
 
 /// Configuration of the grid-search solver.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OptimizerConfig {
     /// Number of `α′` grid points swept inside `(0, α)`.
     pub grid_points: usize,
@@ -121,7 +121,7 @@ impl Default for OptimizerConfig {
 
 /// The optimizer's output: everything the broker needs to perturb one
 /// answer, plus the diagnostics the experiments report.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerturbationPlan {
     /// Chosen intermediate error bound `α′ < α`.
     pub alpha_prime: f64,

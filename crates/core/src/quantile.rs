@@ -23,7 +23,7 @@ use crate::estimator::RangeCountEstimator;
 use crate::query::RangeQuery;
 
 /// Configuration of the noisy binary search.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantileConfig {
     /// Inclusive search domain for the quantile value.
     pub domain: (f64, f64),
@@ -37,7 +37,7 @@ pub struct QuantileConfig {
 }
 
 /// A released private quantile estimate with its search diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrivateQuantile {
     /// The quantile level `q` that was asked.
     pub q: f64,

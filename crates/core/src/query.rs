@@ -3,7 +3,7 @@
 use crate::error::CoreError;
 
 /// A closed range `[l, u]` of data values (Definition 2.1).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RangeQuery {
     l: f64,
     u: f64,
@@ -64,7 +64,7 @@ impl std::fmt::Display for RangeQuery {
 /// make the paper's closed forms degenerate (`α = 0` demands exactness,
 /// `δ = 1` demands certainty — neither is achievable by sampling plus
 /// unbounded noise).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Accuracy {
     alpha: f64,
     delta: f64,
@@ -114,7 +114,7 @@ impl std::fmt::Display for Accuracy {
 }
 
 /// A customer request `Λ(α, δ)` for one range-counting aggregation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryRequest {
     /// The value range to count.
     pub query: RangeQuery,

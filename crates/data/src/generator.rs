@@ -31,7 +31,7 @@ pub const CITYPULSE_RECORD_COUNT: usize = 17_568;
 pub const CITYPULSE_INTERVAL_SECONDS: i64 = 300;
 
 /// Per-index shape parameters for the synthetic series.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SeriesProfile {
     /// Long-run mean level.
     pub baseline: f64,

@@ -17,7 +17,7 @@
 use crate::record::{Dataset, PollutionRecord};
 
 /// How to split a dataset across `k` nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
     /// Record `j` goes to node `j mod k`.
     RoundRobin,

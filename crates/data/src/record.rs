@@ -9,9 +9,7 @@
 use crate::time::Timestamp;
 
 /// The five air-quality indexes carried by every CityPulse pollution record.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum AirQualityIndex {
     /// Ground-level ozone (O₃).
     Ozone,
@@ -120,7 +118,7 @@ impl std::str::FromStr for AirQualityIndex {
 
 /// One observation row: a timestamp, the reporting sensor, and all five
 /// air-quality index values.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PollutionRecord {
     /// Observation time.
     pub timestamp: Timestamp,
@@ -166,7 +164,7 @@ impl PollutionRecord {
 ///
 /// Records are kept in insertion order (the generator and CSV reader both
 /// produce time-ascending order).
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     records: Vec<PollutionRecord>,
 }

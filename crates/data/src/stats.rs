@@ -75,7 +75,7 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
 }
 
 /// A fixed-width histogram over a closed value range.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     low: f64,
     high: f64,

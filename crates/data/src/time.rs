@@ -15,19 +15,7 @@
 use crate::error::DataError;
 
 /// A point in time, stored as unix seconds (seconds since 1970-01-01 00:00:00 UTC).
-#[derive(
-    Debug,
-    Clone,
-    Copy,
-    PartialEq,
-    Eq,
-    PartialOrd,
-    Ord,
-    Hash,
-    Default,
-    serde::Serialize,
-    serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Timestamp(pub i64);
 
 impl Timestamp {

@@ -12,9 +12,8 @@
 //! learn privately?*, SICOMP 2011; restated as Lemma 3.4 in the paper.)
 //!
 //! The paper's optimizer minimizes exactly this effective budget, so this
-//! module provides the forward map ([`amplify`]), its inverse
-//! ([`required_base_epsilon`]), and the amplification factor diagnostics
-//! used by the Fig. 6 experiment.
+//! module provides the forward map ([`amplify`]) and its inverse
+//! ([`required_base_epsilon`]).
 
 use crate::budget::Epsilon;
 use crate::error::DpError;
@@ -68,22 +67,6 @@ pub fn required_base_epsilon(target: Epsilon, p: f64) -> Result<Epsilon, DpError
     }
     let base = (target.value().exp_m1() / p).ln_1p();
     Epsilon::new(base)
-}
-
-/// Ratio `ε′/ε` — how much of the base budget survives amplification.
-///
-/// Approaches `p` as `ε → 0` and `1` as `ε → ∞`.
-///
-/// # Errors
-///
-/// Returns [`DpError::InvalidProbability`] unless `p ∈ [0, 1]`, and
-/// [`DpError::InvalidEpsilon`] when `ε = 0` (the ratio is defined by its
-/// `ε → 0` limit, which callers can take as `p`).
-pub fn amplification_ratio(epsilon: Epsilon, p: f64) -> Result<f64, DpError> {
-    if epsilon.is_zero() {
-        return Err(DpError::InvalidEpsilon { value: 0.0 });
-    }
-    Ok(amplify(epsilon, p)?.value() / epsilon.value())
 }
 
 #[cfg(test)]
@@ -168,16 +151,6 @@ mod tests {
         assert!(amplify(eps(1.0), -0.1).is_err());
         assert!(amplify(eps(1.0), 1.1).is_err());
         assert!(amplify(eps(1.0), f64::NAN).is_err());
-    }
-
-    #[test]
-    fn ratio_behaviour() {
-        // Ratio approaches p for small ε and 1 for huge ε.
-        let small = amplification_ratio(eps(1e-8), 0.25).unwrap();
-        assert!((small - 0.25).abs() < 1e-4);
-        let large = amplification_ratio(eps(50.0), 0.25).unwrap();
-        assert!(large > 0.95);
-        assert!(amplification_ratio(eps(0.0), 0.25).is_err());
     }
 
     #[test]

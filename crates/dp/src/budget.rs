@@ -11,9 +11,10 @@ use crate::error::DpError;
 /// A validated privacy budget: a finite, non-negative `ε`.
 ///
 /// `ε = 0` is allowed and denotes perfect indistinguishability (infinite
-/// noise); most mechanism constructors reject it separately because no
-/// finite noise scale realizes it.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
+/// noise). No finite noise scale realizes it, so releases reject it
+/// separately: `ExponentialMechanism::new` by name, and
+/// `laplace::draw_centered` because the scale `Δ/ε` is not finite.
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Epsilon(f64);
 
 impl Epsilon {
@@ -38,18 +39,6 @@ impl Epsilon {
     /// True when the budget is exactly zero.
     pub fn is_zero(self) -> bool {
         self.0 == 0.0
-    }
-
-    /// Sequential composition: running an `ε₁`-DP and an `ε₂`-DP mechanism
-    /// on the same data is `(ε₁+ε₂)`-DP.
-    pub fn compose_sequential(self, other: Epsilon) -> Epsilon {
-        Epsilon(self.0 + other.0)
-    }
-
-    /// Parallel composition: running mechanisms on *disjoint* partitions
-    /// of the data is `max(ε₁, ε₂)`-DP.
-    pub fn compose_parallel(self, other: Epsilon) -> Epsilon {
-        Epsilon(self.0.max(other.0))
     }
 }
 
@@ -123,7 +112,7 @@ impl Reservation {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BudgetAccountant {
     total: Epsilon,
     spent: f64,
@@ -239,14 +228,6 @@ mod tests {
         assert_eq!(f64::from(e), 0.7);
         assert_eq!(e.to_string(), "ε=0.7");
         assert!(Epsilon::try_from(-1.0).is_err());
-    }
-
-    #[test]
-    fn composition_rules() {
-        let a = Epsilon::new(0.3).unwrap();
-        let b = Epsilon::new(0.5).unwrap();
-        assert!((a.compose_sequential(b).value() - 0.8).abs() < 1e-15);
-        assert_eq!(a.compose_parallel(b).value(), 0.5);
     }
 
     #[test]

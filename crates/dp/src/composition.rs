@@ -1,8 +1,7 @@
-//! Composition theorems beyond naive summation.
+//! Composition theorems beyond naive summation, over approximate
+//! differential privacy [`ApproxDp`].
 //!
-//! The broker answers a *stream* of queries against the same sample, so
-//! the privacy cost of a session is governed by composition. The
-//! [`crate::budget::BudgetAccountant`] applies basic (sequential)
+//! The [`crate::budget::BudgetAccountant`] applies basic (sequential)
 //! composition — budgets add. This module adds the **advanced
 //! composition** theorem (Dwork, Rothblum & Vadhan 2010; as stated in
 //! Dwork & Roth, Thm 3.20): `k` adaptive `(ε, δ)`-DP mechanisms are
@@ -12,12 +11,52 @@
 //! ( ε·√(2k·ln(1/δ′)) + k·ε·(e^ε − 1),  k·δ + δ′ )-DP
 //! ```
 //!
-//! for any slack `δ′ > 0` — a √k growth instead of the naive k, which is
-//! what makes long trading sessions viable.
+//! for any slack `δ′ > 0` — a √k growth instead of the naive k.
+//!
+//! Both theorems compose mechanisms that each see the data afresh. The
+//! broker's fresh answers are not such a stream: they are all drawn from
+//! one shared Bernoulli(p) sample, so the sound order is to compose their
+//! *base* budgets on that sample and amplify by sampling once, not to
+//! compose the per-answer amplified budgets.
 
-use crate::budget::Epsilon;
 use crate::error::DpError;
-use crate::gaussian::ApproxDp;
+
+/// An approximate differential-privacy guarantee `(ε, δ)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ApproxDp {
+    /// The multiplicative budget ε.
+    pub epsilon: f64,
+    /// The additive failure probability δ.
+    pub delta: f64,
+}
+
+impl ApproxDp {
+    /// Creates a guarantee.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DpError::InvalidEpsilon`] unless `epsilon` is finite and
+    /// non-negative, or [`DpError::InvalidProbability`] unless
+    /// `delta ∈ [0, 1)`.
+    pub fn new(epsilon: f64, delta: f64) -> Result<Self, DpError> {
+        if !epsilon.is_finite() || epsilon < 0.0 {
+            return Err(DpError::InvalidEpsilon { value: epsilon });
+        }
+        if !(0.0..1.0).contains(&delta) {
+            return Err(DpError::InvalidProbability {
+                value: delta,
+                expected: "in [0, 1)",
+            });
+        }
+        Ok(ApproxDp { epsilon, delta })
+    }
+}
+
+impl std::fmt::Display for ApproxDp {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "(ε={}, δ={})", self.epsilon, self.delta)
+    }
+}
 
 /// Naive sequential composition of `k` repetitions of an `(ε, δ)`-DP
 /// mechanism: `(k·ε, k·δ)`.
@@ -34,8 +73,7 @@ pub fn basic_composition(per_query: ApproxDp, k: u64) -> ApproxDp {
 /// # Examples
 ///
 /// ```
-/// use prc_dp::composition::{advanced_composition, basic_composition};
-/// use prc_dp::gaussian::ApproxDp;
+/// use prc_dp::composition::{advanced_composition, basic_composition, ApproxDp};
 ///
 /// # fn main() -> Result<(), prc_dp::DpError> {
 /// let per_query = ApproxDp::new(0.01, 0.0)?;
@@ -70,83 +108,20 @@ pub fn advanced_composition(
     )
 }
 
-/// The tighter of basic and advanced composition for the same `k`-fold
-/// repetition (advanced only wins for large `k` and small `ε`).
-pub fn best_composition(per_query: ApproxDp, k: u64, delta_slack: f64) -> ApproxDp {
-    let basic = basic_composition(per_query, k);
-    match advanced_composition(per_query, k, delta_slack) {
-        Ok(advanced) if advanced.epsilon < basic.epsilon => advanced,
-        _ => basic,
-    }
-}
-
-/// An accountant tracking a stream of *heterogeneous* pure-DP spends and
-/// reporting both the naive total and the advanced-composition bound over
-/// the worst per-query budget.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct AdvancedAccountant {
-    spends: Vec<f64>,
-}
-
-impl AdvancedAccountant {
-    /// An empty accountant.
-    pub fn new() -> Self {
-        AdvancedAccountant::default()
-    }
-
-    /// Records one pure-DP spend.
-    pub fn record(&mut self, epsilon: Epsilon) {
-        self.spends.push(epsilon.value());
-    }
-
-    /// Number of recorded queries.
-    pub fn queries(&self) -> u64 {
-        self.spends.len() as u64
-    }
-
-    /// The naive (basic composition) total: Σ εᵢ, pure DP.
-    pub fn basic_total(&self) -> ApproxDp {
-        ApproxDp {
-            epsilon: self.spends.iter().sum(),
-            delta: 0.0,
-        }
-    }
-
-    /// The advanced-composition bound at slack `δ′`, applying the theorem
-    /// with the *largest* recorded per-query budget (sound for
-    /// heterogeneous streams because (ε, 0)-DP implies (ε_max, 0)-DP).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DpError::InvalidProbability`] unless `delta_slack ∈ (0, 1)`.
-    pub fn advanced_total(&self, delta_slack: f64) -> Result<ApproxDp, DpError> {
-        let worst = self.spends.iter().copied().fold(0.0, f64::max);
-        advanced_composition(
-            ApproxDp {
-                epsilon: worst,
-                delta: 0.0,
-            },
-            self.queries(),
-            delta_slack,
-        )
-    }
-
-    /// The tighter of the two bounds at slack `δ′`.
-    pub fn best_total(&self, delta_slack: f64) -> ApproxDp {
-        let basic = self.basic_total();
-        match self.advanced_total(delta_slack) {
-            Ok(advanced) if advanced.epsilon < basic.epsilon => advanced,
-            _ => basic,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn eps(v: f64) -> Epsilon {
-        Epsilon::new(v).unwrap()
+    #[test]
+    fn approx_dp_validation() {
+        assert!(ApproxDp::new(0.5, 1e-5).is_ok());
+        assert!(ApproxDp::new(-0.1, 1e-5).is_err());
+        assert!(ApproxDp::new(0.5, 1.0).is_err());
+        assert!(ApproxDp::new(0.5, -0.1).is_err());
+        assert!(ApproxDp::new(f64::NAN, 0.1).is_err());
+        let p = ApproxDp::new(0.7, 0.0).unwrap();
+        assert_eq!(p.delta, 0.0);
+        assert_eq!(p.to_string(), "(ε=0.7, δ=0)");
     }
 
     #[test]
@@ -176,23 +151,20 @@ mod tests {
 
     #[test]
     fn advanced_composition_loses_for_few_large_queries() {
-        let per = ApproxDp::new(1.0, 0.0).unwrap();
-        let basic = basic_composition(per, 2);
-        let advanced = advanced_composition(per, 2, 1e-6).unwrap();
-        assert!(advanced.epsilon > basic.epsilon);
-        assert_eq!(best_composition(per, 2, 1e-6), basic);
-    }
-
-    #[test]
-    fn best_composition_picks_the_winner_both_ways() {
-        let small = ApproxDp::new(0.01, 0.0).unwrap();
-        let best_small = best_composition(small, 10_000, 1e-6);
-        assert!(best_small.epsilon < basic_composition(small, 10_000).epsilon);
-        let large = ApproxDp::new(2.0, 0.0).unwrap();
-        assert_eq!(
-            best_composition(large, 3, 1e-6),
-            basic_composition(large, 3)
-        );
+        for (epsilon, k) in [(1.0, 2), (2.0, 3)] {
+            let per = ApproxDp::new(epsilon, 0.0).unwrap();
+            let basic = basic_composition(per, k);
+            let advanced = advanced_composition(per, k, 1e-6).unwrap();
+            assert!(
+                advanced.epsilon > basic.epsilon,
+                "ε={epsilon}, k={k}: advanced {} should lose to basic {}",
+                advanced.epsilon,
+                basic.epsilon
+            );
+            // Basic composition stays pure; advanced pays the slack.
+            assert_eq!(basic.delta, 0.0);
+            assert!(advanced.delta > 0.0);
+        }
     }
 
     #[test]
@@ -201,47 +173,5 @@ mod tests {
         assert!(advanced_composition(per, 5, 0.0).is_err());
         assert!(advanced_composition(per, 5, 1.0).is_err());
         assert!(advanced_composition(per, 5, -0.5).is_err());
-    }
-
-    #[test]
-    fn accountant_tracks_heterogeneous_stream() {
-        let mut acc = AdvancedAccountant::new();
-        for e in [0.05, 0.02, 0.05, 0.01] {
-            acc.record(eps(e));
-        }
-        assert_eq!(acc.queries(), 4);
-        assert!((acc.basic_total().epsilon - 0.13).abs() < 1e-12);
-        // Advanced uses the worst per-query budget (0.05) over 4 queries.
-        let adv = acc.advanced_total(1e-6).unwrap();
-        let by_hand = advanced_composition(ApproxDp::new(0.05, 0.0).unwrap(), 4, 1e-6).unwrap();
-        assert!((adv.epsilon - by_hand.epsilon).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accountant_best_total_crosses_over() {
-        // With many tiny spends, advanced eventually wins.
-        let mut acc = AdvancedAccountant::new();
-        for _ in 0..20_000 {
-            acc.record(eps(0.005));
-        }
-        let best = acc.best_total(1e-6);
-        assert!(best.epsilon < acc.basic_total().epsilon);
-        assert!(best.delta > 0.0);
-
-        // With a handful of spends, basic wins and stays pure.
-        let mut small = AdvancedAccountant::new();
-        small.record(eps(0.5));
-        small.record(eps(0.5));
-        let best = small.best_total(1e-6);
-        assert_eq!(best.delta, 0.0);
-        assert!((best.epsilon - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_accountant_is_zero() {
-        let acc = AdvancedAccountant::new();
-        assert_eq!(acc.queries(), 0);
-        assert_eq!(acc.basic_total().epsilon, 0.0);
-        assert_eq!(acc.advanced_total(1e-6).unwrap().epsilon, 0.0);
     }
 }

@@ -35,7 +35,7 @@ use crate::mechanism::Sensitivity;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExponentialMechanism {
     epsilon: Epsilon,
     score_sensitivity: Sensitivity,

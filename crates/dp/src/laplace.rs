@@ -31,7 +31,7 @@ use crate::error::DpError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Laplace {
     location: f64,
     scale: f64,
@@ -393,6 +393,22 @@ mod tests {
     }
 
     #[test]
+    fn laplace_dp_inequality_holds_empirically() {
+        // Check the DP likelihood-ratio bound directly on the noise pdf
+        // that `draw_centered(Δ/ε)` samples: for neighbouring counts
+        // differing by Δ, pdf ratio ≤ e^ε.
+        let (epsilon, sensitivity) = (0.8, 1.0);
+        let d = Laplace::centered(sensitivity / epsilon).unwrap();
+        for x in [-10.0, -1.0, 0.0, 0.3, 2.0, 25.0] {
+            let ratio = d.pdf(x) / d.pdf(x - sensitivity);
+            assert!(
+                ratio <= epsilon.exp() + 1e-9 && ratio >= (-epsilon).exp() - 1e-9,
+                "x={x}: ratio {ratio}"
+            );
+        }
+    }
+
+    #[test]
     fn variance_formula() {
         assert_eq!(Laplace::centered(3.0).unwrap().variance(), 18.0);
     }
@@ -418,6 +434,8 @@ mod tests {
         assert!(draw_centered(0.0, &mut rng).is_err());
         assert!(draw_centered(-1.0, &mut rng).is_err());
         assert!(draw_centered(f64::NAN, &mut rng).is_err());
+        // A zero ε makes the scale Δ/ε infinite: nothing is released.
+        assert!(draw_centered(1.0 / 0.0, &mut rng).is_err());
     }
 
     #[test]

@@ -4,29 +4,33 @@
 //! of *"Trading Private Range Counting over Big IoT Data"* (Cai & He,
 //! ICDCS 2019):
 //!
-//! * [`laplace`] — the Laplace distribution: sampling, pdf/cdf/quantile,
-//!   and the tail bound `Pr[|Lap(b)| ≤ t] = 1 − e^(−t/b)` that drives the
-//!   paper's perturbation optimizer (§III-B);
-//! * [`mechanism`] — the Laplace mechanism of Dwork et al. and a discrete
-//!   geometric (two-sided geometric) mechanism for integer counts;
-//! * [`budget`] — validated privacy-budget arithmetic and a composition
-//!   accountant;
+//! * [`laplace`] — the Laplace distribution, its tail bound
+//!   `Pr[|Lap(b)| ≤ t] = 1 − e^(−t/b)` that drives the paper's
+//!   perturbation optimizer (§III-B), and [`laplace::draw_centered`], the
+//!   one release path: every answer is `γ̂ + Lap(Δγ̂/ε)`;
+//! * [`mechanism`] — the validated query [`Sensitivity`] `Δ`;
+//! * [`exponential`] — the exponential mechanism, for private selection;
+//! * [`budget`] — validated privacy budgets and the [`BudgetAccountant`],
+//!   which charges every release by sequential composition against a cap;
 //! * [`amplification`] — privacy amplification by sampling (the paper's
 //!   Lemma 3.4, after Kasiviswanathan et al.): a mechanism that is
 //!   ε-differentially private on a Bernoulli(p) sample of the data is
-//!   `ln(1 − p + p·e^ε)`-differentially private on the full data.
+//!   `ln(1 − p + p·e^ε)`-differentially private on the full data;
+//! * [`composition`] and [`renyi`] — `(ε, δ)` session bounds (advanced
+//!   composition, Rényi accounting) for comparing accounting rules.
 //!
 //! ## Quick start
 //!
 //! ```
 //! use prc_dp::budget::Epsilon;
-//! use prc_dp::mechanism::{LaplaceMechanism, Mechanism, Sensitivity};
+//! use prc_dp::laplace::draw_centered;
+//! use prc_dp::mechanism::Sensitivity;
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), prc_dp::DpError> {
-//! let mechanism = LaplaceMechanism::new(Epsilon::new(1.0)?, Sensitivity::new(1.0)?)?;
+//! let (epsilon, sensitivity) = (Epsilon::new(1.0)?, Sensitivity::new(1.0)?);
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let noisy = mechanism.randomize(42.0, &mut rng);
+//! let noisy = 42.0 + draw_centered(sensitivity.value() / epsilon.value(), &mut rng)?;
 //! assert!(noisy.is_finite());
 //! # Ok(())
 //! # }
@@ -40,15 +44,13 @@ pub mod budget;
 pub mod composition;
 pub mod error;
 pub mod exponential;
-pub mod gaussian;
 pub mod laplace;
 pub mod mechanism;
 pub mod renyi;
 
 pub use budget::{BudgetAccountant, Epsilon};
-pub use composition::AdvancedAccountant;
+pub use composition::ApproxDp;
 pub use error::DpError;
 pub use exponential::ExponentialMechanism;
-pub use gaussian::{ApproxDp, GaussianMechanism};
 pub use laplace::Laplace;
-pub use mechanism::{GeometricMechanism, LaplaceMechanism, Mechanism, Sensitivity};
+pub use mechanism::Sensitivity;

@@ -1,19 +1,15 @@
-//! Noise-adding mechanisms.
+//! Query sensitivity.
 //!
-//! [`LaplaceMechanism`] is the standard calibrated-noise mechanism of
-//! Dwork, McSherry, Nissim & Smith ("Calibrating noise to sensitivity in
-//! private data analysis", TCC 2006), used by the paper as `G(D) = γ(D) +
-//! Lap(Δγ/ε)`. [`GeometricMechanism`] is its discrete twin (the two-sided
-//! geometric mechanism), a natural extension for integer-valued counts.
+//! The paper perturbs a sampled count as `γ̂ + Lap(Δγ̂/ε)` (§III-B, after
+//! Dwork, McSherry, Nissim & Smith, TCC 2006). [`Sensitivity`] is the
+//! validated `Δ` of that noise scale; the draw itself is
+//! [`crate::laplace::draw_centered`], and
+//! [`crate::exponential::ExponentialMechanism`] scores candidates with it.
 
-use rand::{Rng, RngExt};
-
-use crate::budget::Epsilon;
 use crate::error::DpError;
-use crate::laplace::Laplace;
 
 /// A validated query sensitivity: a finite, positive `Δγ`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Sensitivity(f64);
 
 impl Sensitivity {
@@ -48,179 +44,9 @@ impl std::fmt::Display for Sensitivity {
     }
 }
 
-/// A randomized mechanism that perturbs a real-valued query answer to
-/// achieve `ε`-differential privacy.
-pub trait Mechanism {
-    /// Perturbs `true_value`.
-    fn randomize<R: Rng + ?Sized>(&self, true_value: f64, rng: &mut R) -> f64;
-
-    /// Variance of the added noise.
-    fn noise_variance(&self) -> f64;
-
-    /// Privacy budget consumed by one invocation.
-    fn epsilon(&self) -> Epsilon;
-
-    /// `Pr[|noise| ≤ t]` for the mechanism's noise distribution.
-    fn central_probability(&self, t: f64) -> f64;
-}
-
-/// The Laplace mechanism: adds `Lap(Δ/ε)` noise.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct LaplaceMechanism {
-    epsilon: Epsilon,
-    sensitivity: Sensitivity,
-    noise: Laplace,
-}
-
-impl LaplaceMechanism {
-    /// Creates a Laplace mechanism with privacy budget `ε` and query
-    /// sensitivity `Δ`; the noise scale is `Δ/ε`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DpError::InvalidEpsilon`] when `ε = 0` (no finite noise
-    /// scale achieves 0-DP).
-    pub fn new(epsilon: Epsilon, sensitivity: Sensitivity) -> Result<Self, DpError> {
-        if epsilon.is_zero() {
-            return Err(DpError::InvalidEpsilon {
-                value: epsilon.value(),
-            });
-        }
-        let noise = Laplace::centered(sensitivity.value() / epsilon.value())?;
-        Ok(LaplaceMechanism {
-            epsilon,
-            sensitivity,
-            noise,
-        })
-    }
-
-    /// The noise scale `b = Δ/ε`.
-    pub fn scale(&self) -> f64 {
-        self.noise.scale()
-    }
-
-    /// The configured sensitivity.
-    pub fn sensitivity(&self) -> Sensitivity {
-        self.sensitivity
-    }
-
-    /// The underlying noise distribution.
-    pub fn noise_distribution(&self) -> Laplace {
-        self.noise
-    }
-}
-
-impl Mechanism for LaplaceMechanism {
-    fn randomize<R: Rng + ?Sized>(&self, true_value: f64, rng: &mut R) -> f64 {
-        true_value + self.noise.sample(rng)
-    }
-
-    fn noise_variance(&self) -> f64 {
-        self.noise.variance()
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    fn central_probability(&self, t: f64) -> f64 {
-        self.noise.central_probability(t)
-    }
-}
-
-/// The geometric mechanism: adds two-sided geometric noise, the discrete
-/// analogue of the Laplace mechanism for integer-valued queries.
-///
-/// With `α = exp(−ε/Δ)`, the noise takes value `z ∈ ℤ` with probability
-/// `(1−α)/(1+α) · α^|z|`; its variance is `2α/(1−α)²`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct GeometricMechanism {
-    epsilon: Epsilon,
-    sensitivity: Sensitivity,
-    alpha: f64,
-}
-
-impl GeometricMechanism {
-    /// Creates a geometric mechanism with budget `ε` and sensitivity `Δ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DpError::InvalidEpsilon`] when `ε = 0`.
-    pub fn new(epsilon: Epsilon, sensitivity: Sensitivity) -> Result<Self, DpError> {
-        if epsilon.is_zero() {
-            return Err(DpError::InvalidEpsilon {
-                value: epsilon.value(),
-            });
-        }
-        Ok(GeometricMechanism {
-            epsilon,
-            sensitivity,
-            alpha: (-epsilon.value() / sensitivity.value()).exp(),
-        })
-    }
-
-    /// The noise parameter `α = exp(−ε/Δ)`.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-
-    /// Draws one integer noise value.
-    pub fn sample_noise<R: Rng + ?Sized>(&self, rng: &mut R) -> i64 {
-        // Difference of two iid geometric(1-α) variables is two-sided
-        // geometric with parameter α.
-        let g1 = sample_geometric(self.alpha, rng);
-        let g2 = sample_geometric(self.alpha, rng);
-        g1 - g2
-    }
-}
-
-/// Samples `G ∈ {0, 1, 2, …}` with `Pr[G = g] = (1−α)·α^g` by inversion.
-fn sample_geometric<R: Rng + ?Sized>(alpha: f64, rng: &mut R) -> i64 {
-    debug_assert!((0.0..1.0).contains(&alpha));
-    if alpha == 0.0 {
-        return 0;
-    }
-    let u: f64 = rng.random();
-    // Smallest g with CDF(g) = 1 - α^(g+1) >= u.
-    ((1.0 - u).ln() / alpha.ln()).ceil() as i64 - 1
-}
-
-impl Mechanism for GeometricMechanism {
-    fn randomize<R: Rng + ?Sized>(&self, true_value: f64, rng: &mut R) -> f64 {
-        true_value + self.sample_noise(rng) as f64
-    }
-
-    fn noise_variance(&self) -> f64 {
-        2.0 * self.alpha / (1.0 - self.alpha).powi(2)
-    }
-
-    fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    fn central_probability(&self, t: f64) -> f64 {
-        if t < 0.0 {
-            return 0.0;
-        }
-        // Pr[|Z| <= t] = 1 - 2·Pr[Z > t] with Pr[Z > t] = α^(⌊t⌋+1)/(1+α).
-        let tail = self.alpha.powi(t.floor() as i32 + 1) / (1.0 + self.alpha);
-        1.0 - 2.0 * tail
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    fn eps(v: f64) -> Epsilon {
-        Epsilon::new(v).unwrap()
-    }
-
-    fn sens(v: f64) -> Sensitivity {
-        Sensitivity::new(v).unwrap()
-    }
 
     #[test]
     fn sensitivity_validation() {
@@ -229,111 +55,6 @@ mod tests {
         assert!(Sensitivity::new(-2.0).is_err());
         assert!(Sensitivity::new(f64::NAN).is_err());
         assert_eq!(Sensitivity::unit().value(), 1.0);
-        assert_eq!(sens(2.0).to_string(), "Δ=2");
-    }
-
-    #[test]
-    fn laplace_mechanism_scale_is_sensitivity_over_epsilon() {
-        let m = LaplaceMechanism::new(eps(0.5), sens(2.0)).unwrap();
-        assert!((m.scale() - 4.0).abs() < 1e-12);
-        assert_eq!(m.epsilon(), eps(0.5));
-        assert_eq!(m.sensitivity(), sens(2.0));
-        assert!((m.noise_variance() - 32.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn zero_epsilon_is_rejected() {
-        assert!(LaplaceMechanism::new(eps(0.0), sens(1.0)).is_err());
-        assert!(GeometricMechanism::new(eps(0.0), sens(1.0)).is_err());
-    }
-
-    #[test]
-    fn laplace_mechanism_is_unbiased_empirically() {
-        let m = LaplaceMechanism::new(eps(1.0), sens(1.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(1);
-        let n = 200_000;
-        let mean: f64 = (0..n).map(|_| m.randomize(10.0, &mut rng)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-    }
-
-    #[test]
-    fn laplace_dp_inequality_holds_empirically() {
-        // Check the DP likelihood-ratio bound directly on the noise pdf:
-        // for neighbouring counts differing by Δ, pdf ratio ≤ e^ε.
-        let e = 0.8;
-        let m = LaplaceMechanism::new(eps(e), sens(1.0)).unwrap();
-        let d = m.noise_distribution();
-        for x in [-10.0, -1.0, 0.0, 0.3, 2.0, 25.0] {
-            let ratio = d.pdf(x) / d.pdf(x - 1.0);
-            assert!(
-                ratio <= e.exp() + 1e-9 && ratio >= (-e).exp() - 1e-9,
-                "x={x}: ratio {ratio}"
-            );
-        }
-    }
-
-    #[test]
-    fn geometric_noise_is_integer_and_symmetric() {
-        let m = GeometricMechanism::new(eps(1.0), sens(1.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(5);
-        let n = 100_000;
-        let noise: Vec<i64> = (0..n).map(|_| m.sample_noise(&mut rng)).collect();
-        let mean = noise.iter().sum::<i64>() as f64 / n as f64;
-        assert!(mean.abs() < 0.05, "mean {mean}");
-        // randomize() of an integer stays integer-valued.
-        let v = m.randomize(100.0, &mut rng);
-        assert_eq!(v, v.round());
-    }
-
-    #[test]
-    fn geometric_variance_matches_theory() {
-        let m = GeometricMechanism::new(eps(0.7), sens(1.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(9);
-        let n = 300_000;
-        let noise: Vec<f64> = (0..n).map(|_| m.sample_noise(&mut rng) as f64).collect();
-        let mean = noise.iter().sum::<f64>() / n as f64;
-        let var = noise.iter().map(|z| (z - mean).powi(2)).sum::<f64>() / n as f64;
-        let theory = m.noise_variance();
-        assert!(
-            (var - theory).abs() / theory < 0.03,
-            "var {var} vs theory {theory}"
-        );
-    }
-
-    #[test]
-    fn geometric_pmf_ratio_respects_epsilon() {
-        let e = 1.2;
-        let m = GeometricMechanism::new(eps(e), sens(1.0)).unwrap();
-        // Pr[Z=z] ∝ α^|z|; the ratio between neighbours is α^(±1) = e^(∓ε).
-        let alpha = m.alpha();
-        assert!((alpha - (-e).exp()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn geometric_central_probability_matches_empirical() {
-        let m = GeometricMechanism::new(eps(0.5), sens(1.0)).unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let n = 200_000;
-        let noise: Vec<i64> = (0..n).map(|_| m.sample_noise(&mut rng)).collect();
-        for t in [0.0, 1.0, 3.0, 8.0] {
-            let empirical =
-                noise.iter().filter(|z| (z.abs() as f64) <= t).count() as f64 / n as f64;
-            let theory = m.central_probability(t);
-            assert!(
-                (empirical - theory).abs() < 0.006,
-                "t={t}: empirical {empirical} vs theory {theory}"
-            );
-        }
-        assert_eq!(m.central_probability(-1.0), 0.0);
-    }
-
-    #[test]
-    fn mechanisms_with_larger_epsilon_add_less_noise() {
-        let tight = LaplaceMechanism::new(eps(2.0), sens(1.0)).unwrap();
-        let loose = LaplaceMechanism::new(eps(0.1), sens(1.0)).unwrap();
-        assert!(tight.noise_variance() < loose.noise_variance());
-        let tight_g = GeometricMechanism::new(eps(2.0), sens(1.0)).unwrap();
-        let loose_g = GeometricMechanism::new(eps(0.1), sens(1.0)).unwrap();
-        assert!(tight_g.noise_variance() < loose_g.noise_variance());
+        assert_eq!(Sensitivity::new(2.0).unwrap().to_string(), "Δ=2");
     }
 }

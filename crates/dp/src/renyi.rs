@@ -23,8 +23,8 @@
 //! with `ρ(1)` (the KL limit) `= t + e^{−t} − 1`.
 
 use crate::budget::Epsilon;
+use crate::composition::ApproxDp;
 use crate::error::DpError;
-use crate::gaussian::ApproxDp;
 
 /// The default grid of Rényi orders tracked by the accountant.
 pub const DEFAULT_ORDERS: [f64; 15] = [
@@ -85,7 +85,7 @@ fn log_add_exp(a: f64, b: f64) -> f64 {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RdpAccountant {
     orders: Vec<f64>,
     /// Accumulated divergence at each order.

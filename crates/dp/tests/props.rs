@@ -4,10 +4,8 @@ use proptest::prelude::*;
 
 use prc_dp::amplification::{amplify, required_base_epsilon};
 use prc_dp::budget::{BudgetAccountant, Epsilon};
-use prc_dp::composition::{advanced_composition, basic_composition};
-use prc_dp::gaussian::ApproxDp;
+use prc_dp::composition::{advanced_composition, basic_composition, ApproxDp};
 use prc_dp::laplace::{required_epsilon, Laplace};
-use prc_dp::mechanism::{GeometricMechanism, LaplaceMechanism, Mechanism, Sensitivity};
 use prc_dp::renyi::laplace_rdp;
 
 proptest! {
@@ -63,28 +61,6 @@ proptest! {
         prop_assert!(amplified.value() <= e + 1e-12);
         let back = amplify(required_base_epsilon(eps, p).unwrap(), p).unwrap();
         prop_assert!((back.value() - e).abs() < 1e-9 * e.max(1.0));
-    }
-
-    /// Both mechanisms keep their configured epsilon and positive variance.
-    #[test]
-    fn mechanisms_report_consistent_metadata(
-        e in 0.01f64..5.0,
-        s in 0.1f64..10.0,
-    ) {
-        let eps = Epsilon::new(e).unwrap();
-        let sens = Sensitivity::new(s).unwrap();
-        let lap = LaplaceMechanism::new(eps, sens).unwrap();
-        prop_assert_eq!(lap.epsilon(), eps);
-        prop_assert!((lap.noise_variance() - 2.0 * (s / e).powi(2)).abs() < 1e-9);
-        let geo = GeometricMechanism::new(eps, sens).unwrap();
-        prop_assert_eq!(geo.epsilon(), eps);
-        prop_assert!(geo.noise_variance() > 0.0);
-        // More budget, less noise — for both.
-        let eps2 = Epsilon::new(e * 2.0).unwrap();
-        prop_assert!(LaplaceMechanism::new(eps2, sens).unwrap().noise_variance()
-            < lap.noise_variance());
-        prop_assert!(GeometricMechanism::new(eps2, sens).unwrap().noise_variance()
-            < geo.noise_variance());
     }
 
     /// The budget accountant never over- or under-spends.

@@ -1,8 +1,8 @@
 //! The base station: per-node sample sets and top-up orchestration.
 
+use std::cell::OnceCell;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::OnceLock;
 
 use crate::message::{NodeId, SampleEntry, SampleMessage};
 
@@ -14,7 +14,7 @@ use crate::message::{NodeId, SampleEntry, SampleMessage};
 /// (e.g. tree aggregation) and so stamp different revisions while
 /// holding byte-identical state; the driver-conformance contract is
 /// about the state, and the journal is per-station bookkeeping.
-#[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone)]
 pub struct NodeSample {
     /// The contributing node.
     pub node_id: NodeId,
@@ -26,7 +26,6 @@ pub struct NodeSample {
     entries: Vec<SampleEntry>,
     /// Station revision at which this record last changed (see
     /// [`BaseStation::revision`]).
-    #[serde(default)]
     last_changed: u64,
 }
 
@@ -203,7 +202,7 @@ impl Summary {
 /// one pass, and every later read until the next change is `O(1)`. The
 /// memo cannot go stale because `ingest` is the only mutation and drops
 /// it whenever it bumps the revision.
-#[derive(Debug, Clone, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct BaseStation {
     samples: BTreeMap<NodeId, NodeSample>,
     /// Monotone change counter: bumped once per [`BaseStation::ingest`]
@@ -212,13 +211,10 @@ pub struct BaseStation {
     /// so `revision` is a sound validity token for any derived
     /// structure (estimator indexes, answer caches): if the revision is
     /// unchanged, the sample state is byte-identical.
-    #[serde(default)]
     revision: u64,
     /// The aggregates of the current revision, folded on first read and
-    /// dropped by every `ingest` that changes a record. A `OnceLock`
-    /// because batch workers read the station concurrently.
-    #[serde(skip)]
-    summary: OnceLock<Summary>,
+    /// dropped by every `ingest` that changes a record.
+    summary: OnceCell<Summary>,
 }
 
 /// Sample-state equality: two stations are equal when every node holds
@@ -271,7 +267,7 @@ impl BaseStation {
         };
         self.revision += 1;
         record.last_changed = self.revision;
-        self.summary = OnceLock::new();
+        self.summary = OnceCell::new();
     }
 
     /// The aggregates of the current revision.

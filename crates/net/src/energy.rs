@@ -14,7 +14,7 @@ use crate::network::CostMeter;
 
 /// A linear radio energy model: `energy = fixed + per_byte · bytes` per
 /// transmission burst, in nanojoules.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyModel {
     /// Energy per transmitted byte, nJ.
     pub tx_nj_per_byte: f64,
@@ -83,7 +83,7 @@ impl Default for EnergyModel {
 /// // A 10 J battery survives some number of identical rounds.
 /// assert!(report.lifetime_rounds(10e9).unwrap() > 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EnergyReport {
     per_node_nj: BTreeMap<NodeId, f64>,
 }

@@ -37,7 +37,7 @@ use rand::{rngs::StdRng, RngExt, SeedableRng};
 use crate::message::NodeId;
 
 /// What happens to a lost message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LossMode {
     /// The sender retransmits until the message is delivered; loss costs
     /// extra transmissions but never data.

@@ -9,9 +9,7 @@
 //! ([`HEARTBEAT_FREE_SAMPLES`]).
 
 /// Identifier of a sensor node.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, serde::Serialize, serde::Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -33,7 +31,7 @@ pub const SAMPLE_ENTRY_BYTES: usize = 12;
 /// One sampled element: its value and its **local rank** (1-based position
 /// in the node's sorted data), the extra information the RankCounting
 /// estimator exploits.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SampleEntry {
     /// The sampled data value.
     pub value: f64,
@@ -65,7 +63,7 @@ pub fn key_value(key: u64) -> f64 {
 }
 
 /// A batch of samples shipped from a node to the base station.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SampleMessage {
     /// The reporting node.
     pub node_id: NodeId,
@@ -91,7 +89,7 @@ impl SampleMessage {
 }
 
 /// Every message that crosses the simulated network.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum Message {
     /// Samples from a node to the base station.

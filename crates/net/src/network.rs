@@ -22,7 +22,7 @@ use crate::node::SensorNode;
 use crate::trace::{TraceEvent, Tracer};
 
 /// Aggregate communication counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostSnapshot {
     /// Total messages transmitted (including retransmissions and hops).
     pub messages: u64,
@@ -170,7 +170,7 @@ impl CostMeter {
 /// [`BaseStation::ingest`], so for byte-identical rounds every driver
 /// reports byte-identical deltas. The conformance kit
 /// ([`crate::conformance`]) pins this across the flat and tree drivers.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundDelta {
     /// Sample entries delivered to the station this round.
     pub delivered: usize,

@@ -17,7 +17,7 @@ use parking_lot::Mutex;
 use crate::message::NodeId;
 
 /// One traced network event.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub enum TraceEvent {
     /// A top-up request was sent to a node.

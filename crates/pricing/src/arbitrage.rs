@@ -20,7 +20,7 @@ use crate::functions::PricingFunction;
 use crate::variance::VarianceModel;
 
 /// One successful arbitrage found by the simulator.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArbitrageAttack {
     /// The accuracy the adversary actually wanted.
     pub target: (f64, f64),
@@ -44,7 +44,7 @@ impl ArbitrageAttack {
 }
 
 /// Search configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackConfig {
     /// Largest bundle size `m` tried.
     pub max_bundle_size: usize,

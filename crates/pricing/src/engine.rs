@@ -33,7 +33,7 @@ use crate::reuse::Demand;
 use crate::variance::VarianceModel;
 
 /// A priced offer for one demand, returned by [`PricingEngine::quote`].
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quote {
     /// The demand quoted.
     pub demand: Demand,
@@ -47,7 +47,7 @@ pub struct Quote {
 /// The broker's report of one released answer, consumed by
 /// [`PricingEngine::settle`]. It borrows the buyer's name, so building
 /// one allocates nothing.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Settlement<'a> {
     /// The purchasing consumer.
     pub buyer: &'a str,
@@ -70,7 +70,7 @@ pub struct Settlement<'a> {
 /// after the noisy answer is released. Implementations must be
 /// deterministic for a given construction (no wall-clock, no unseeded
 /// randomness) so priced answer streams stay reproducible.
-pub trait PricingEngine: Debug + Send + Sync {
+pub trait PricingEngine: Debug {
     /// Validates, certifies, and prices a demand.
     ///
     /// # Errors
@@ -184,8 +184,8 @@ where
 
 impl<F, M> PricingEngine for PostedPriceEngine<F, M>
 where
-    F: PricingFunction + Debug + Send + Sync,
-    M: VarianceModel + Debug + Send + Sync,
+    F: PricingFunction + Debug,
+    M: VarianceModel + Debug,
 {
     fn quote(&mut self, demand: Demand) -> Result<Quote, PricingError> {
         let (alpha, delta) = (demand.alpha, demand.delta);

@@ -48,7 +48,7 @@ fn check_coefficient(value: f64) -> Result<f64, PricingError> {
 /// The canonical arbitrage-avoiding price `π = c/V(α, δ)` — the unique
 /// shape satisfying Theorem 4.2 as literally stated (Properties 2 and 3
 /// jointly pin `π·V` constant).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InverseVariancePricing<M> {
     coefficient: f64,
     model: M,
@@ -107,7 +107,7 @@ impl<M: VarianceModel> PricingFunction for InverseVariancePricing<M> {
 /// theorem's printed relative-difference bounds force `π·V` to be
 /// simultaneously non-increasing (Property 2) and non-decreasing
 /// (Property 3) in `V`. See DESIGN.md §3.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SqrtPrecisionPricing<M> {
     coefficient: f64,
     model: M,
@@ -156,7 +156,7 @@ impl<M: VarianceModel> PricingFunction for SqrtPrecisionPricing<M> {
 /// The log-precision price `π = c·ln(1 + 1/V(α, δ))` — a bounded-revenue
 /// family whose precision form `f(w) = c·ln(1 + w)` is concave, hence
 /// operationally arbitrage-avoiding.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogPrecisionPricing<M> {
     coefficient: f64,
     model: M,
@@ -206,7 +206,7 @@ impl<M: VarianceModel> PricingFunction for LogPrecisionPricing<M> {
 /// validate the attack simulator: it is monotone the right way (price
 /// rises with δ, falls with α) yet is not a function of the variance, so
 /// Example 4.1's averaging attack beats it.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinearDeltaPricing {
     coefficient: f64,
 }

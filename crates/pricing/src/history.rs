@@ -114,8 +114,8 @@ pub struct HistoryAwarePricing<F, M> {
 
 impl<F, M> HistoryAwarePricing<F, M>
 where
-    F: PricingFunction + PrecisionPricing + Debug + Send + Sync,
-    M: VarianceModel + Debug + Send + Sync,
+    F: PricingFunction + PrecisionPricing + Debug,
+    M: VarianceModel + Debug,
 {
     /// Wraps a posted pricing function and its variance model.
     pub fn new(base: F, model: M) -> Self {
@@ -138,8 +138,8 @@ where
 
 impl<F, M> PricingEngine for HistoryAwarePricing<F, M>
 where
-    F: PricingFunction + PrecisionPricing + Debug + Send + Sync,
-    M: VarianceModel + Debug + Send + Sync,
+    F: PricingFunction + PrecisionPricing + Debug,
+    M: VarianceModel + Debug,
 {
     /// The price for a buyer who holds nothing yet.
     fn quote(&mut self, demand: Demand) -> Result<Quote, PricingError> {
@@ -290,7 +290,7 @@ mod tests {
 
         fn check<F>(base: F, m: ChebyshevVariance, target_w: f64)
         where
-            F: PricingFunction + PrecisionPricing + Clone + Debug + Send + Sync,
+            F: PricingFunction + PrecisionPricing + Clone + Debug,
         {
             let direct = base.price_of_precision(target_w);
             let mut pricing = HistoryAwarePricing::new(base, m);

@@ -17,7 +17,7 @@ use std::collections::BTreeMap;
 /// broker builds it with `prc_core`'s
 /// `PerturbationPlan::summary()` (re-exported there as
 /// `prc_core::PlanSummary`). `Display` renders the summary as one line.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanSummary {
     /// Laplace budget `ε`.
     pub epsilon: f64,
@@ -49,7 +49,7 @@ impl std::fmt::Display for PlanSummary {
 }
 
 /// One recorded sale.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TradeRecord {
     /// Monotone sequence number assigned by the ledger.
     pub sequence: u64,
@@ -66,7 +66,7 @@ pub struct TradeRecord {
 }
 
 /// An append-only ledger of sales with revenue accounting.
-#[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TradeLedger {
     records: Vec<TradeRecord>,
     /// Distinct buyer names, in order of first sale.

@@ -39,7 +39,7 @@ use crate::variance::VarianceModel;
 const PRICE_TOLERANCE: f64 = 1e-9;
 
 /// An accuracy demand `(α, δ)` as seen by the pricing layer.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Demand {
     /// Relative error bound `α ∈ (0, 1)`.
     pub alpha: f64,
@@ -65,7 +65,7 @@ impl Demand {
 ///
 /// Implementations must be conservative: when in doubt, deny reuse (the
 /// broker then answers fresh, which is always sound).
-pub trait ReuseGuard: Debug + Send + Sync {
+pub trait ReuseGuard: Debug {
     /// Whether an answer sold for `cached` may be re-served to a buyer
     /// paying the posted price of `requested`.
     fn allows_reuse(&self, requested: Demand, cached: Demand) -> bool;
@@ -101,8 +101,8 @@ where
 
 impl<F, M> ReuseGuard for PostedPriceReuse<F, M>
 where
-    F: PricingFunction + PrecisionPricing + Debug + Send + Sync,
-    M: VarianceModel + Debug + Send + Sync,
+    F: PricingFunction + PrecisionPricing + Debug,
+    M: VarianceModel + Debug,
 {
     fn allows_reuse(&self, requested: Demand, cached: Demand) -> bool {
         if !cached.at_least_as_strict_as(&requested) {

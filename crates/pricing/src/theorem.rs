@@ -18,7 +18,7 @@ use crate::functions::PricingFunction;
 use crate::variance::VarianceModel;
 
 /// Which of Theorem 4.2's properties a grid point violated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TheoremProperty {
     /// Property 1: price is not a function of the variance alone.
     VarianceDetermined,
@@ -29,7 +29,7 @@ pub enum TheoremProperty {
 }
 
 /// One recorded violation.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TheoremViolation {
     /// The violated property.
     pub property: TheoremProperty,
@@ -42,7 +42,7 @@ pub struct TheoremViolation {
 }
 
 /// Grid configuration for the checker.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TheoremCheckConfig {
     /// Number of grid points along each axis.
     pub grid: usize,

@@ -26,7 +26,7 @@ pub trait VarianceModel {
 }
 
 /// The Chebyshev-tight model `V(α, δ) = (α·n)²·(1 − δ)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChebyshevVariance {
     n: usize,
 }

@@ -17,7 +17,7 @@ use crate::qdigest::QDigest;
 use crate::CountBounds;
 
 /// An affine map from a closed `f64` interval onto `[0, 2^bits)`.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Quantizer {
     lo: f64,
     hi: f64,
@@ -68,7 +68,7 @@ impl Quantizer {
 }
 
 /// One node's summary, as shipped to the base station.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum NodeSketch {
     /// A mergeable q-digest over the quantized domain.
     QDigest(QDigest),

@@ -15,7 +15,7 @@
 use crate::CountBounds;
 
 /// One GK tuple.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Tuple {
     value: f64,
     /// Gap in minimum rank from the previous tuple.
@@ -45,7 +45,7 @@ pub const GK_TUPLE_BYTES: usize = 16;
 /// assert!(bounds.lower <= 5_001 && 5_001 <= bounds.upper);
 /// assert!(summary.tuple_count() < 1_000); // sublinear space
 /// ```
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GkSummary {
     epsilon: f64,
     count: u64,

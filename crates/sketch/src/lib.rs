@@ -33,7 +33,7 @@ pub use gk::GkSummary;
 pub use qdigest::QDigest;
 
 /// A certified interval `[lower, upper]` containing a true count.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountBounds {
     /// Certified lower bound.
     pub lower: u64,

@@ -30,7 +30,7 @@ use crate::CountBounds;
 /// assert!(bounds.lower <= 501 && 501 <= bounds.upper);
 /// assert!(digest.node_count() < 1000); // compressed
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QDigest {
     bits: u32,
     compression: u64,

@@ -11,7 +11,7 @@
 //! |---|---|---|
 //! | [`data`] | `prc-data` | CityPulse-like pollution datasets, CSV I/O, partitioning |
 //! | [`net`] | `prc-net` | sensor nodes, base station, flat/tree drivers, cost metering, failure injection |
-//! | [`dp`] | `prc-dp` | Laplace/geometric mechanisms, budgets, amplification by sampling |
+//! | [`dp`] | `prc-dp` | Laplace release, exponential mechanism, budgets, amplification by sampling |
 //! | [`core`] | `prc-core` | RankCounting estimator, (α, δ) calculus, perturbation optimizer, broker/consumer |
 //! | [`pricing`] | `prc-pricing` | variance models, arbitrage-avoiding pricing, Theorem 4.2 checker, attack simulator |
 //!
@@ -83,10 +83,9 @@ pub mod prelude {
     pub use prc_data::record::{AirQualityIndex, Dataset, PollutionRecord};
     pub use prc_dp::amplification::amplify;
     pub use prc_dp::budget::{BudgetAccountant, Epsilon};
-    pub use prc_dp::composition::AdvancedAccountant;
-    pub use prc_dp::gaussian::{ApproxDp, GaussianMechanism};
+    pub use prc_dp::composition::ApproxDp;
     pub use prc_dp::laplace::Laplace;
-    pub use prc_dp::mechanism::{LaplaceMechanism, Mechanism, Sensitivity};
+    pub use prc_dp::mechanism::Sensitivity;
     pub use prc_dp::renyi::RdpAccountant;
     pub use prc_net::energy::{EnergyModel, EnergyReport};
     pub use prc_net::failure::{FailurePlan, LossMode};

@@ -1,13 +1,11 @@
 //! Integration tests for the extension toolkit: sketches, private
-//! histograms/quantiles, audits, advanced composition, history-aware
-//! pricing.
+//! histograms/quantiles, audits, history-aware pricing.
 
 use prc::core::audit::{audit_answer, verify_answer};
 use prc::core::estimator::{RangeCountEstimator, RankCounting};
 use prc::core::histogram::private_histogram;
 use prc::core::optimizer::NetworkShape;
 use prc::core::quantile::{private_quantile, QuantileConfig};
-use prc::dp::composition::AdvancedAccountant;
 use prc::dp::mechanism::Sensitivity;
 use prc::prelude::*;
 use prc::sketch::distributed::{digest_partitions, Quantizer, SketchStation};
@@ -150,36 +148,6 @@ fn every_broker_answer_survives_a_consumer_audit() {
             audit_answer(&answer, shape)
         );
     }
-}
-
-#[test]
-fn advanced_accountant_tightens_a_long_broker_session() {
-    let (_, parts) = setup();
-    let mut broker = DataBroker::new(FlatNetwork::from_partitions(parts, 33), 33);
-    let mut accountant = AdvancedAccountant::new();
-    let request = QueryRequest::new(
-        RangeQuery::new(70.0, 130.0).unwrap(),
-        Accuracy::new(0.15, 0.5).unwrap(),
-    );
-    for _ in 0..200 {
-        let answer = broker.answer(&request).unwrap();
-        accountant.record(answer.plan.effective_epsilon);
-    }
-    assert_eq!(accountant.queries(), 200);
-    let basic = accountant.basic_total();
-    let best = accountant.best_total(1e-6);
-    assert!(
-        best.epsilon <= basic.epsilon,
-        "best bound must never exceed basic"
-    );
-    // The per-query effective budgets here are tiny, so advanced
-    // composition should win decisively on a 200-query session.
-    assert!(
-        best.epsilon < basic.epsilon,
-        "expected advanced composition to win: basic {} vs best {}",
-        basic.epsilon,
-        best.epsilon
-    );
 }
 
 #[test]
