@@ -131,37 +131,13 @@ pub struct StageCounters {
     pub budget_rollbacks: u64,
 }
 
-/// Aggregate statistics for one [`DataBroker::answer_batch`] call.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
-    /// Requests in the batch.
-    pub requests: u64,
-    /// Distinct sampling-rate tiers the batch partitioned into.
-    pub rate_tiers: u64,
-    /// Collection rounds run for this batch.
-    pub collection_rounds: u64,
-    /// Sample entries delivered during this batch.
-    pub samples_collected: u64,
-    /// Requests served from the answer cache.
-    pub cache_hits: u64,
-    /// Chargeable (non-piggybacked) messages the batch added to the meter.
-    pub chargeable_messages: u64,
-    /// Query-index builds triggered by this batch.
-    pub index_builds: u64,
-    /// Estimates in this batch answered through a query index.
-    pub indexed_estimates: u64,
-    /// Grid sweeps this batch skipped via the optimizer plan cache.
-    pub plan_cache_hits: u64,
-}
-
-/// The outcome of one batched call: per-request results in input order,
-/// plus the batch's stage statistics.
+/// The outcome of one batched call: per-request results in input order.
+/// The batch's stage work is read from [`DataBroker::counters`] like any
+/// other call's.
 #[derive(Debug)]
 pub struct BatchReport {
     /// One result per input request, in input order.
     pub answers: Vec<Result<PrivateAnswer, CoreError>>,
-    /// Per-stage statistics for this batch.
-    pub stats: BatchStats,
 }
 
 impl BatchReport {
@@ -177,26 +153,12 @@ impl BatchReport {
 /// range).
 pub(crate) type CacheKey = (u64, u64, u64);
 
-/// The broker's query-index slot.
-#[derive(Debug, Default)]
-pub(crate) enum IndexState {
-    /// No index: none was built yet, the station moved, or the estimator
-    /// declined to build one.
-    #[default]
-    Stale,
-    /// A live index built at this station revision. Every mutation flows
-    /// through [`prc_net::base_station::BaseStation::ingest`], so while
-    /// the revision stands the index describes the station; once it
-    /// moves, the index is rebuilt.
-    Ready(u64, Box<dyn QueryIndex>),
-}
-
 /// When the broker pays for a query-index build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum IndexPolicy {
     /// Ski-rental: keep scanning while accruing the per-query saving an
     /// index would have delivered; build once the foregone saving covers
-    /// the build cost ([`crate::estimator::CostModel`]; 2-competitive
+    /// the build cost ([`crate::estimator::BuildAccrual`]; 2-competitive
     /// for any query arrival sequence). The decision depends only on
     /// observed query counts and the station's shape — never on
     /// wall-clock time.
@@ -235,7 +197,8 @@ pub struct DataBroker<E = RankCounting, N = FlatNetwork> {
     pub(crate) pricing: Option<Box<dyn PricingEngine>>,
     pub(crate) cache: BTreeMap<CacheKey, PrivateAnswer>,
     pub(crate) counters: StageCounters,
-    pub(crate) index: IndexState,
+    /// The query index and the station revision it was built at.
+    pub(crate) index: Option<(u64, Box<dyn QueryIndex>)>,
     pub(crate) index_policy: IndexPolicy,
     pub(crate) build_accrual: BuildAccrual,
     pub(crate) plan_cache: PlanCache,
@@ -261,7 +224,7 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
             pricing: None,
             cache: BTreeMap::new(),
             counters: StageCounters::default(),
-            index: IndexState::Stale,
+            index: None,
             index_policy: IndexPolicy::default(),
             build_accrual: BuildAccrual::default(),
             plan_cache: PlanCache::default(),
@@ -273,7 +236,7 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     pub fn set_index_policy(&mut self, policy: IndexPolicy) {
         self.index_policy = policy;
         self.build_accrual = BuildAccrual::default();
-        self.index = IndexState::Stale;
+        self.index = None;
     }
 
     /// The current index build policy.
@@ -351,11 +314,6 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// Per-stage counters accumulated so far.
     pub fn counters(&self) -> StageCounters {
         self.counters
-    }
-
-    /// Resets the per-stage counters to zero (the cache is kept).
-    pub fn reset_counters(&mut self) {
-        self.counters = StageCounters::default();
     }
 
     /// The underlying network (cost-meter and ground-truth access).
@@ -704,11 +662,12 @@ mod tests {
         broker.enable_answer_cache(guard(10_000));
         let report = broker.answer_batch(&workload);
         assert_eq!(report.answers.len(), 4);
-        assert_eq!(report.stats.requests, 4);
-        assert!(report.stats.rate_tiers >= 2);
-        assert_eq!(report.stats.cache_hits, 1);
-        assert!(report.stats.samples_collected > 0);
-        assert!(report.stats.chargeable_messages > 0);
+        let counters = broker.counters();
+        assert_eq!(counters.answers_released, 4);
+        assert!(counters.collection_rounds >= 2);
+        assert_eq!(counters.cache_hits, 1);
+        assert!(counters.samples_collected > 0);
+        assert!(broker.network().meter().snapshot().chargeable_messages() > 0);
         for (i, result) in report.answers.iter().enumerate() {
             let answer = result.as_ref().unwrap();
             assert_eq!(answer.query, workload[i].query, "slot {i} out of order");
@@ -775,7 +734,7 @@ mod tests {
         let mut broker = DataBroker::new(FlatNetwork::from_partitions(vec![vec![]], 0), 0);
         let report = broker.answer_batch(&[request(0.0, 1.0, 0.1, 0.5)]);
         assert!(matches!(report.answers[0], Err(CoreError::NoSamples)));
-        assert_eq!(report.stats.rate_tiers, 0);
+        assert_eq!(broker.counters(), StageCounters::default());
     }
 
     #[test]
@@ -799,15 +758,15 @@ mod tests {
                     .iter()
                     .map(|r| r.as_ref().unwrap().value.to_bits())
                     .collect();
-                (bits, report.stats)
+                (bits, broker.counters())
             };
-            let (indexed_bits, indexed_stats) = run(IndexPolicy::Always);
-            let (scan_bits, scan_stats) = run(IndexPolicy::Never);
+            let (indexed_bits, indexed_counters) = run(IndexPolicy::Always);
+            let (scan_bits, scan_counters) = run(IndexPolicy::Never);
             assert_eq!(indexed_bits, scan_bits, "index changed released bits");
-            assert!(indexed_stats.index_builds >= 1);
-            assert!(indexed_stats.indexed_estimates >= workload.len() as u64 - 1);
-            assert_eq!(scan_stats.index_builds, 0);
-            assert_eq!(scan_stats.indexed_estimates, 0);
+            assert!(indexed_counters.index_builds >= 1);
+            assert!(indexed_counters.indexed_estimates >= workload.len() as u64 - 1);
+            assert_eq!(scan_counters.index_builds, 0);
+            assert_eq!(scan_counters.indexed_estimates, 0);
         }
     }
 

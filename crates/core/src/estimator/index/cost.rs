@@ -21,11 +21,6 @@
 /// accumulation pass).
 const BUILD_FACTOR: u64 = 2;
 
-/// Abstract costs of answering and indexing a station, in units of one
-/// entry comparison.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CostModel;
-
 fn log2_ceil(n: u64) -> u64 {
     if n <= 1 {
         1
@@ -34,32 +29,29 @@ fn log2_ceil(n: u64) -> u64 {
     }
 }
 
-impl CostModel {
-    /// Comparisons for one per-node scan query: two binary searches in
-    /// each of `nodes` runs of about `entries / nodes` entries.
-    pub fn scan_query_cost(&self, entries: usize, nodes: usize) -> u64 {
-        let nodes = nodes.max(1) as u64;
-        let per_node = (entries as u64).div_ceil(nodes);
-        2 * nodes * log2_ceil(per_node)
-    }
+/// Comparisons for one per-node scan query: two binary searches in each
+/// of `nodes` runs of about `entries / nodes` entries.
+fn scan_query_cost(entries: usize, nodes: usize) -> u64 {
+    let nodes = nodes.max(1) as u64;
+    let per_node = (entries as u64).div_ceil(nodes);
+    2 * nodes * log2_ceil(per_node)
+}
 
-    /// Comparisons for one indexed query: two binary searches over all
-    /// `entries` merged values.
-    pub fn indexed_query_cost(&self, entries: usize) -> u64 {
-        2 * log2_ceil(entries as u64)
-    }
+/// Comparisons for one indexed query: two binary searches over all
+/// `entries` merged values.
+fn indexed_query_cost(entries: usize) -> u64 {
+    2 * log2_ceil(entries as u64)
+}
 
-    /// Comparisons to build an index over `entries`.
-    pub fn build_cost(&self, entries: usize) -> u64 {
-        BUILD_FACTOR * (entries as u64) * log2_ceil(entries as u64)
-    }
+/// Comparisons to build an index over `entries`.
+fn build_cost(entries: usize) -> u64 {
+    BUILD_FACTOR * (entries as u64) * log2_ceil(entries as u64)
+}
 
-    /// What one query saves when indexed instead of scanned (0 when the
-    /// scan is already at least as cheap — e.g. a single-node station).
-    pub fn query_saving(&self, entries: usize, nodes: usize) -> u64 {
-        self.scan_query_cost(entries, nodes)
-            .saturating_sub(self.indexed_query_cost(entries))
-    }
+/// What one query saves when indexed instead of scanned (0 when the scan
+/// is already at least as cheap — e.g. a single-node station).
+fn query_saving(entries: usize, nodes: usize) -> u64 {
+    scan_query_cost(entries, nodes).saturating_sub(indexed_query_cost(entries))
 }
 
 /// Ski-rental state: the total per-query saving foregone by scanning so
@@ -75,27 +67,15 @@ impl BuildAccrual {
     /// Records `queries` answered by scanning a station with the given
     /// shape, accruing the saving an index would have delivered.
     pub fn observe(&mut self, entries: usize, nodes: usize, queries: u64) {
-        self.foregone = self.foregone.saturating_add(
-            CostModel
-                .query_saving(entries, nodes)
-                .saturating_mul(queries),
-        );
+        self.foregone = self
+            .foregone
+            .saturating_add(query_saving(entries, nodes).saturating_mul(queries));
     }
 
     /// True once the foregone saving has paid for a build: renting now
     /// costs more than buying would have.
     pub fn should_build(&self, entries: usize) -> bool {
-        entries > 0 && self.foregone >= CostModel.build_cost(entries)
-    }
-
-    /// Accrued foregone saving, in comparisons.
-    pub fn foregone(&self) -> u64 {
-        self.foregone
-    }
-
-    /// Resets after a build: the bought index zeroes the rent meter.
-    pub fn reset(&mut self) {
-        self.foregone = 0;
+        entries > 0 && self.foregone >= build_cost(entries)
     }
 }
 
@@ -105,33 +85,27 @@ mod tests {
 
     #[test]
     fn costs_scale_with_shape() {
-        let m = CostModel;
         // Many small nodes scan expensively; one merged structure is cheap.
-        assert!(m.scan_query_cost(4096, 256) > m.indexed_query_cost(4096));
+        assert!(scan_query_cost(4096, 256) > indexed_query_cost(4096));
         // A single node *is* a merged structure: no saving to be had.
-        assert_eq!(m.query_saving(4096, 1), 0);
-        assert_eq!(m.query_saving(0, 0), 0);
-        assert!(m.build_cost(4096) > m.build_cost(64));
+        assert_eq!(query_saving(4096, 1), 0);
+        assert_eq!(query_saving(0, 0), 0);
+        assert!(build_cost(4096) > build_cost(64));
     }
 
     #[test]
     fn accrual_buys_after_enough_rent() {
-        let m = CostModel;
         let (entries, nodes) = (8192, 64);
         let mut accrual = BuildAccrual::default();
         assert!(!accrual.should_build(entries), "no queries yet");
 
-        let saving = m.query_saving(entries, nodes);
+        let saving = query_saving(entries, nodes);
         assert!(saving > 0);
-        let needed = m.build_cost(entries).div_ceil(saving);
+        let needed = build_cost(entries).div_ceil(saving);
         accrual.observe(entries, nodes, needed - 1);
         assert!(!accrual.should_build(entries), "one query short");
         accrual.observe(entries, nodes, 1);
         assert!(accrual.should_build(entries));
-
-        accrual.reset();
-        assert_eq!(accrual.foregone(), 0);
-        assert!(!accrual.should_build(entries));
     }
 
     #[test]
@@ -151,6 +125,6 @@ mod tests {
         let mut accrual = BuildAccrual::default();
         accrual.observe(1 << 20, 1 << 10, u64::MAX);
         accrual.observe(1 << 20, 1 << 10, u64::MAX);
-        assert_eq!(accrual.foregone(), u64::MAX);
+        assert_eq!(accrual.foregone, u64::MAX);
     }
 }

@@ -81,7 +81,7 @@
 pub mod cost;
 mod rank_index;
 
-pub use cost::{BuildAccrual, CostModel};
+pub use cost::BuildAccrual;
 pub use rank_index::RankIndex;
 
 use prc_net::base_station::BaseStation;

@@ -26,7 +26,7 @@ pub mod index;
 pub mod rank;
 
 pub use basic::BasicCounting;
-pub use index::{BuildAccrual, CostModel, RankIndex};
+pub use index::{BuildAccrual, RankIndex};
 pub use rank::RankCounting;
 
 use prc_net::base_station::{BaseStation, NodeSample};

@@ -37,10 +37,10 @@
 //! There is one request path. A single request runs `drive`; a batch
 //! ([`DataBroker::answer_batch`]) collects once per rate tier and then
 //! sends each member through the same cache lookup and the same fresh
-//! half, `release`. The stage `run`s, `prepare_index` and `release` are
-//! `#[inline]`: a batch runs them once per member, and without the hints
-//! those calls cost `bench_e2e`'s `batch` workload about a seventh of its
-//! throughput (release build, 2 vCPUs).
+//! half, `release`. The six stage functions, `prepare_index` and
+//! `release` are `#[inline]`: a batch runs them once per member, and
+//! without the hints those calls cost `bench_e2e`'s `batch` workload
+//! about a seventh of its throughput (release build, 2 vCPUs).
 
 pub(crate) mod batch;
 pub(crate) mod stages;
@@ -53,7 +53,7 @@ use crate::error::CoreError;
 use crate::estimator::RangeCountEstimator;
 
 use stages::{
-    abort, Admission, Admit, Collect, Estimate, Perturb, Request, Reserve, Reserved, Settle,
+    abort, admit, cache_lookup, collect, estimate, perturb, reserve, sampling_rate, settle, Request,
 };
 
 /// A released answer plus the commercial half of its transaction.
@@ -83,22 +83,17 @@ pub(crate) fn drive<E: RangeCountEstimator, N: Network>(
     buyer: Option<&str>,
     request: Request,
 ) -> Result<PricedAnswer, CoreError> {
-    match (Admit { request, buyer }).run(broker)? {
-        Admission::Cached { answer, quote } => Ok(Settle {
-            answer,
-            reservation: None,
-            quote,
-            buyer,
-        }
-        .run(broker)),
-        Admission::Fresh(admitted) => {
-            Collect {
-                target_probability: admitted.target_probability,
-            }
-            .run(broker);
-            release(broker, request, admitted.quote, buyer, 1)
-        }
+    let quote = admit(broker, &request, buyer)?;
+    if let Some(answer) = cache_lookup(broker, &request) {
+        return Ok(settle(broker, answer, None, quote, buyer));
     }
+    let target_probability = match request {
+        Request::Demand(demand) => sampling_rate(broker, demand.accuracy)?,
+        // An empty station fails later, at Reserve, after Collect.
+        Request::Fixed { probability, .. } => probability,
+    };
+    collect(broker, target_probability);
+    release(broker, request, quote, buyer, 1)
 }
 
 /// The fresh half of every request, single or batched: Reserve →
@@ -119,27 +114,10 @@ pub(crate) fn release<E: RangeCountEstimator, N: Network>(
     buyer: Option<&str>,
     accrues: u64,
 ) -> Result<PricedAnswer, CoreError> {
-    let Reserved { plan, reservation } = Reserve { request }.run(broker)?;
-    let sample_estimate = Estimate {
-        query: request.query(),
-        accrues,
-    }
-    .run(broker);
-    let perturbed = Perturb {
-        query: request.query(),
-        accuracy: request.accuracy(),
-        plan,
-        sample_estimate,
-    }
-    .run(broker);
-    match perturbed {
-        Ok(answer) => Ok(Settle {
-            answer,
-            reservation,
-            quote,
-            buyer,
-        }
-        .run(broker)),
+    let (plan, reservation) = reserve(broker, &request)?;
+    let sample_estimate = estimate(broker, request.query(), accrues);
+    match perturb(broker, &request, plan, sample_estimate) {
+        Ok(answer) => Ok(settle(broker, answer, reservation, quote, buyer)),
         Err(e) => {
             abort(broker, reservation);
             Err(e)

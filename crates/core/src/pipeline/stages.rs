@@ -1,22 +1,21 @@
-//! The six pipeline stages.
+//! The six pipeline stages, one function each.
 //!
-//! Each stage is a named struct whose `run` consumes its typed input and
-//! produces the next stage's typed input. Stages mutate only the broker
-//! state they own — the same mutations, in the same order, as the
-//! pre-pipeline entry points, which is what keeps every released answer
-//! bit-identical across the refactor:
+//! Each stage mutates only the broker state it owns — the same
+//! mutations, in the same order, as the pre-pipeline entry points, which
+//! is what keeps every released answer bit-identical across the
+//! refactor:
 //!
-//! * [`Admit`] — price quote, cache lookup, admission checks (no broker
-//!   mutation beyond cache counters);
-//! * [`Collect`] — sample top-up through
+//! * [`admit`] — price quote or fixed-ε probability check (no broker
+//!   mutation beyond the engine's quote);
+//! * [`collect`] — sample top-up through
 //!   [`prc_net::network::Network::top_up_delta`] (station mutation,
 //!   answer-cache eviction);
-//! * [`Reserve`] — perturbation planning and the two-phase budget
+//! * [`reserve`] — perturbation planning and the two-phase budget
 //!   **hold** (reserve now, commit or roll back later);
-//! * [`Estimate`] — index-or-scan sample estimate (index build or
+//! * [`estimate`] — index-or-scan sample estimate (index build or
 //!   rebuild);
-//! * [`Perturb`] — the only stage that consumes broker randomness;
-//! * [`Settle`] — budget commit, cache store, ledger settlement.
+//! * [`perturb`] — the only stage that consumes broker randomness;
+//! * [`settle`] — budget commit, cache store, ledger settlement.
 //!
 //! A single request is either an `(α, δ)` demand or a fixed `(ε, p)`
 //! experiment request; both kinds run the same stages, and only Admit's
@@ -31,9 +30,7 @@ use prc_pricing::engine::{Quote, Settlement};
 use prc_pricing::reuse::Demand;
 
 use crate::accuracy::required_probability_clamped;
-use crate::broker::{
-    sampling_target, CacheKey, DataBroker, IndexPolicy, IndexState, PrivateAnswer,
-};
+use crate::broker::{sampling_target, CacheKey, DataBroker, IndexPolicy, PrivateAnswer};
 use crate::error::CoreError;
 use crate::estimator::engine::PlanCache;
 use crate::estimator::RangeCountEstimator;
@@ -75,80 +72,33 @@ impl Request {
     }
 }
 
-/// Admission decision for one request.
-#[derive(Debug)]
-pub enum Admission {
-    /// The cache already holds a reusable answer; skip straight to
-    /// [`Settle`] (a re-release is post-processing: budget-free).
-    Cached {
-        /// The cached answer, bit-identical to its first release.
-        answer: PrivateAnswer,
-        /// The quote issued for this request, if the request is priced.
-        quote: Option<Quote>,
-    },
-    /// No reusable answer; run the full pipeline.
-    Fresh(Admitted),
-}
-
-/// A freshly admitted request, ready for [`Collect`].
-#[derive(Debug)]
-pub struct Admitted {
-    /// Sampling probability the collection stage must reach.
-    pub target_probability: f64,
-    /// The quote issued for this request, if the request is priced.
-    pub quote: Option<Quote>,
-}
-
-/// Stage 1 — Admit: quote the demand (priced requests), consult the
-/// answer cache, and validate that the network can be sampled at all.
-#[derive(Debug)]
-pub struct Admit<'r> {
-    /// The incoming request.
-    pub(crate) request: Request,
-    /// The purchasing consumer, when the request is priced.
-    pub(crate) buyer: Option<&'r str>,
-}
-
-impl Admit<'_> {
-    /// Runs the stage.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InvalidProbability`] when a fixed-ε request's `p` is
-    /// outside `(0, 1]` (checked before the cache is consulted);
-    /// [`CoreError::Pricing`] when the engine refuses the demand (invalid
-    /// or arbitrageable — checked *before* any budget or sample moves);
-    /// [`CoreError::NoSamples`] when a demand meets an empty network;
-    /// [`CoreError::InvalidAccuracy`] from the sampling-target solver.
-    #[inline]
-    pub fn run<E: RangeCountEstimator, N: Network>(
-        self,
-        broker: &mut DataBroker<E, N>,
-    ) -> Result<Admission, CoreError> {
-        let quote = match self.request {
-            Request::Demand(request) => match self.buyer {
-                Some(buyer) => broker.quote(buyer, &request)?,
-                None => None,
-            },
-            Request::Fixed { probability: p, .. } => {
-                if !(0.0..=1.0).contains(&p) || p == 0.0 {
-                    return Err(CoreError::InvalidProbability { value: p });
-                }
-                None
+/// Stage 1 — Admit: quote the demand (priced requests), or check a
+/// fixed-ε request's sampling probability. The driver then consults the
+/// answer cache and, on a miss, the sampling rate the demand needs.
+///
+/// # Errors
+///
+/// [`CoreError::InvalidProbability`] when a fixed-ε request's `p` is
+/// outside `(0, 1]` (checked before the cache is consulted);
+/// [`CoreError::Pricing`] when the engine refuses the demand (invalid or
+/// arbitrageable — checked *before* any budget or sample moves).
+#[inline]
+pub(crate) fn admit<E: RangeCountEstimator, N: Network>(
+    broker: &mut DataBroker<E, N>,
+    request: &Request,
+    buyer: Option<&str>,
+) -> Result<Option<Quote>, CoreError> {
+    match *request {
+        Request::Demand(demand) => match buyer {
+            Some(buyer) => broker.quote(buyer, &demand),
+            None => Ok(None),
+        },
+        Request::Fixed { probability: p, .. } => {
+            if !(0.0..=1.0).contains(&p) || p == 0.0 {
+                return Err(CoreError::InvalidProbability { value: p });
             }
-        };
-        if let Some(answer) = cache_lookup(broker, &self.request) {
-            return Ok(Admission::Cached { answer, quote });
+            Ok(None)
         }
-        let target_probability = match self.request {
-            Request::Demand(request) => sampling_rate(broker, request.accuracy)?,
-            // An empty station fails later, at Reserve, after Collect.
-            Request::Fixed { probability, .. } => probability,
-        };
-        Ok(Admission::Fresh(Admitted {
-            target_probability,
-            quote,
-        }))
     }
 }
 
@@ -171,7 +121,9 @@ pub(crate) fn sampling_rate<E, N: Network>(
     required_probability_clamped(sampling_target(accuracy)?, k, n)
 }
 
-/// Stage 2 — Collect: top the network up to the admitted target.
+/// Stage 2 — Collect: top the network up to `target_probability`
+/// (infallible: a short delivery simply leaves the achieved probability
+/// below target, which later stages re-check).
 ///
 /// A round that actually collects reports its
 /// [`RoundDelta`](prc_net::network::RoundDelta) — the exact set of
@@ -181,22 +133,12 @@ pub(crate) fn sampling_rate<E, N: Network>(
 /// consumes no randomness and no budget — it only forces a fresh pipeline
 /// run on the next request). The query index is left alone here:
 /// `prepare_index` rebuilds it once the station's revision has moved.
-#[derive(Debug)]
-pub struct Collect {
-    /// Sampling probability to reach.
-    pub target_probability: f64,
-}
-
-impl Collect {
-    /// Runs the stage (infallible: a short delivery simply leaves the
-    /// achieved probability below target, which later stages re-check).
-    #[inline]
-    pub fn run<E, N: Network>(self, broker: &mut DataBroker<E, N>) {
-        if let Some(delta) = broker.network.top_up_delta(self.target_probability) {
-            broker.counters.collection_rounds += 1;
-            broker.counters.samples_collected += delta.delivered as u64;
-            evict_touched_answers(broker, &delta.changed);
-        }
+#[inline]
+pub(crate) fn collect<E, N: Network>(broker: &mut DataBroker<E, N>, target_probability: f64) {
+    if let Some(delta) = broker.network.top_up_delta(target_probability) {
+        broker.counters.collection_rounds += 1;
+        broker.counters.samples_collected += delta.delivered as u64;
+        evict_touched_answers(broker, &delta.changed);
     }
 }
 
@@ -226,50 +168,35 @@ fn evict_touched_answers<E, N: Network>(broker: &mut DataBroker<E, N>, changed: 
     });
 }
 
-/// A planned and budget-held request, ready for [`Estimate`].
-///
-/// `reservation` is a two-phase hold on the accountant: [`Settle`]
-/// commits it after a successful release, `abort` rolls it back if any
-/// later stage fails, so a failed answer spends no ε.
-#[derive(Debug)]
-pub struct Reserved {
-    /// The perturbation plan the answer will be released under.
-    pub plan: PerturbationPlan,
-    /// The budget hold (`None` when no accountant is installed).
-    pub reservation: Option<Reservation>,
-}
-
 /// Stage 3 — Reserve: plan the perturbation and place a hold for its
-/// effective `ε′` on the accountant. A demand's plan solves problem (3);
-/// a fixed-ε request's plan is the degenerate one its `ε` and the
-/// achieved probability determine.
-#[derive(Debug)]
-pub struct Reserve {
-    /// The request to plan for.
-    pub(crate) request: Request,
-}
-
-impl Reserve {
-    /// Runs the stage.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::InfeasibleAccuracy`] when even a full top-up cannot
-    /// meet a demand; [`CoreError::NoSamples`] on an empty station;
-    /// [`CoreError::Dp`] from amplification or when the hold would
-    /// overdraw the budget.
-    #[inline]
-    pub fn run<E: RangeCountEstimator, N: Network>(
-        self,
-        broker: &mut DataBroker<E, N>,
-    ) -> Result<Reserved, CoreError> {
-        let plan = match self.request {
-            Request::Demand(request) => plan_with_retry(broker, request.accuracy)?,
-            Request::Fixed { epsilon, .. } => fixed_plan(broker, epsilon)?,
-        };
-        let reservation = reserve_effective(broker, plan.effective_epsilon)?;
-        Ok(Reserved { plan, reservation })
-    }
+/// effective `ε′` on the accountant, if one is installed. A demand's plan
+/// solves problem (3); a fixed-ε request's plan is the degenerate one its
+/// `ε` and the achieved probability determine.
+///
+/// The hold is two-phase: [`settle`] commits it after a successful
+/// release, [`abort`] rolls it back if a later stage fails, so a failed
+/// answer spends no ε.
+///
+/// # Errors
+///
+/// [`CoreError::InfeasibleAccuracy`] when even a full top-up cannot meet
+/// a demand; [`CoreError::NoSamples`] on an empty station;
+/// [`CoreError::Dp`] from amplification or when the hold would overdraw
+/// the budget.
+#[inline]
+pub(crate) fn reserve<E: RangeCountEstimator, N: Network>(
+    broker: &mut DataBroker<E, N>,
+    request: &Request,
+) -> Result<(PerturbationPlan, Option<Reservation>), CoreError> {
+    let plan = match *request {
+        Request::Demand(demand) => plan_with_retry(broker, demand.accuracy)?,
+        Request::Fixed { epsilon, .. } => fixed_plan(broker, epsilon)?,
+    };
+    let reservation = match &mut broker.accountant {
+        Some(accountant) => Some(accountant.reserve(plan.effective_epsilon)?),
+        None => None,
+    };
+    Ok((plan, reservation))
 }
 
 /// The fixed-ε plan: sensitivity from the configured policy at the
@@ -309,126 +236,97 @@ fn fixed_plan<E, N: Network>(
 /// sample, through the epoch's query index when one is available
 /// (bit-identical to the direct scan by the
 /// [`crate::estimator::QueryIndex`] contract). The result is the
-/// pre-noise sample estimate.
-#[derive(Debug)]
-pub struct Estimate {
-    /// The queried range.
-    pub query: RangeQuery,
-    /// Queries this estimate adds to the index policy's accrual (0 for a
-    /// batch member: its driver accrued the whole tier).
-    pub accrues: u64,
-}
-
-impl Estimate {
-    /// Runs the stage.
-    #[inline]
-    pub fn run<E: RangeCountEstimator, N: Network>(self, broker: &mut DataBroker<E, N>) -> f64 {
-        prepare_index(broker, self.accrues);
-        match &broker.index {
-            IndexState::Ready(_, index) => {
-                broker.counters.indexed_estimates += 1;
-                index.estimate(self.query)
-            }
-            _ => broker
-                .estimator
-                .estimate(broker.network.station(), self.query),
+/// pre-noise sample estimate. `accrues` is the number of queries this
+/// estimate adds to the index policy's accrual (0 for a batch member:
+/// its driver accrued the whole tier).
+#[inline]
+pub(crate) fn estimate<E: RangeCountEstimator, N: Network>(
+    broker: &mut DataBroker<E, N>,
+    query: RangeQuery,
+    accrues: u64,
+) -> f64 {
+    prepare_index(broker, accrues);
+    match &broker.index {
+        Some((_, index)) => {
+            broker.counters.indexed_estimates += 1;
+            index.estimate(query)
         }
+        None => broker.estimator.estimate(broker.network.station(), query),
     }
 }
 
-/// Stage 5 — Perturb: draw the Laplace noise and assemble the answer.
+/// Stage 5 — Perturb: draw the Laplace noise and assemble the answer
+/// against the station's current shape.
 ///
 /// The only stage that consumes broker randomness, so the noise stream
 /// follows the order in which requests reach it.
-#[derive(Debug)]
-pub struct Perturb {
-    /// The queried range.
-    pub query: RangeQuery,
-    /// The customer accuracy (`None` for a fixed-ε request).
-    pub accuracy: Option<Accuracy>,
-    /// The plan to perturb under.
-    pub plan: PerturbationPlan,
-    /// The pre-noise estimate.
-    pub sample_estimate: f64,
+///
+/// # Errors
+///
+/// [`CoreError::NoSamples`] on an empty station; [`CoreError::Dp`] when
+/// the plan's noise scale is not a positive finite number.
+#[inline]
+pub(crate) fn perturb<E: RangeCountEstimator, N: Network>(
+    broker: &mut DataBroker<E, N>,
+    request: &Request,
+    plan: PerturbationPlan,
+    sample_estimate: f64,
+) -> Result<PrivateAnswer, CoreError> {
+    let shape = NetworkShape::from_station(broker.network.station())?;
+    let noise = draw_centered(plan.noise_scale, &mut broker.rng)?;
+    let variance_bound = broker
+        .estimator
+        .variance_bound(shape.k, shape.n, plan.probability)
+        + plan.noise_variance();
+    broker.counters.answers_released += 1;
+    Ok(PrivateAnswer {
+        query: request.query(),
+        accuracy: request.accuracy(),
+        value: sample_estimate + noise,
+        sample_estimate,
+        plan,
+        variance_bound,
+    })
 }
 
-impl Perturb {
-    /// Runs the stage against the station's current shape.
-    ///
-    /// # Errors
-    ///
-    /// [`CoreError::NoSamples`] on an empty station; [`CoreError::Dp`]
-    /// when the plan's noise scale is not a positive finite number.
-    #[inline]
-    pub fn run<E: RangeCountEstimator, N: Network>(
-        self,
-        broker: &mut DataBroker<E, N>,
-    ) -> Result<PrivateAnswer, CoreError> {
-        let shape = NetworkShape::from_station(broker.network.station())?;
-        let noise = draw_centered(self.plan.noise_scale, &mut broker.rng)?;
-        let variance_bound =
-            broker
-                .estimator
-                .variance_bound(shape.k, shape.n, self.plan.probability)
-                + self.plan.noise_variance();
-        broker.counters.answers_released += 1;
-        Ok(PrivateAnswer {
-            query: self.query,
-            accuracy: self.accuracy,
-            value: self.sample_estimate + noise,
-            sample_estimate: self.sample_estimate,
-            plan: self.plan,
-            variance_bound,
-        })
+/// Stage 6 — Settle: commit the budget hold (`None`: unbudgeted, or a
+/// cached hit), store the answer for reuse, and (priced requests) record
+/// the sale in the engine's ledger. Infallible: everything that can
+/// refuse the transaction already has.
+#[inline]
+pub(crate) fn settle<E, N: Network>(
+    broker: &mut DataBroker<E, N>,
+    answer: PrivateAnswer,
+    reservation: Option<Reservation>,
+    quote: Option<Quote>,
+    buyer: Option<&str>,
+) -> PricedAnswer {
+    if let Some(hold) = reservation {
+        if let Some(accountant) = &mut broker.accountant {
+            accountant.commit(hold);
+        }
     }
-}
-
-/// Stage 6 — Settle: commit the budget hold, store the answer for
-/// reuse, and (priced requests) record the sale in the engine's ledger.
-#[derive(Debug)]
-pub struct Settle<'r> {
-    /// The released answer.
-    pub answer: PrivateAnswer,
-    /// The budget hold to commit (`None`: unbudgeted, or a cached hit).
-    pub reservation: Option<Reservation>,
-    /// The quote issued at admission, if the request is priced.
-    pub quote: Option<Quote>,
-    /// The purchasing consumer, when the request is priced.
-    pub buyer: Option<&'r str>,
-}
-
-impl Settle<'_> {
-    /// Runs the stage (infallible: everything that can refuse the
-    /// transaction already has).
-    #[inline]
-    pub fn run<E, N: Network>(self, broker: &mut DataBroker<E, N>) -> PricedAnswer {
-        if let Some(hold) = self.reservation {
-            if let Some(accountant) = &mut broker.accountant {
-                accountant.commit(hold);
-            }
+    cache_store(broker, &answer);
+    let (price, settlement) = match (quote, buyer, &mut broker.pricing) {
+        (Some(quote), Some(buyer), Some(engine)) => {
+            let query = answer.query;
+            let sequence = engine.settle(Settlement {
+                buyer,
+                range: [query.lower().to_bits(), query.upper().to_bits()],
+                demand: quote.demand,
+                price: quote.price,
+                plan: answer.plan.summary(),
+            });
+            broker.counters.settlements += 1;
+            (Some(quote.price), Some(sequence))
         }
-        cache_store(broker, &self.answer);
-        let (price, settlement) = match (self.quote, self.buyer, &mut broker.pricing) {
-            (Some(quote), Some(buyer), Some(engine)) => {
-                let query = self.answer.query;
-                let sequence = engine.settle(Settlement {
-                    buyer,
-                    range: [query.lower().to_bits(), query.upper().to_bits()],
-                    demand: quote.demand,
-                    price: quote.price,
-                    plan: self.answer.plan.summary(),
-                });
-                broker.counters.settlements += 1;
-                (Some(quote.price), Some(sequence))
-            }
-            (Some(quote), ..) => (Some(quote.price), None),
-            _ => (None, None),
-        };
-        PricedAnswer {
-            answer: self.answer,
-            price,
-            settlement,
-        }
+        (Some(quote), ..) => (Some(quote.price), None),
+        _ => (None, None),
+    };
+    PricedAnswer {
+        answer,
+        price,
+        settlement,
     }
 }
 
@@ -440,17 +338,6 @@ pub(crate) fn abort<E, N>(broker: &mut DataBroker<E, N>, reservation: Option<Res
             accountant.rollback(hold);
             broker.counters.budget_rollbacks += 1;
         }
-    }
-}
-
-/// Places a hold for `epsilon` on the accountant, if one is installed.
-fn reserve_effective<E, N>(
-    broker: &mut DataBroker<E, N>,
-    epsilon: Epsilon,
-) -> Result<Option<Reservation>, CoreError> {
-    match &mut broker.accountant {
-        Some(accountant) => Ok(Some(accountant.reserve(epsilon)?)),
-        None => Ok(None),
     }
 }
 
@@ -466,10 +353,7 @@ fn plan_with_retry<E: RangeCountEstimator, N: Network>(
             required_probability,
             ..
         }) => {
-            Collect {
-                target_probability: (required_probability * 1.05).min(1.0),
-            }
-            .run(broker);
+            collect(broker, (required_probability * 1.05).min(1.0));
             plan(broker, accuracy)
         }
         Err(e) => Err(e),
@@ -508,8 +392,8 @@ fn plan<E: RangeCountEstimator, N: Network>(
 }
 
 /// Makes the index slot reflect the station's *current* state, about to
-/// answer `upcoming_queries` estimates. After this returns, an
-/// `IndexState::Ready` slot is safe to answer from.
+/// answer `upcoming_queries` estimates. After this returns, a filled
+/// slot is safe to answer from.
 ///
 /// In order:
 ///
@@ -517,7 +401,7 @@ fn plan<E: RangeCountEstimator, N: Network>(
 ///    as-is (only the revision is read);
 /// 2. a live index whose revision moved is rebuilt from scratch; if the
 ///    estimator declines (e.g. the station lost its uniform rate), the
-///    slot goes stale and falls through to 3;
+///    slot is emptied and falls through to 3;
 /// 3. otherwise the [`IndexPolicy`] decides whether to build now: the
 ///    adaptive policy accrues the scanning cost of `upcoming_queries`
 ///    into its ski-rental meter and builds once scanning has foregone a
@@ -532,19 +416,19 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
 
     // 1 + 2: a live index is kept while the revision stands, rebuilt
     // once it moves.
-    if let IndexState::Ready(built, _) = &broker.index {
+    if let Some((built, _)) = &broker.index {
         if *built == revision {
             return;
         }
         if let Some(index) = broker.estimator.build_index(station) {
             broker.counters.index_builds += 1;
-            broker.index = IndexState::Ready(revision, index);
+            broker.index = Some((revision, index));
             return;
         }
-        broker.index = IndexState::Stale;
+        broker.index = None;
     }
 
-    // 3: build-from-scratch decision (the slot is stale here).
+    // 3: build-from-scratch decision (the slot is empty here).
     let entries = station.total_samples();
     let should_build = match broker.index_policy {
         IndexPolicy::Always => true,
@@ -562,7 +446,7 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     if let Some(index) = broker.estimator.build_index(station) {
         broker.counters.index_builds += 1;
         broker.build_accrual = crate::estimator::BuildAccrual::default();
-        broker.index = IndexState::Ready(revision, index);
+        broker.index = Some((revision, index));
     }
 }
 

@@ -12,8 +12,7 @@
 //! learn privately?*, SICOMP 2011; restated as Lemma 3.4 in the paper.)
 //!
 //! The paper's optimizer minimizes exactly this effective budget, so this
-//! module provides the forward map ([`amplify`]) and its inverse
-//! ([`required_base_epsilon`]).
+//! module provides the map itself ([`amplify`]).
 
 use crate::budget::Epsilon;
 use crate::error::DpError;
@@ -49,24 +48,6 @@ pub fn amplify(epsilon: Epsilon, p: f64) -> Result<Epsilon, DpError> {
     // at small ε.
     let amplified = (p * epsilon.value().exp_m1()).ln_1p();
     Epsilon::new(amplified)
-}
-
-/// Inverse of [`amplify`]: the base budget `ε` a mechanism may use on a
-/// Bernoulli(p) sample so that the overall pipeline is `ε′`-DP:
-/// `ε = ln(1 + (e^(ε′) − 1)/p)`.
-///
-/// # Errors
-///
-/// Returns [`DpError::InvalidProbability`] unless `p ∈ (0, 1]`.
-pub fn required_base_epsilon(target: Epsilon, p: f64) -> Result<Epsilon, DpError> {
-    if !(0.0..=1.0).contains(&p) || p == 0.0 {
-        return Err(DpError::InvalidProbability {
-            value: p,
-            expected: "in (0, 1]",
-        });
-    }
-    let base = (target.value().exp_m1() / p).ln_1p();
-    Epsilon::new(base)
 }
 
 #[cfg(test)]
@@ -122,28 +103,6 @@ mod tests {
         let p = 0.37;
         let a = amplify(eps(e), p).unwrap().value();
         assert!((a / e - p).abs() < 1e-4, "ratio {}", a / e);
-    }
-
-    #[test]
-    fn inverse_round_trips() {
-        for p in [0.05, 0.3, 0.9, 1.0] {
-            for target in [0.01, 0.2, 1.0, 3.0] {
-                let base = required_base_epsilon(eps(target), p).unwrap();
-                let back = amplify(base, p).unwrap();
-                assert!(
-                    (back.value() - target).abs() < 1e-9,
-                    "p={p} target={target}: got {}",
-                    back.value()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn inverse_rejects_zero_probability() {
-        assert!(required_base_epsilon(eps(1.0), 0.0).is_err());
-        assert!(required_base_epsilon(eps(1.0), -0.5).is_err());
-        assert!(required_base_epsilon(eps(1.0), 1.5).is_err());
     }
 
     #[test]

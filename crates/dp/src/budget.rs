@@ -48,20 +48,6 @@ impl std::fmt::Display for Epsilon {
     }
 }
 
-impl TryFrom<f64> for Epsilon {
-    type Error = DpError;
-
-    fn try_from(value: f64) -> Result<Self, Self::Error> {
-        Epsilon::new(value)
-    }
-}
-
-impl From<Epsilon> for f64 {
-    fn from(e: Epsilon) -> f64 {
-        e.value()
-    }
-}
-
 /// A two-phase hold on privacy budget, issued by
 /// [`BudgetAccountant::reserve`].
 ///
@@ -224,10 +210,7 @@ mod tests {
 
     #[test]
     fn conversions() {
-        let e = Epsilon::try_from(0.7).unwrap();
-        assert_eq!(f64::from(e), 0.7);
-        assert_eq!(e.to_string(), "ε=0.7");
-        assert!(Epsilon::try_from(-1.0).is_err());
+        assert_eq!(Epsilon::new(0.7).unwrap().to_string(), "ε=0.7");
     }
 
     #[test]

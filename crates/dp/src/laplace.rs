@@ -2,9 +2,8 @@
 //!
 //! The paper's perturbation step adds `Lap(Δγ̂/ε)` noise to the sampled
 //! range count (§III-B). The optimizer additionally needs the tail bound
-//! `Pr[|Lap(b)| ≤ t] = 1 − e^(−t/b)` and its inverses, which are exposed
-//! here as [`Laplace::central_probability`], [`Laplace::scale_for_tail`],
-//! and [`required_epsilon`].
+//! `Pr[|Lap(b)| ≤ t] = 1 − e^(−t/b)` and its inverse, which are exposed
+//! here as [`Laplace::central_probability`] and [`required_epsilon`].
 
 use rand::{Rng, RngExt};
 
@@ -62,11 +61,6 @@ impl Laplace {
         Laplace::new(0.0, scale)
     }
 
-    /// The location parameter `μ`.
-    pub fn location(&self) -> f64 {
-        self.location
-    }
-
     /// The scale parameter `b`.
     pub fn scale(&self) -> f64 {
         self.scale
@@ -119,25 +113,6 @@ impl Laplace {
         1.0 - (-t / self.scale).exp()
     }
 
-    /// The scale `b` for which `Pr[|Lap(b)| ≤ t] = prob`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DpError::InvalidProbability`] unless `prob ∈ (0, 1)`, and
-    /// [`DpError::InvalidScale`] unless `t` is finite and positive.
-    pub fn scale_for_tail(t: f64, prob: f64) -> Result<f64, DpError> {
-        if !(0.0..1.0).contains(&prob) || prob == 0.0 {
-            return Err(DpError::InvalidProbability {
-                value: prob,
-                expected: "in (0, 1)",
-            });
-        }
-        if !t.is_finite() || t <= 0.0 {
-            return Err(DpError::InvalidScale { value: t });
-        }
-        Ok(-t / (1.0 - prob).ln())
-    }
-
     /// Draws one sample using inverse-CDF sampling.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> f64 {
         // u uniform in (-0.5, 0.5]; sign(u) * ln(1 - 2|u|) inverts the CDF.
@@ -148,11 +123,6 @@ impl Laplace {
         } else {
             self.location + magnitude
         }
-    }
-
-    /// Draws `n` samples.
-    pub fn sample_n<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
-        (0..n).map(|_| self.sample(rng)).collect()
     }
 }
 
@@ -291,23 +261,6 @@ mod tests {
     }
 
     #[test]
-    fn scale_for_tail_round_trips() {
-        let t = 5.0;
-        let prob = 0.8;
-        let b = Laplace::scale_for_tail(t, prob).unwrap();
-        let d = Laplace::centered(b).unwrap();
-        assert!((d.central_probability(t) - prob).abs() < 1e-12);
-    }
-
-    #[test]
-    fn scale_for_tail_validates() {
-        assert!(Laplace::scale_for_tail(1.0, 0.0).is_err());
-        assert!(Laplace::scale_for_tail(1.0, 1.0).is_err());
-        assert!(Laplace::scale_for_tail(0.0, 0.5).is_err());
-        assert!(Laplace::scale_for_tail(-2.0, 0.5).is_err());
-    }
-
-    #[test]
     fn required_epsilon_satisfies_tail_bound() {
         // The minimal epsilon must achieve exactly the requested central mass.
         let sensitivity = 2.5;
@@ -350,7 +303,7 @@ mod tests {
         let d = Laplace::new(5.0, 3.0).unwrap();
         let mut rng = StdRng::seed_from_u64(42);
         let n = 400_000;
-        let samples = d.sample_n(&mut rng, n);
+        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         let mean = samples.iter().sum::<f64>() / n as f64;
         let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
         assert!((mean - 5.0).abs() < 0.05, "mean {mean}");
@@ -366,7 +319,7 @@ mod tests {
         let d = Laplace::new(0.0, 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(7);
         let n = 200_000;
-        let samples = d.sample_n(&mut rng, n);
+        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         for x in [-3.0, -1.0, 0.0, 0.5, 2.0] {
             let empirical = samples.iter().filter(|&&s| s <= x).count() as f64 / n as f64;
             assert!(
@@ -382,7 +335,7 @@ mod tests {
         let d = Laplace::centered(2.0).unwrap();
         let mut rng = StdRng::seed_from_u64(99);
         let n = 200_000;
-        let samples = d.sample_n(&mut rng, n);
+        let samples: Vec<f64> = (0..n).map(|_| d.sample(&mut rng)).collect();
         for t in [0.5, 1.0, 3.0] {
             let empirical = samples.iter().filter(|&&s| s.abs() <= t).count() as f64 / n as f64;
             assert!(

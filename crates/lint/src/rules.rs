@@ -302,7 +302,7 @@ fn line_violations(path: &str, code: &str) -> Vec<(&'static str, String)> {
             out.push((
                 "B001",
                 "noise may only be sampled inside prc-dp; route draws through \
-                 prc_dp::laplace::draw_centered or a mechanism type"
+                 prc_dp::laplace::draw_centered or prc_dp::ExponentialMechanism"
                     .to_owned(),
             ));
         }
@@ -312,7 +312,8 @@ fn line_violations(path: &str, code: &str) -> Vec<(&'static str, String)> {
                     "B002",
                     format!(
                         "raw `{ctor}` distribution construction belongs inside prc-dp; \
-                         use the mechanism API or prc_dp::laplace free functions"
+                         use prc_dp::laplace::draw_centered/central_probability or \
+                         prc_dp::ExponentialMechanism"
                     ),
                 ));
             }
@@ -535,7 +536,9 @@ mod tests {
 
     #[test]
     fn mechanism_types_do_not_trip_b002() {
-        let src = "fn f() { let m = LaplaceMechanism::new(eps, sens); }\n";
+        let src = "fn f() { let m = ExponentialMechanism::new(eps, sens); }\n";
+        assert!(lint_source("crates/core/src/x.rs", src).is_empty());
+        let src = "fn f() { let x = prc_dp::laplace::draw_centered(s, rng); }\n";
         assert!(lint_source("crates/core/src/x.rs", src).is_empty());
         let src = "fn f() { let d = Laplace::centered(s); }\n";
         assert_eq!(

@@ -65,7 +65,7 @@ pub mod cli;
 /// The most common imports, re-exported flat.
 pub mod prelude {
     pub use prc_core::audit::{audit_answer, verify_answer};
-    pub use prc_core::broker::{BatchReport, BatchStats, DataBroker, PrivateAnswer, StageCounters};
+    pub use prc_core::broker::{BatchReport, DataBroker, PrivateAnswer, StageCounters};
     pub use prc_core::consumer::AnswerBundle;
     pub use prc_core::estimator::{
         BasicCounting, QueryIndex, RangeCountEstimator, RankCounting, RankIndex,

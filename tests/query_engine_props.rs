@@ -168,7 +168,7 @@ proptest! {
             seed: u64,
             policy: IndexPolicy,
             workload: &[QueryRequest],
-        ) -> (Vec<u64>, BatchStats) {
+        ) -> (Vec<u64>, StageCounters) {
             let mut broker = DataBroker::new(net, seed);
             broker.set_index_policy(policy);
             let report = broker.answer_batch(workload);
@@ -177,22 +177,22 @@ proptest! {
                 .iter()
                 .map(|a| a.as_ref().expect("batch member released").value.to_bits())
                 .collect();
-            (bits, report.stats)
+            (bits, broker.counters())
         }
 
-        let (flat, flat_stats) = run(
+        let (flat, flat_counters) = run(
             FlatNetwork::from_partitions(partitions.clone(), seed),
             seed,
             IndexPolicy::Always,
             &workload,
         );
-        let (tree, tree_stats) = run(
+        let (tree, tree_counters) = run(
             TreeNetwork::from_partitions(partitions.clone(), 2, seed),
             seed,
             IndexPolicy::Always,
             &workload,
         );
-        let (scanned, scan_stats) = run(
+        let (scanned, scan_counters) = run(
             FlatNetwork::from_partitions(partitions, seed),
             seed,
             IndexPolicy::Never,
@@ -205,9 +205,9 @@ proptest! {
         // Every indexed run answered every member through the index;
         // the scan run never did.
         let members = workload.len() as u64;
-        prop_assert_eq!(flat_stats.indexed_estimates, members);
-        prop_assert_eq!(tree_stats.indexed_estimates, members);
-        prop_assert_eq!(scan_stats.indexed_estimates, 0);
-        prop_assert_eq!(scan_stats.index_builds, 0);
+        prop_assert_eq!(flat_counters.indexed_estimates, members);
+        prop_assert_eq!(tree_counters.indexed_estimates, members);
+        prop_assert_eq!(scan_counters.indexed_estimates, 0);
+        prop_assert_eq!(scan_counters.index_builds, 0);
     }
 }

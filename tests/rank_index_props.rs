@@ -284,7 +284,7 @@ proptest! {
                 )
             })
             .collect();
-        fn run<N: Network>(net: N, seed: u64, policy: IndexPolicy, workload: &[QueryRequest]) -> (Vec<u64>, BatchStats) {
+        fn run<N: Network>(net: N, seed: u64, policy: IndexPolicy, workload: &[QueryRequest]) -> (Vec<u64>, StageCounters) {
             let mut broker = DataBroker::new(net, seed);
             broker.set_index_policy(policy);
             let report = broker.answer_batch(workload);
@@ -293,28 +293,28 @@ proptest! {
                 .iter()
                 .map(|r| r.as_ref().expect("batch member released").value.to_bits())
                 .collect();
-            (bits, report.stats)
+            (bits, broker.counters())
         }
         let flat_net = || FlatNetwork::from_partitions(partitions.clone(), seed);
-        let (flat, flat_stats) = run(flat_net(), seed, IndexPolicy::Always, &workload);
+        let (flat, flat_counters) = run(flat_net(), seed, IndexPolicy::Always, &workload);
         let (tree, _) = run(
             TreeNetwork::from_partitions(partitions.clone(), 2, seed),
             seed,
             IndexPolicy::Always,
             &workload,
         );
-        let (scanned, scan_stats) = run(flat_net(), seed, IndexPolicy::Never, &workload);
+        let (scanned, scan_counters) = run(flat_net(), seed, IndexPolicy::Never, &workload);
 
         prop_assert_eq!(&flat, &tree, "flat vs tree");
         prop_assert_eq!(&flat, &scanned, "indexed vs scanned");
-        prop_assert_eq!(flat_stats.indexed_estimates, workload.len() as u64);
-        prop_assert_eq!(scan_stats.indexed_estimates, 0);
+        prop_assert_eq!(flat_counters.indexed_estimates, workload.len() as u64);
+        prop_assert_eq!(scan_counters.indexed_estimates, 0);
         // All members share one accuracy target and one rate tier, so
         // after the first grid sweep the remaining plans are memo hits
         // (exact count left open: an infeasibility retry re-sweeps).
         if workload.len() >= 2 {
             prop_assert!(
-                flat_stats.plan_cache_hits >= 1,
+                flat_counters.plan_cache_hits >= 1,
                 "no plan-cache hit across {} same-accuracy members",
                 workload.len()
             );
