@@ -7,6 +7,7 @@ use prc_bench::{build_network, standard_workload};
 use prc_core::estimator::{BasicCounting, RangeCountEstimator, RankCounting};
 use prc_data::generator::CityPulseGenerator;
 use prc_data::record::AirQualityIndex;
+use prc_net::network::Network;
 
 fn bench_estimators(c: &mut Criterion) {
     let dataset = CityPulseGenerator::new(7).generate();

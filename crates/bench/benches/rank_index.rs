@@ -12,7 +12,7 @@ use std::hint::black_box;
 use prc_core::estimator::{RangeCountEstimator, RankCounting, RankIndex};
 use prc_core::query::RangeQuery;
 use prc_net::base_station::BaseStation;
-use prc_net::network::FlatNetwork;
+use prc_net::network::{FlatNetwork, Network};
 
 const PER_NODE: usize = 128;
 const PROBABILITY: f64 = 0.25;

@@ -14,6 +14,7 @@ use prc_core::exact::range_count;
 use prc_core::query::RangeQuery;
 use prc_data::record::AirQualityIndex;
 use prc_data::stats;
+use prc_net::network::Network;
 
 fn main() {
     let dataset = standard_dataset();

@@ -17,6 +17,7 @@ use prc_data::record::AirQualityIndex;
 use prc_data::stats;
 use prc_dp::budget::Epsilon;
 use prc_dp::mechanism::Sensitivity;
+use prc_net::network::Network;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 

@@ -18,6 +18,7 @@ use prc_core::estimator::{RangeCountEstimator, RankCounting};
 use prc_core::exact::range_count;
 use prc_data::partition::{partition_values, PartitionStrategy};
 use prc_data::record::AirQualityIndex;
+use prc_net::network::Network;
 use prc_sketch::distributed::{digest_partitions, gk_partitions, Quantizer, SketchStation};
 
 fn main() {

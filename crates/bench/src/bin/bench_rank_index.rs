@@ -20,7 +20,7 @@ use std::time::Instant;
 use prc_core::estimator::{BuildAccrual, RangeCountEstimator, RankCounting, RankIndex};
 use prc_core::query::RangeQuery;
 use prc_net::base_station::BaseStation;
-use prc_net::network::FlatNetwork;
+use prc_net::network::{FlatNetwork, Network};
 
 const SEED: u64 = 2014;
 

@@ -13,6 +13,7 @@ use prc_bench::{
 };
 use prc_core::estimator::RankCounting;
 use prc_data::record::AirQualityIndex;
+use prc_net::network::Network;
 
 fn main() {
     let dataset = standard_dataset();

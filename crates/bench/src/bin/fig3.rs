@@ -20,6 +20,7 @@ use prc_core::accuracy::required_probability_clamped;
 use prc_core::estimator::RankCounting;
 use prc_core::query::Accuracy;
 use prc_data::record::AirQualityIndex;
+use prc_net::network::Network;
 
 fn main() {
     let dataset = standard_dataset();

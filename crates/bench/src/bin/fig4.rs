@@ -13,6 +13,7 @@ use prc_bench::{build_network, print_table, standard_dataset, NODES, SEED};
 use prc_core::accuracy::{expected_sample_count, required_probability_clamped};
 use prc_core::query::Accuracy;
 use prc_data::record::AirQualityIndex;
+use prc_net::network::Network;
 
 fn main() {
     let dataset = standard_dataset();

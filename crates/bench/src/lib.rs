@@ -21,7 +21,7 @@ use prc_data::generator::CityPulseGenerator;
 use prc_data::partition::PartitionStrategy;
 use prc_data::record::{AirQualityIndex, Dataset};
 use prc_data::stats;
-use prc_net::network::FlatNetwork;
+use prc_net::network::{FlatNetwork, Network};
 
 /// Number of nodes used by all experiments (the paper does not state its
 /// `k`; 50 road-side sensors is a plausible smart-city deployment and is

@@ -2,7 +2,8 @@
 //!
 //! For `k` nodes, population `n`, and sampling probability `p`, the
 //! RankCounting estimator's global variance is at most `8k/p²`
-//! (Theorem 3.2). Chebyshev's inequality then gives
+//! (Theorem 3.2; [`crate::estimator::RankCounting`]'s `variance_bound`).
+//! Chebyshev's inequality then gives
 //!
 //! ```text
 //! Pr[|γ̂ − γ| ≤ αn] ≥ 1 − (8k/p²)/(αn)² ,
@@ -15,16 +16,6 @@
 
 use crate::error::CoreError;
 use crate::query::Accuracy;
-
-/// Theorem 3.2's bound on the global variance of RankCounting: `8k/p²`.
-///
-/// Returns `+∞` for `p ≤ 0`.
-pub fn rank_variance_bound(k: usize, p: f64) -> f64 {
-    if p <= 0.0 {
-        return f64::INFINITY;
-    }
-    8.0 * k as f64 / (p * p)
-}
 
 /// Theorem 3.3: the minimum sampling probability under which RankCounting
 /// is an (α, δ)-range counting — `p ≥ (√(2k)/(αn)) · (2/√(1−δ))`.
@@ -121,6 +112,7 @@ pub fn expected_sample_count(n: usize, p: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::estimator::{RangeCountEstimator, RankCounting};
 
     fn acc(a: f64, d: f64) -> Accuracy {
         Accuracy::new(a, d).unwrap()
@@ -144,7 +136,7 @@ mod tests {
         let n = 10_000;
         let a = acc(0.05, 0.7);
         let p = required_probability(a, k, n).unwrap();
-        let var = rank_variance_bound(k, p);
+        let var = RankCounting.variance_bound(k, n, p);
         let conf = chebyshev_confidence(var, a.absolute_error(n));
         assert!((conf - a.delta()).abs() < 1e-9, "confidence {conf}");
         // achieved_delta agrees.
@@ -229,8 +221,6 @@ mod tests {
 
     #[test]
     fn variance_bound_and_sample_count() {
-        assert_eq!(rank_variance_bound(2, 0.5), 64.0);
-        assert_eq!(rank_variance_bound(2, 0.0), f64::INFINITY);
         assert_eq!(expected_sample_count(1_000, 0.25), 250.0);
     }
 }

@@ -65,7 +65,7 @@ const TOLERANCE: f64 = 1e-6;
 /// use prc_core::broker::DataBroker;
 /// use prc_core::optimizer::NetworkShape;
 /// use prc_core::query::{Accuracy, QueryRequest, RangeQuery};
-/// use prc_net::network::FlatNetwork;
+/// use prc_net::network::{FlatNetwork, Network};
 ///
 /// # fn main() -> Result<(), prc_core::CoreError> {
 /// let network = FlatNetwork::from_partitions(
@@ -210,7 +210,7 @@ mod tests {
     use super::*;
     use crate::broker::DataBroker;
     use crate::query::{Accuracy, QueryRequest, RangeQuery};
-    use prc_net::network::FlatNetwork;
+    use prc_net::network::{FlatNetwork, Network};
 
     fn broker(seed: u64) -> DataBroker {
         let partitions: Vec<Vec<f64>> = (0..10)

@@ -62,7 +62,7 @@ mod tests {
     use super::*;
     use prc_net::base_station::BaseStation;
     use prc_net::message::{NodeId, SampleEntry, SampleMessage};
-    use prc_net::network::FlatNetwork;
+    use prc_net::network::{FlatNetwork, Network};
 
     fn q(l: f64, u: f64) -> RangeQuery {
         RangeQuery::new(l, u).unwrap()

@@ -65,7 +65,7 @@ fn merged_entry(entries: &[SampleEntry], population: i64, pos: usize) -> MergedE
 /// ```
 /// use prc_core::estimator::{RangeCountEstimator, RankCounting, RankIndex};
 /// use prc_core::query::RangeQuery;
-/// use prc_net::network::FlatNetwork;
+/// use prc_net::network::{FlatNetwork, Network};
 ///
 /// # fn main() -> Result<(), prc_core::CoreError> {
 /// let partitions: Vec<Vec<f64>> = (0..8)
@@ -220,7 +220,7 @@ mod tests {
     use crate::estimator::index::scan_rank_terms;
     use crate::estimator::{RangeCountEstimator, RankCounting};
     use prc_net::message::{NodeId, SampleMessage};
-    use prc_net::network::FlatNetwork;
+    use prc_net::network::{FlatNetwork, Network};
 
     fn q(l: f64, u: f64) -> RangeQuery {
         RangeQuery::new(l, u).unwrap()

@@ -60,7 +60,7 @@ use crate::query::RangeQuery;
 /// ```
 /// use prc_core::estimator::{RangeCountEstimator, RankCounting};
 /// use prc_core::query::RangeQuery;
-/// use prc_net::network::FlatNetwork;
+/// use prc_net::network::{FlatNetwork, Network};
 ///
 /// # fn main() -> Result<(), prc_core::CoreError> {
 /// let mut network = FlatNetwork::from_partitions(
@@ -149,7 +149,7 @@ mod tests {
     use super::*;
     use prc_net::base_station::BaseStation;
     use prc_net::message::{NodeId, SampleEntry, SampleMessage};
-    use prc_net::network::FlatNetwork;
+    use prc_net::network::{FlatNetwork, Network};
 
     fn q(l: f64, u: f64) -> RangeQuery {
         RangeQuery::new(l, u).unwrap()

@@ -24,11 +24,6 @@ pub fn range_count_sorted(values: &[f64], query: RangeQuery) -> usize {
     hi - lo
 }
 
-/// Exact count over data partitioned across nodes: `γ(l, u, D) = Σ γ(l, u, i)`.
-pub fn range_count_partitioned(partitions: &[Vec<f64>], query: RangeQuery) -> usize {
-    partitions.iter().map(|p| range_count(p, query)).sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -79,12 +74,5 @@ mod tests {
             range_count_sorted(&values, q(f64::NEG_INFINITY, f64::INFINITY)),
             3
         );
-    }
-
-    #[test]
-    fn partitioned_sums_nodes() {
-        let parts = vec![vec![1.0, 2.0], vec![2.0, 3.0], vec![]];
-        assert_eq!(range_count_partitioned(&parts, q(2.0, 3.0)), 3);
-        assert_eq!(range_count_partitioned(&parts, q(10.0, 20.0)), 0);
     }
 }

@@ -175,7 +175,7 @@ fn bucket_estimates<E: RangeCountEstimator>(
 /// use prc_core::histogram::private_histogram;
 /// use prc_dp::budget::Epsilon;
 /// use prc_dp::mechanism::Sensitivity;
-/// use prc_net::network::FlatNetwork;
+/// use prc_net::network::{FlatNetwork, Network};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), prc_core::CoreError> {
@@ -263,7 +263,7 @@ where
 mod tests {
     use super::*;
     use crate::estimator::RankCounting;
-    use prc_net::network::FlatNetwork;
+    use prc_net::network::{FlatNetwork, Network};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -23,7 +23,7 @@ use prc_data::record::{AirQualityIndex, PollutionRecord};
 use prc_data::stream::SlidingWindow;
 use prc_dp::budget::{BudgetAccountant, Epsilon};
 
-use prc_net::network::FlatNetwork;
+use prc_net::network::{FlatNetwork, Network};
 
 use crate::broker::{DataBroker, PrivateAnswer, StageCounters};
 use crate::error::CoreError;

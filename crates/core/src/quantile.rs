@@ -61,7 +61,7 @@ pub struct PrivateQuantile {
 /// use prc_core::quantile::{private_quantile, QuantileConfig};
 /// use prc_dp::budget::Epsilon;
 /// use prc_dp::mechanism::Sensitivity;
-/// use prc_net::network::FlatNetwork;
+/// use prc_net::network::{FlatNetwork, Network};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), prc_core::CoreError> {
@@ -175,7 +175,7 @@ where
 mod tests {
     use super::*;
     use crate::estimator::RankCounting;
-    use prc_net::network::FlatNetwork;
+    use prc_net::network::{FlatNetwork, Network};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -10,11 +10,9 @@
 //! * [`PartitionStrategy::Contiguous`] — the record stream is cut into `k`
 //!   consecutive blocks; nodes see disjoint time windows (the analogue of
 //!   a sensor per epoch, and the worst case for value skew across nodes).
-//! * [`PartitionStrategy::BySensor`] — records are grouped by
-//!   `sensor_id mod k`, matching a deployment where each physical sensor
-//!   reports to its own gateway node.
-
-use crate::record::{Dataset, PollutionRecord};
+//!
+//! Experiments partition the values of one air-quality index
+//! ([`partition_values`]).
 
 /// How to split a dataset across `k` nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,14 +21,9 @@ pub enum PartitionStrategy {
     RoundRobin,
     /// The record stream is cut into `k` consecutive, near-equal blocks.
     Contiguous,
-    /// Records are grouped by `sensor_id mod k`.
-    BySensor,
 }
 
 /// Splits a slice of raw values across `k` nodes.
-///
-/// This is the value-level twin of [`partition_records`], used when an
-/// experiment works directly on one air-quality index.
 ///
 /// # Examples
 ///
@@ -49,9 +42,8 @@ pub enum PartitionStrategy {
 pub fn partition_values(values: &[f64], k: usize, strategy: PartitionStrategy) -> Vec<Vec<f64>> {
     assert!(k > 0, "cannot partition across zero nodes");
     match strategy {
-        // Without sensor metadata, BySensor degenerates to RoundRobin.
         // Each part is one strided pass, allocated at its exact size.
-        PartitionStrategy::RoundRobin | PartitionStrategy::BySensor => (0..k)
+        PartitionStrategy::RoundRobin => (0..k)
             .map(|i| values.iter().skip(i).step_by(k).copied().collect())
             .collect(),
         PartitionStrategy::Contiguous => contiguous_chunks(values.len(), k)
@@ -59,39 +51,6 @@ pub fn partition_values(values: &[f64], k: usize, strategy: PartitionStrategy) -
             .map(|chunk| values[chunk].to_vec())
             .collect(),
     }
-}
-
-/// Splits a dataset's records across `k` nodes.
-///
-/// # Panics
-///
-/// Panics if `k == 0`.
-pub fn partition_records(
-    dataset: &Dataset,
-    k: usize,
-    strategy: PartitionStrategy,
-) -> Vec<Vec<PollutionRecord>> {
-    assert!(k > 0, "cannot partition across zero nodes");
-    let mut parts: Vec<Vec<PollutionRecord>> = vec![Vec::new(); k];
-    match strategy {
-        PartitionStrategy::RoundRobin => {
-            for (j, r) in dataset.iter().enumerate() {
-                parts[j % k].push(*r);
-            }
-        }
-        PartitionStrategy::Contiguous => {
-            let records = dataset.records();
-            for (i, chunk) in contiguous_chunks(records.len(), k).into_iter().enumerate() {
-                parts[i] = records[chunk].to_vec();
-            }
-        }
-        PartitionStrategy::BySensor => {
-            for r in dataset {
-                parts[(r.sensor_id as usize) % k].push(*r);
-            }
-        }
-    }
-    parts
 }
 
 /// Near-equal contiguous index ranges covering `0..len` with `k` chunks.
@@ -113,19 +72,6 @@ fn contiguous_chunks(len: usize, k: usize) -> Vec<std::ops::Range<usize>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::Timestamp;
-
-    fn rec(sensor: u32, v: f64) -> PollutionRecord {
-        PollutionRecord {
-            timestamp: Timestamp(0),
-            sensor_id: sensor,
-            ozone: v,
-            particulate_matter: v,
-            carbon_monoxide: v,
-            sulfur_dioxide: v,
-            nitrogen_dioxide: v,
-        }
-    }
 
     #[test]
     fn round_robin_interleaves() {
@@ -146,11 +92,7 @@ mod tests {
     #[test]
     fn every_strategy_conserves_elements() {
         let values: Vec<f64> = (0..103).map(|i| i as f64).collect();
-        for strategy in [
-            PartitionStrategy::RoundRobin,
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::BySensor,
-        ] {
+        for strategy in [PartitionStrategy::RoundRobin, PartitionStrategy::Contiguous] {
             let parts = partition_values(&values, 7, strategy);
             assert_eq!(parts.len(), 7);
             let total: usize = parts.iter().map(Vec::len).sum();
@@ -167,30 +109,6 @@ mod tests {
         assert_eq!(parts.iter().filter(|p| p.is_empty()).count(), 3);
         let parts = partition_values(&[1.0, 2.0], 5, PartitionStrategy::RoundRobin);
         assert_eq!(parts.iter().filter(|p| !p.is_empty()).count(), 2);
-    }
-
-    #[test]
-    fn by_sensor_groups_records() {
-        let ds = Dataset::from_records(vec![rec(0, 1.0), rec(1, 2.0), rec(2, 3.0), rec(0, 4.0)]);
-        let parts = partition_records(&ds, 2, PartitionStrategy::BySensor);
-        // Sensors 0 and 2 map to node 0; sensor 1 maps to node 1.
-        assert_eq!(parts[0].len(), 3);
-        assert_eq!(parts[1].len(), 1);
-        assert_eq!(parts[1][0].ozone, 2.0);
-    }
-
-    #[test]
-    fn record_partition_conserves() {
-        let ds = Dataset::from_records((0..50).map(|i| rec(i % 4, i as f64)).collect());
-        for strategy in [
-            PartitionStrategy::RoundRobin,
-            PartitionStrategy::Contiguous,
-            PartitionStrategy::BySensor,
-        ] {
-            let parts = partition_records(&ds, 6, strategy);
-            let total: usize = parts.iter().map(Vec::len).sum();
-            assert_eq!(total, 50);
-        }
     }
 
     #[test]

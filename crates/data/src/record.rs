@@ -147,17 +147,6 @@ impl PollutionRecord {
             AirQualityIndex::NitrogenDioxide => self.nitrogen_dioxide,
         }
     }
-
-    /// Mutable access to the given air-quality index value.
-    pub fn value_mut(&mut self, index: AirQualityIndex) -> &mut f64 {
-        match index {
-            AirQualityIndex::Ozone => &mut self.ozone,
-            AirQualityIndex::ParticulateMatter => &mut self.particulate_matter,
-            AirQualityIndex::CarbonMonoxide => &mut self.carbon_monoxide,
-            AirQualityIndex::SulfurDioxide => &mut self.sulfur_dioxide,
-            AirQualityIndex::NitrogenDioxide => &mut self.nitrogen_dioxide,
-        }
-    }
 }
 
 /// An ordered collection of pollution records.
@@ -200,11 +189,6 @@ impl Dataset {
         &self.records
     }
 
-    /// Consumes the dataset, returning its records.
-    pub fn into_records(self) -> Vec<PollutionRecord> {
-        self.records
-    }
-
     /// Iterator over records.
     pub fn iter(&self) -> std::slice::Iter<'_, PollutionRecord> {
         self.records.iter()
@@ -220,26 +204,6 @@ impl Dataset {
         let min = self.records.iter().map(|r| r.timestamp).min()?;
         let max = self.records.iter().map(|r| r.timestamp).max()?;
         Some((min, max))
-    }
-
-    /// Distinct sensor ids present, in ascending order.
-    pub fn sensor_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.records.iter().map(|r| r.sensor_id).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids
-    }
-
-    /// Keeps only records within the half-open time interval `[from, to)`.
-    pub fn slice_by_time(&self, from: Timestamp, to: Timestamp) -> Dataset {
-        Dataset {
-            records: self
-                .records
-                .iter()
-                .copied()
-                .filter(|r| r.timestamp >= from && r.timestamp < to)
-                .collect(),
-        }
     }
 
     /// Returns the first `n` records (or all of them when `n >= len`).
@@ -311,13 +275,6 @@ mod tests {
     }
 
     #[test]
-    fn value_mut_writes_through() {
-        let mut r = rec(0, 1, 10.0);
-        *r.value_mut(AirQualityIndex::SulfurDioxide) = 99.0;
-        assert_eq!(r.sulfur_dioxide, 99.0);
-    }
-
-    #[test]
     fn all_positions_are_consistent() {
         for (i, idx) in AirQualityIndex::ALL.iter().enumerate() {
             assert_eq!(idx.position(), i);
@@ -364,16 +321,7 @@ mod tests {
     fn time_bounds_and_sensors() {
         let ds = Dataset::from_records(vec![rec(600, 2, 1.0), rec(0, 1, 2.0), rec(300, 2, 3.0)]);
         assert_eq!(ds.time_bounds(), Some((Timestamp(0), Timestamp(600))));
-        assert_eq!(ds.sensor_ids(), vec![1, 2]);
         assert_eq!(Dataset::new().time_bounds(), None);
-    }
-
-    #[test]
-    fn slice_by_time_is_half_open() {
-        let ds = Dataset::from_records(vec![rec(0, 1, 1.0), rec(300, 1, 2.0), rec(600, 1, 3.0)]);
-        let sliced = ds.slice_by_time(Timestamp(0), Timestamp(600));
-        assert_eq!(sliced.len(), 2);
-        assert_eq!(sliced.records()[1].timestamp, Timestamp(300));
     }
 
     #[test]

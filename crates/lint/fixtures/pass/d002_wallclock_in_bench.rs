@@ -1,4 +1,4 @@
-// prc-lint-fixture: path = crates/bench/src/bin/bench_batch.rs
+// prc-lint-fixture: path = crates/bench/src/bin/bench_rank_index.rs
 //! Wall-clock timing is fine in the benchmark harness.
 
 pub fn timed() -> std::time::Duration {

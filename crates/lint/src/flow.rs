@@ -33,10 +33,10 @@ use crate::rules::{scope, suppress_line, FileAnalysis, Finding};
 
 /// Identifier tokens whose presence marks a function as visibly holding
 /// or routing a budget reservation.
-const RESERVATION_TOKENS: [&str; 3] = ["Reservation", "Reserved", "reservation"];
+const RESERVATION_TOKENS: [&str; 2] = ["Reservation", "reservation"];
 
 /// Identifier tokens that resolve a held reservation.
-const RESOLUTION_TOKENS: [&str; 5] = ["commit", "rollback", "abort", "settle", "Settle"];
+const RESOLUTION_TOKENS: [&str; 4] = ["commit", "rollback", "abort", "settle"];
 
 /// Runs every interprocedural pass over the analyzed files, marking
 /// allow usage as it goes, and returns the combined findings.
@@ -104,10 +104,7 @@ fn budget_flow(
         }
         let item = &unit.items[ii];
         RESERVATION_TOKENS.iter().any(|t| item.idents.contains(*t))
-            || item
-                .calls
-                .iter()
-                .any(|c| c.name == "reserve" || c.name == "reserve_effective")
+            || item.calls.iter().any(|c| c.name == "reserve")
     };
 
     // An allow(F001) on a function sanctions the whole chain beneath

@@ -1,4 +1,5 @@
-//! The base station: per-node sample sets and top-up orchestration.
+//! The base station: per-node sample sets and the station-wide
+//! aggregates the estimators read.
 
 use std::cell::OnceCell;
 use std::collections::btree_map::Entry;
@@ -191,9 +192,7 @@ impl Summary {
 ///
 /// The base station is the component that *"opens the data access API to
 /// data brokers"* (§II-A): brokers read [`BaseStation::node_samples`] to
-/// run the RankCounting estimator, and call [`BaseStation::deficit_nodes`]
-/// to learn which nodes must top up before a target sampling probability
-/// is met.
+/// run the RankCounting estimator.
 ///
 /// The station-wide aggregates ([`BaseStation::total_population`],
 /// [`BaseStation::effective_probability`], …) are read on every request,
@@ -369,17 +368,6 @@ impl BaseStation {
     pub fn uniform_probability(&self) -> Option<f64> {
         self.summary().uniform_probability
     }
-
-    /// Nodes whose cumulative probability is below `target` (the set that
-    /// must receive a top-up request before a query needing `target` can
-    /// be answered).
-    pub fn deficit_nodes(&self, target: f64) -> Vec<NodeId> {
-        self.samples
-            .values()
-            .filter(|s| s.probability < target)
-            .map(|s| s.node_id)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -441,18 +429,6 @@ mod tests {
         bs.ingest(msg(1, 10, 0.5, &[]));
         bs.ingest(msg(1, 10, 0.2, &[])); // stale message
         assert_eq!(bs.node_sample(NodeId(1)).unwrap().probability, 0.5);
-    }
-
-    #[test]
-    fn deficit_nodes_lists_lagging_nodes() {
-        let mut bs = BaseStation::new();
-        bs.ingest(msg(1, 10, 0.5, &[]));
-        bs.ingest(msg(2, 10, 0.1, &[]));
-        bs.ingest(msg(3, 10, 0.3, &[]));
-        let mut lagging = bs.deficit_nodes(0.4);
-        lagging.sort();
-        assert_eq!(lagging, vec![NodeId(2), NodeId(3)]);
-        assert!(bs.deficit_nodes(0.05).is_empty());
     }
 
     #[test]
@@ -564,6 +540,5 @@ mod tests {
         assert_eq!(bs.total_population(), 0);
         assert_eq!(bs.total_samples(), 0);
         assert!(bs.node_sample(NodeId(1)).is_none());
-        assert!(bs.deficit_nodes(0.5).is_empty());
     }
 }

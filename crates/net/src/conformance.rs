@@ -1,12 +1,14 @@
-//! The executable [`Network`] contract: a driver-generic conformance kit.
+//! The executable [`Network`] contract: a generic conformance kit.
 //!
-//! The workspace has two network drivers — flat and tree, which run one
-//! shared collection round over different topologies — and a broker
-//! pipeline that is generic over both. The pricing engine's
-//! arbitrage-freeness audit is only meaningful if every driver feeding
-//! it produces the *same* sample state for the same seed, so the
-//! contract the drivers share is pinned here as executable checks rather
-//! than prose:
+//! The workspace has one network type,
+//! [`crate::network::SensorNetwork`], in two topologies — flat and tree,
+//! which run one collection round over different routes — and a broker
+//! pipeline that is generic over the [`Network`] trait. The pricing
+//! engine's arbitrage-freeness audit is only meaningful if every
+//! topology feeding it produces the *same* sample state for the same
+//! seed, so the contract is pinned here as executable checks rather than
+//! prose. A *driver* below is any `Network` implementation the kit is
+//! run against:
 //!
 //! 1. **Seed determinism** — rebuilding and re-running a driver with
 //!    identical construction parameters yields a byte-identical
@@ -36,8 +38,8 @@
 //! outcomes; [`assert_drivers_agree`] then pins the *cross-driver*
 //! half of the contract — all drivers byte-identical on the same seed,
 //! including under one shared [`FailurePlan`]. The integration test
-//! `tests/driver_conformance.rs` instantiates both for every driver in
-//! the workspace; DESIGN.md §12 documents the invariant catalog.
+//! `tests/driver_conformance.rs` instantiates both for the flat and the
+//! tree topology; DESIGN.md §12 documents the invariant catalog.
 //!
 //! The canonical topology is 7 nodes so that a binary [`crate::tree::TreeNetwork`]
 //! over the same partitions has leaves {3, 4, 5, 6}: the shared failure

@@ -73,7 +73,7 @@ impl Default for EnergyModel {
 ///
 /// ```
 /// use prc_net::energy::{EnergyModel, EnergyReport};
-/// use prc_net::network::FlatNetwork;
+/// use prc_net::network::{FlatNetwork, Network};
 ///
 /// let mut network = FlatNetwork::from_partitions(
 ///     vec![(0..500).map(f64::from).collect(); 4], 7);
@@ -139,7 +139,7 @@ impl EnergyReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::network::FlatNetwork;
+    use crate::network::{FlatNetwork, Network};
     use crate::tree::TreeNetwork;
 
     fn partitions(k: usize, per_node: usize) -> Vec<Vec<f64>> {

@@ -15,18 +15,18 @@
 //!   station's sample under-represents the node and its per-node
 //!   estimate drifts toward the whole-population fallback).
 //!
-//! # Determinism across drivers
+//! # Determinism across topologies
 //!
 //! Every random decision is keyed by `(seed, NodeId)`, not by the order
 //! in which the plan is consulted: each node owns an independent dropout
 //! draw and an independent loss stream, both derived from the plan seed
 //! and the node id by a SplitMix64-style mix. The *m*-th transmission
 //! decision for node *i* is therefore a pure function of
-//! `(seed, i, m)` — a driver interleaving nodes arbitrarily, one
+//! `(seed, i, m)` — a round interleaving nodes arbitrarily, one
 //! iterating in id order, and one skipping cut-off subtrees all see
-//! identical failures for the nodes they actually ask about. The conformance kit
-//! ([`crate::conformance`]) relies on this to compare drivers
-//! byte-for-byte under one shared plan.
+//! identical failures for the nodes they actually ask about. The
+//! conformance kit ([`crate::conformance`]) relies on this to compare the
+//! flat and tree topologies byte-for-byte under one shared plan.
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -86,7 +86,7 @@ impl FailurePlan {
     /// * `loss_mode` — what happens on loss;
     /// * `seed` — RNG seed; every decision is a pure function of the
     ///   seed, the node id, and that node's decision ordinal, so the
-    ///   plan is deterministic regardless of the order in which drivers
+    ///   plan is deterministic regardless of the order in which rounds
     ///   consult it.
     ///
     /// # Panics
@@ -130,7 +130,7 @@ impl FailurePlan {
     }
 
     /// True when the node is dead. The draw is keyed by the node id (and
-    /// cached), so any driver asking about the same node gets the same
+    /// cached), so any round asking about the same node gets the same
     /// answer in any order.
     ///
     /// At dropout probability 0 no draw can kill a node, so only the
@@ -158,7 +158,7 @@ impl FailurePlan {
     /// Under [`LossMode::Retransmit`] this is a geometric number of
     /// attempts (≥ 1); under [`LossMode::Drop`] it is `Some(1)` on
     /// success and `None` on loss. Draws come from a per-node stream, so
-    /// the *m*-th message of a node meets the same fate in every driver.
+    /// the *m*-th message of a node meets the same fate in every topology.
     /// At loss probability 0 every message gets through on its first
     /// attempt, and no stream is created or drawn from.
     pub fn transmission_attempts(&mut self, node_id: NodeId) -> Option<u32> {
@@ -307,7 +307,7 @@ mod tests {
     fn decisions_are_independent_of_query_order() {
         // The same plan consulted forwards, backwards, and interleaved
         // must hand every node the same fate — this is what lets the
-        // flat and tree drivers share one plan seed.
+        // flat and tree topologies share one plan seed.
         let mut forward = FailurePlan::new(0.3, 0.3, LossMode::Drop, 77);
         let mut backward = FailurePlan::new(0.3, 0.3, LossMode::Drop, 77);
         let fwd_dead: Vec<bool> = (0..40).map(|i| forward.node_is_dead(NodeId(i))).collect();

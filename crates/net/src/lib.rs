@@ -11,29 +11,31 @@
 //!   sampling with *incremental top-up* (raising the effective sampling
 //!   probability without resampling from scratch, the paper's "collect
 //!   more samples" step);
-//! * [`message`] — typed wire messages with a byte-level size model and
-//!   the §III-A heartbeat piggyback rule (small sample batches ride inside
+//! * [`message`] — the sample batch and a byte-level size model with the
+//!   §III-A heartbeat piggyback rule (small sample batches ride inside
 //!   routine heartbeats for free);
-//! * [`base_station`] — per-node sample sets and top-up orchestration;
-//! * [`network`] — [`network::FlatNetwork`], the paper's flat model, with
-//!   a [`network::CostMeter`] tracking messages/samples/bytes, the
-//!   [`network::Network`] trait generic consumers (the `prc-core` broker)
-//!   are written against, and the one collection round both drivers
-//!   share;
-//! * [`tree`] — the "general tree model" extension: samples are forwarded
-//!   hop-by-hop to the root, multiplying communication cost by depth. A
-//!   flat node is a one-hop child of the base station, so the tree runs
-//!   the flat driver's round with a deeper topology;
+//! * [`base_station`] — per-node sample sets and the station-wide
+//!   aggregates the estimators read;
+//! * [`network`] — [`network::SensorNetwork`], one network type with two
+//!   topologies, and its collection round; [`network::FlatNetwork`], the
+//!   paper's flat model; the [`network::CostMeter`] the round charges
+//!   with messages/samples/bytes; and the [`network::Network`] trait
+//!   generic consumers (the `prc-core` broker) are written against;
+//! * [`tree`] — the "general tree model" extension,
+//!   [`tree::TreeNetwork`]: samples are forwarded hop-by-hop to the root,
+//!   multiplying communication cost by depth. A flat node is a one-hop
+//!   child of the base station, so the tree runs the flat model's round
+//!   with deeper routes;
 //! * [`failure`] — node-dropout and message-loss injection, keyed by
-//!   `NodeId` so every driver sees identical failures for one seed;
-//! * [`conformance`] — the executable `Network` contract: a driver-generic
-//!   test kit any implementation must pass (see
-//!   `tests/driver_conformance.rs` and DESIGN.md §12).
+//!   `NodeId` so both topologies see identical failures for one seed;
+//! * [`conformance`] — the executable `Network` contract: a generic test
+//!   kit every topology must pass (see `tests/driver_conformance.rs` and
+//!   DESIGN.md §12).
 //!
 //! ## Quick start
 //!
 //! ```
-//! use prc_net::network::FlatNetwork;
+//! use prc_net::network::{FlatNetwork, Network};
 //!
 //! // Three nodes, each holding a slice of the global data.
 //! let partitions = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0], vec![6.0]];
@@ -58,7 +60,7 @@ pub mod tree;
 
 pub use base_station::{BaseStation, NodeSample};
 pub use conformance::{assert_drivers_agree, check_driver, ConformanceReport};
-pub use message::{Message, NodeId, SampleEntry, SampleMessage};
-pub use network::{CostMeter, FlatNetwork, Network};
+pub use message::{NodeId, SampleEntry, SampleMessage};
+pub use network::{CostMeter, FlatNetwork, Network, SensorNetwork};
 pub use node::SensorNode;
 pub use tree::TreeNetwork;

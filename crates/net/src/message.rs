@@ -1,11 +1,13 @@
 //! Wire messages and the byte-level cost model.
 //!
 //! The paper's efficiency argument (§III-A) is entirely about how many
-//! samples cross the network, so every message type reports a
-//! [`Message::wire_size`] and whether it can piggyback on a routine
-//! heartbeat: *"a node could pack the samples into an ordinary heartbeat
-//! message to the broker, and no more communication cost is incurred"*.
-//! We adopt the paper's threshold of **16 samples** per batch
+//! samples cross the network, so every message the collection round
+//! sends has a byte size: a [`SampleMessage`] reports its
+//! [`SampleMessage::wire_size`] and whether it can piggyback on a routine
+//! heartbeat (*"a node could pack the samples into an ordinary heartbeat
+//! message to the broker, and no more communication cost is incurred"*),
+//! and a top-up request costs [`TOP_UP_REQUEST_BYTES`]. We adopt the
+//! paper's threshold of **16 samples** per batch
 //! ([`HEARTBEAT_FREE_SAMPLES`]).
 
 /// Identifier of a sensor node.
@@ -27,6 +29,11 @@ pub const MESSAGE_HEADER_BYTES: usize = 16;
 
 /// Wire size of one sample entry: an 8-byte value plus a 4-byte rank.
 pub const SAMPLE_ENTRY_BYTES: usize = 12;
+
+/// Wire size of the base station's request that a node raise its
+/// sampling probability: the header plus the 8-byte target. A request
+/// never rides a heartbeat.
+pub const TOP_UP_REQUEST_BYTES: usize = MESSAGE_HEADER_BYTES + 8;
 
 /// One sampled element: its value and its **local rank** (1-based position
 /// in the node's sorted data), the extra information the RankCounting
@@ -88,56 +95,6 @@ impl SampleMessage {
     }
 }
 
-/// Every message that crosses the simulated network.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Message {
-    /// Samples from a node to the base station.
-    Sample(SampleMessage),
-    /// Base-station instruction to raise a node's sampling probability.
-    TopUpRequest {
-        /// Target node.
-        node_id: NodeId,
-        /// Cumulative sampling probability the node should reach.
-        target_probability: f64,
-    },
-    /// A routine keep-alive with no payload.
-    Heartbeat {
-        /// Sender.
-        node_id: NodeId,
-    },
-}
-
-impl Message {
-    /// The sender or addressee of the message.
-    pub fn node_id(&self) -> NodeId {
-        match self {
-            Message::Sample(m) => m.node_id,
-            Message::TopUpRequest { node_id, .. } => *node_id,
-            Message::Heartbeat { node_id } => *node_id,
-        }
-    }
-
-    /// Serialized size in bytes under the fixed cost model.
-    pub fn wire_size(&self) -> usize {
-        match self {
-            Message::Sample(m) => m.wire_size(),
-            Message::TopUpRequest { .. } => MESSAGE_HEADER_BYTES + 8,
-            Message::Heartbeat { .. } => MESSAGE_HEADER_BYTES,
-        }
-    }
-
-    /// True when the message incurs no extra cost beyond routine traffic
-    /// (heartbeats, and sample batches small enough to ride one).
-    pub fn is_free(&self) -> bool {
-        match self {
-            Message::Sample(m) => m.fits_in_heartbeat(),
-            Message::TopUpRequest { .. } => false,
-            Message::Heartbeat { .. } => true,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,42 +115,17 @@ mod tests {
 
     #[test]
     fn wire_size_scales_with_entries() {
-        let m = Message::Sample(sample_msg(0));
-        assert_eq!(m.wire_size(), MESSAGE_HEADER_BYTES);
-        let m = Message::Sample(sample_msg(10));
+        assert_eq!(sample_msg(0).wire_size(), MESSAGE_HEADER_BYTES);
         assert_eq!(
-            m.wire_size(),
+            sample_msg(10).wire_size(),
             MESSAGE_HEADER_BYTES + 10 * SAMPLE_ENTRY_BYTES
         );
     }
 
     #[test]
     fn heartbeat_piggyback_threshold() {
-        assert!(Message::Sample(sample_msg(HEARTBEAT_FREE_SAMPLES)).is_free());
-        assert!(!Message::Sample(sample_msg(HEARTBEAT_FREE_SAMPLES + 1)).is_free());
-        assert!(Message::Heartbeat { node_id: NodeId(0) }.is_free());
-        assert!(!Message::TopUpRequest {
-            node_id: NodeId(0),
-            target_probability: 0.5
-        }
-        .is_free());
-    }
-
-    #[test]
-    fn node_id_accessor_covers_variants() {
-        assert_eq!(Message::Sample(sample_msg(1)).node_id(), NodeId(3));
-        assert_eq!(
-            Message::TopUpRequest {
-                node_id: NodeId(7),
-                target_probability: 0.1
-            }
-            .node_id(),
-            NodeId(7)
-        );
-        assert_eq!(
-            Message::Heartbeat { node_id: NodeId(9) }.node_id(),
-            NodeId(9)
-        );
+        assert!(sample_msg(HEARTBEAT_FREE_SAMPLES).fits_in_heartbeat());
+        assert!(!sample_msg(HEARTBEAT_FREE_SAMPLES + 1).fits_in_heartbeat());
     }
 
     #[test]

@@ -1,23 +1,23 @@
-//! The network drivers, their shared collection round, and
-//! communication-cost accounting.
+//! The sensor network, its collection round, and communication-cost
+//! accounting.
 //!
-//! [`FlatNetwork`] implements the paper's flat model — every node talks
-//! directly to the base station — and [`crate::tree::TreeNetwork`] the
-//! general tree model. Both own one private core that runs the round
-//! protocol: a flat node is simply a child of the base station at one
-//! hop, so dead-ancestor cut-off, hop-multiplied metering, both loss
-//! modes and the traced event sequence are written once. Traffic is
-//! charged through a shared [`CostMeter`].
+//! [`SensorNetwork`] is one network type with two topologies:
+//! [`FlatNetwork`], the paper's flat model, where every node talks
+//! directly to the base station, and [`crate::tree::TreeNetwork`], the
+//! general tree model. A flat node is simply a child of the base station
+//! at one hop, so dead-ancestor cut-off, hop-multiplied metering, both
+//! loss modes and the traced event sequence are written once, in the
+//! round that tallies its traffic into the network's [`CostMeter`].
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::marker::PhantomData;
 
-use parking_lot::Mutex;
 use prc_data::partition::{partition_values, PartitionStrategy};
 use prc_data::record::{AirQualityIndex, Dataset};
 
 use crate::base_station::BaseStation;
 use crate::failure::{FailurePlan, LossMode};
-use crate::message::{Message, NodeId, SampleMessage};
+use crate::message::{NodeId, SampleMessage, TOP_UP_REQUEST_BYTES};
 use crate::node::SensorNode;
 use crate::trace::{TraceEvent, Tracer};
 
@@ -82,82 +82,39 @@ impl CostSnapshot {
     }
 }
 
-/// A thread-safe communication cost meter.
+/// The communication cost a network has been charged so far.
 ///
-/// Cloning produces a handle to the same underlying counters. In
-/// addition to the aggregate [`CostSnapshot`], the meter tracks bytes
-/// transmitted *per node*, which the energy model
-/// ([`crate::energy`]) turns into per-node battery drain.
-#[derive(Debug, Clone, Default)]
-pub struct CostMeter {
-    inner: Arc<Mutex<MeterState>>,
-}
-
+/// The collection round is the only writer: it tallies its traffic
+/// locally and adds it here once per round. In addition to the aggregate
+/// [`CostSnapshot`], the meter tracks bytes transmitted *per node*,
+/// which the energy model ([`crate::energy`]) turns into per-node
+/// battery drain.
 #[derive(Debug, Default)]
-struct MeterState {
+pub struct CostMeter {
     totals: CostSnapshot,
-    per_node_bytes: std::collections::BTreeMap<NodeId, u64>,
+    per_node_bytes: BTreeMap<NodeId, u64>,
 }
 
 impl CostMeter {
-    /// Creates a meter with zeroed counters.
-    pub fn new() -> Self {
-        CostMeter::default()
-    }
-
-    /// Records one delivered message that crossed `hops` links and needed
-    /// `attempts` transmissions per link.
-    ///
-    /// Per-node accounting attributes the full (hop-multiplied) byte cost
-    /// to the originating node, matching the convention that relaying
-    /// energy is billed to the flow that caused it.
-    pub fn record(&self, message: &Message, hops: u32, attempts: u32) {
-        let samples = match message {
-            Message::Sample(m) => m.entries.len(),
-            _ => 0,
-        };
-        let mut totals = CostSnapshot::default();
-        let bytes = totals.add_delivered(
-            message.wire_size(),
-            message.is_free(),
-            samples,
-            u64::from(hops) * u64::from(attempts),
-        );
-        self.charge(&totals, &[(message.node_id(), bytes)]);
-    }
-
-    /// Records a permanently lost message (its transmission still cost bytes).
-    pub fn record_lost(&self, message: &Message) {
-        let mut totals = CostSnapshot::default();
-        let bytes = totals.add_lost(message.wire_size());
-        self.charge(&totals, &[(message.node_id(), bytes)]);
-    }
-
-    /// Adds `totals` and each `(node, bytes)` bill under one lock: a
-    /// collection round charges all of its traffic at once, and
-    /// [`CostMeter::record`] and [`CostMeter::record_lost`] charge one
-    /// message the same way.
-    fn charge(&self, totals: &CostSnapshot, bills: &[(NodeId, u64)]) {
-        let mut inner = self.inner.lock();
-        inner.totals.add(totals);
+    /// Adds one round's `totals` and each `(node, bytes)` bill. Per-node
+    /// accounting attributes a message's full (hop-multiplied) byte cost
+    /// to the node it was sent to or from, matching the convention that
+    /// relaying energy is billed to the flow that caused it.
+    fn charge(&mut self, totals: &CostSnapshot, bills: &[(NodeId, u64)]) {
+        self.totals.add(totals);
         for &(node, bytes) in bills {
-            *inner.per_node_bytes.entry(node).or_insert(0) += bytes;
+            *self.per_node_bytes.entry(node).or_insert(0) += bytes;
         }
     }
 
     /// Current counter values.
     pub fn snapshot(&self) -> CostSnapshot {
-        self.inner.lock().totals
+        self.totals
     }
 
     /// Bytes attributed to each node so far.
-    pub fn per_node_bytes(&self) -> std::collections::BTreeMap<NodeId, u64> {
-        self.inner.lock().per_node_bytes.clone()
-    }
-
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        *self.inner.lock() = MeterState::default();
+    pub fn per_node_bytes(&self) -> BTreeMap<NodeId, u64> {
+        self.per_node_bytes.clone()
     }
 }
 
@@ -165,11 +122,11 @@ impl CostMeter {
 /// contract (§12 of DESIGN.md).
 ///
 /// A round's delta is *derived from the station's revision journal*
-/// ([`BaseStation::changed_since`]), not from driver-internal
-/// bookkeeping: every driver mutates station state exclusively through
-/// [`BaseStation::ingest`], so for byte-identical rounds every driver
+/// ([`BaseStation::changed_since`]), not from round-internal
+/// bookkeeping: every round mutates station state exclusively through
+/// [`BaseStation::ingest`], so for byte-identical rounds every topology
 /// reports byte-identical deltas. The conformance kit
-/// ([`crate::conformance`]) pins this across the flat and tree drivers.
+/// ([`crate::conformance`]) pins this across the flat and tree topologies.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundDelta {
     /// Sample entries delivered to the station this round.
@@ -183,32 +140,32 @@ pub struct RoundDelta {
     pub revision: u64,
 }
 
-/// A driver-agnostic view of a sampling network.
+/// A topology-agnostic view of a sampling network.
 ///
-/// Both drivers — [`FlatNetwork`] (every node one hop from the base
-/// station) and [`crate::tree::TreeNetwork`] (balanced d-ary aggregation
-/// tree, hop-multiplied costs) — run the same collection round and
-/// expose the same protocol surface: a population distributed over `k` nodes, a base station
-/// accumulating Bernoulli samples, and a [`CostMeter`] charging every
-/// message. Generic consumers — most importantly the broker in
-/// `prc-core` — are written against this trait so the same pipeline runs
-/// unchanged over any driver.
+/// [`SensorNetwork`] implements it once for both topologies —
+/// [`FlatNetwork`] (every node one hop from the base station) and
+/// [`crate::tree::TreeNetwork`] (balanced d-ary aggregation tree,
+/// hop-multiplied costs): a population distributed over `k` nodes, a
+/// base station accumulating Bernoulli samples, and a [`CostMeter`]
+/// charging every message. Generic consumers — most importantly the
+/// broker in `prc-core` — are written against this trait so the same
+/// pipeline runs unchanged over either topology.
 ///
 /// Implementations must be *deterministic in the seed*: for identical
 /// construction parameters, the station state after any sequence of
 /// [`Network::collect_samples`] calls must not depend on scheduling —
-/// and for one shared [`FailurePlan`] seed, every driver must see the
+/// and for one shared [`FailurePlan`] seed, every topology must see the
 /// same per-node failures. The executable form of this contract lives in
 /// [`crate::conformance`]; `tests/driver_conformance.rs` runs it against
-/// every driver.
+/// both topologies.
 pub trait Network {
     /// Number of nodes (dead or alive).
     fn node_count(&self) -> usize;
 
     /// Total data elements across all nodes, `n = |D|`.
     ///
-    /// `O(1)` on flat and tree networks: node data never changes after
-    /// the node is added, so the shared core keeps a running sum.
+    /// `O(1)` on a [`SensorNetwork`]: node data never changes after the
+    /// node is added, so the network keeps a running sum.
     fn total_data_size(&self) -> usize;
 
     /// The base station's view of collected samples.
@@ -253,9 +210,9 @@ pub trait Network {
     /// exact set of nodes whose station record changed, instead of
     /// forcing the consumer to treat the whole station as dirty.
     ///
-    /// Provided for every driver by bracketing
+    /// Provided for every implementation by bracketing
     /// [`Network::collect_samples`] with the station's revision journal;
-    /// drivers must not override this with driver-local bookkeeping (the
+    /// implementations must not override this with local bookkeeping (the
     /// journal is what keeps flat and tree deltas byte-identical).
     fn collect_delta(&mut self, target: f64) -> RoundDelta {
         let before = self.station().revision();
@@ -280,64 +237,74 @@ pub trait Network {
     }
 }
 
-/// The state and round protocol both drivers own: the nodes, each
-/// node's route to the base station, the station itself, the meter, the
-/// failure plan and the tracer.
+/// A sensor network: the nodes, each node's route to the base station,
+/// the station itself, the meter, the failure plan and the tracer.
 ///
-/// The flat model is the one-hop case of the tree model (§III-A): a flat
-/// node is a child of the base station at one hop. [`FlatNetwork`] and
-/// [`crate::tree::TreeNetwork`] differ only in the routes they build and
-/// run the same [`Fleet::collect`].
+/// The topology `T` is a marker type fixed at construction: [`Flat`]
+/// ([`FlatNetwork`]) or [`crate::tree::Tree`]
+/// ([`crate::tree::TreeNetwork`]). The flat model is the one-hop case of
+/// the tree model (§III-A), so both run the same collection round and
+/// differ only in the routes their constructors build.
 #[derive(Debug)]
-pub(crate) struct Fleet {
+pub struct SensorNetwork<T> {
     pub(crate) nodes: Vec<SensorNode>,
     /// `parent[i]` is the index of node `i`'s parent, or `None` for a
     /// child of the base station. A parent always precedes its children.
     parent: Vec<Option<usize>>,
     /// `hops[i]` = number of links from node `i` to the base station (≥ 1).
     pub(crate) hops: Vec<u32>,
-    /// `Σ n_i` over `nodes`, kept by [`Fleet::push`] (node data never
-    /// changes after construction).
+    /// `Σ n_i` over `nodes`, kept by [`SensorNetwork::push`] (node data
+    /// never changes after construction).
     data_size: usize,
-    pub(crate) station: BaseStation,
-    pub(crate) meter: CostMeter,
-    pub(crate) failure: FailurePlan,
-    pub(crate) tracer: Option<Tracer>,
+    station: BaseStation,
+    meter: CostMeter,
+    failure: FailurePlan,
+    tracer: Option<Tracer>,
+    topology: PhantomData<T>,
 }
 
-impl Fleet {
+/// The flat topology: every node reports directly to the base station.
+#[derive(Debug)]
+pub enum Flat {}
+
+/// The paper's flat network: `k` sensor nodes reporting directly to one
+/// base station.
+pub type FlatNetwork = SensorNetwork<Flat>;
+
+impl<T> SensorNetwork<T> {
     /// Builds one node per partition; `parent_of(i)` names node `i`'s
     /// parent, which must precede it (`None`: the base station).
     ///
     /// # Panics
     ///
     /// Panics if `partitions` is empty.
-    pub(crate) fn new(
+    pub(crate) fn build(
         partitions: Vec<Vec<f64>>,
         seed: u64,
         parent_of: impl Fn(usize) -> Option<usize>,
     ) -> Self {
         assert!(!partitions.is_empty(), "network needs at least one node");
         let k = partitions.len();
-        let mut fleet = Fleet {
+        let mut network = SensorNetwork {
             nodes: Vec::with_capacity(k),
             parent: Vec::with_capacity(k),
             hops: Vec::with_capacity(k),
             data_size: 0,
             station: BaseStation::new(),
-            meter: CostMeter::new(),
+            meter: CostMeter::default(),
             failure: FailurePlan::none(),
             tracer: None,
+            topology: PhantomData,
         };
         for (i, data) in partitions.into_iter().enumerate() {
-            fleet.push(data, seed, parent_of(i));
+            network.push(data, seed, parent_of(i));
         }
-        fleet
+        network
     }
 
     /// Adds a node with fresh local data under `parent` (`None`: the base
     /// station) and returns its id.
-    pub(crate) fn push(&mut self, data: Vec<f64>, seed: u64, parent: Option<usize>) -> NodeId {
+    fn push(&mut self, data: Vec<f64>, seed: u64, parent: Option<usize>) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.data_size += data.len();
         self.nodes.push(SensorNode::new(id, data, seed));
@@ -345,16 +312,6 @@ impl Fleet {
         self.hops.push(hops);
         self.parent.push(parent);
         id
-    }
-
-    /// Total data elements across all nodes, `n = |D|`, in `O(1)`.
-    pub(crate) fn total_data_size(&self) -> usize {
-        self.data_size
-    }
-
-    /// Exact global range count `γ(l, u, D)`, summed over every node.
-    pub(crate) fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        self.nodes.iter().map(|n| n.exact_range_count(l, u)).sum()
     }
 
     /// Whether each node can reach the base station: it and every
@@ -368,6 +325,73 @@ impl Fleet {
             reachable.push(alive && route_up);
         }
         reachable
+    }
+}
+
+impl FlatNetwork {
+    /// Builds a network with one node per partition.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `partitions` is empty.
+    pub fn from_partitions(partitions: Vec<Vec<f64>>, seed: u64) -> Self {
+        SensorNetwork::build(partitions, seed, |_| None)
+    }
+
+    /// Builds a network over one air-quality index of a dataset,
+    /// partitioned across `k` nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k == 0`.
+    pub fn from_dataset(
+        dataset: &Dataset,
+        index: AirQualityIndex,
+        k: usize,
+        strategy: PartitionStrategy,
+        seed: u64,
+    ) -> Self {
+        let values = dataset.values(index);
+        FlatNetwork::from_partitions(partition_values(&values, k, strategy), seed)
+    }
+
+    /// Dynamic membership: adds a node with fresh local data and returns
+    /// its id. The node starts unsampled; it catches up at the next
+    /// collection round, after which the global estimator automatically
+    /// covers the grown population (its `k` and `n` come from the base
+    /// station's live state).
+    pub fn add_node(&mut self, data: Vec<f64>, seed: u64) -> NodeId {
+        self.push(data, seed, None)
+    }
+}
+
+impl<T> Network for SensorNetwork<T> {
+    fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    fn total_data_size(&self) -> usize {
+        self.data_size
+    }
+
+    fn station(&self) -> &BaseStation {
+        &self.station
+    }
+
+    fn meter(&self) -> &CostMeter {
+        &self.meter
+    }
+
+    fn set_failure_plan(&mut self, plan: FailurePlan) {
+        self.failure = plan;
+    }
+
+    fn set_tracer(&mut self, tracer: Tracer) {
+        self.tracer = Some(tracer);
+    }
+
+    fn exact_range_count(&self, l: f64, u: f64) -> usize {
+        self.nodes.iter().map(|n| n.exact_range_count(l, u)).sum()
     }
 
     /// Runs one collection round: every reachable node below `target` is
@@ -385,7 +409,7 @@ impl Fleet {
     /// # Panics
     ///
     /// Panics if `target` is not in `(0, 1]`.
-    pub(crate) fn collect(&mut self, target: f64) -> usize {
+    fn collect_samples(&mut self, target: f64) -> usize {
         assert!(
             target > 0.0 && target <= 1.0,
             "sampling probability must be in (0, 1], got {target}"
@@ -405,14 +429,9 @@ impl Fleet {
             if node.probability() >= target {
                 continue;
             }
-            let request = Message::TopUpRequest {
-                node_id: id,
-                target_probability: target,
-            };
             // Downlink request; retransmitted until heard even in Drop
             // mode (control traffic is acked in any real protocol).
-            let mut bytes =
-                totals.add_delivered(request.wire_size(), request.is_free(), 0, u64::from(hops));
+            let mut bytes = totals.add_delivered(TOP_UP_REQUEST_BYTES, false, 0, u64::from(hops));
             if let Some(tracer) = &self.tracer {
                 tracer.record(TraceEvent::TopUpRequested { node: id, target });
             }
@@ -467,140 +486,6 @@ impl Fleet {
     }
 }
 
-/// The paper's flat network: `k` sensor nodes reporting directly to one
-/// base station.
-#[derive(Debug)]
-pub struct FlatNetwork {
-    fleet: Fleet,
-}
-
-impl FlatNetwork {
-    /// Builds a network with one node per partition.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `partitions` is empty.
-    pub fn from_partitions(partitions: Vec<Vec<f64>>, seed: u64) -> Self {
-        FlatNetwork {
-            fleet: Fleet::new(partitions, seed, |_| None),
-        }
-    }
-
-    /// Builds a network over one air-quality index of a dataset,
-    /// partitioned across `k` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn from_dataset(
-        dataset: &Dataset,
-        index: AirQualityIndex,
-        k: usize,
-        strategy: PartitionStrategy,
-        seed: u64,
-    ) -> Self {
-        let values = dataset.values(index);
-        FlatNetwork::from_partitions(partition_values(&values, k, strategy), seed)
-    }
-
-    /// Installs a failure plan (replacing any previous plan).
-    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
-        self.fleet.failure = plan;
-    }
-
-    /// Attaches an event tracer; subsequent rounds emit [`TraceEvent`]s.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.fleet.tracer = Some(tracer);
-    }
-
-    /// Dynamic membership: adds a node with fresh local data and returns
-    /// its id. The node starts unsampled; it catches up at the next
-    /// collection round, after which the global estimator automatically
-    /// covers the grown population (its `k` and `n` come from the base
-    /// station's live state).
-    pub fn add_node(&mut self, data: Vec<f64>, seed: u64) -> NodeId {
-        self.fleet.push(data, seed, None)
-    }
-
-    /// Number of nodes (dead or alive).
-    pub fn node_count(&self) -> usize {
-        self.fleet.nodes.len()
-    }
-
-    /// Total data elements across all nodes, `n = |D|`, in `O(1)`.
-    pub fn total_data_size(&self) -> usize {
-        self.fleet.total_data_size()
-    }
-
-    /// The base station's view of collected samples.
-    pub fn station(&self) -> &BaseStation {
-        &self.fleet.station
-    }
-
-    /// The cost meter.
-    pub fn meter(&self) -> &CostMeter {
-        &self.fleet.meter
-    }
-
-    /// Read access to the nodes (ground-truth computations in tests).
-    pub fn nodes(&self) -> &[SensorNode] {
-        &self.fleet.nodes
-    }
-
-    /// Exact global range count `γ(l, u, D)` — ground truth for evaluation.
-    pub fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        self.fleet.exact_range_count(l, u)
-    }
-
-    /// Runs one collection round: every live node raises its cumulative
-    /// sampling probability to `target` and ships the new batch.
-    ///
-    /// Dead nodes stay silent. Message loss follows the installed
-    /// [`FailurePlan`]. Returns the number of sample entries that reached
-    /// the base station this round.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not in `(0, 1]`.
-    pub fn collect_samples(&mut self, target: f64) -> usize {
-        self.fleet.collect(target)
-    }
-}
-
-impl Network for FlatNetwork {
-    fn node_count(&self) -> usize {
-        FlatNetwork::node_count(self)
-    }
-
-    fn total_data_size(&self) -> usize {
-        FlatNetwork::total_data_size(self)
-    }
-
-    fn station(&self) -> &BaseStation {
-        FlatNetwork::station(self)
-    }
-
-    fn meter(&self) -> &CostMeter {
-        FlatNetwork::meter(self)
-    }
-
-    fn collect_samples(&mut self, target: f64) -> usize {
-        FlatNetwork::collect_samples(self, target)
-    }
-
-    fn set_failure_plan(&mut self, plan: FailurePlan) {
-        FlatNetwork::set_failure_plan(self, plan);
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        FlatNetwork::set_tracer(self, tracer);
-    }
-
-    fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        FlatNetwork::exact_range_count(self, l, u)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -646,8 +531,6 @@ mod tests {
         assert!(cost.messages >= 6);
         assert!(cost.bytes > 0);
         assert_eq!(cost.samples, net.station().total_samples() as u64);
-        net.meter().reset();
-        assert_eq!(net.meter().snapshot(), CostSnapshot::default());
     }
 
     #[test]

@@ -1,13 +1,12 @@
-//! Structured event tracing for network drivers.
+//! Structured event tracing for the sensor network.
 //!
 //! Production systems need to answer "what did the network actually do
 //! last round?" without a debugger. A [`Tracer`] is a bounded, thread-safe
-//! ring buffer of [`TraceEvent`]s that the collection round both drivers
-//! share ([`crate::network::FlatNetwork`], [`crate::tree::TreeNetwork`])
-//! emits as it runs: per-node requests, deliveries, losses, silent (dead
-//! or cut-off) nodes, and a per-round summary. The conformance kit
-//! ([`crate::conformance`]) checks that both drivers account events
-//! identically.
+//! ring buffer of [`TraceEvent`]s that the collection round of a
+//! [`crate::network::SensorNetwork`] emits as it runs, in either topology:
+//! per-node requests, deliveries, losses, silent (dead or cut-off) nodes,
+//! and a per-round summary. The conformance kit ([`crate::conformance`])
+//! checks that both topologies account events identically.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -85,7 +84,7 @@ struct TracerState {
 /// # Examples
 ///
 /// ```
-/// use prc_net::network::FlatNetwork;
+/// use prc_net::network::{FlatNetwork, Network};
 /// use prc_net::trace::Tracer;
 ///
 /// let mut network = FlatNetwork::from_partitions(vec![vec![1.0, 2.0, 3.0]; 2], 7);

@@ -7,26 +7,27 @@
 //! * **sample forwarding** — each node's sample batch is relayed hop by
 //!   hop to the root, so its transmission cost is multiplied by the
 //!   node's depth; the base station ends up with exactly the same sample
-//!   state as in the flat model. The round is the flat driver's own
-//!   (the two share one core in [`crate::network`]; a flat node is a
-//!   one-hop child of the base station), and [`TreeNetwork`] implements
-//!   [`crate::network::Network`], so the broker pipeline in `prc-core`
-//!   runs unchanged over the tree model — only the cost meter sees the
-//!   topology;
+//!   state as in the flat model. [`TreeNetwork`] is the
+//!   [`SensorNetwork`] with the [`Tree`] topology, so it runs the flat
+//!   model's collection round (a flat node is a one-hop child of the
+//!   base station) and the broker pipeline in `prc-core` runs unchanged
+//!   over it — only the cost meter sees the topology;
 //! * **in-network exact aggregation** ([`TreeNetwork::aggregate_exact_count`]) —
 //!   the TAG-style baseline: each node computes its local exact count and
 //!   partial sums merge at interior nodes, costing one fixed-size message
 //!   per tree edge. This is the expensive-per-query alternative the
 //!   paper's one-sample/many-queries design avoids.
 
-use crate::base_station::BaseStation;
-use crate::failure::FailurePlan;
 use crate::message::MESSAGE_HEADER_BYTES;
-use crate::network::{CostMeter, Fleet, Network};
-use crate::trace::Tracer;
+use crate::network::SensorNetwork;
 
 /// Wire size of one partial-sum aggregation message.
 pub const AGGREGATE_MESSAGE_BYTES: usize = MESSAGE_HEADER_BYTES + 8;
+
+/// The tree topology: a balanced d-ary aggregation tree whose root
+/// reports to the base station.
+#[derive(Debug)]
+pub enum Tree {}
 
 /// A balanced d-ary aggregation tree of sensor nodes.
 ///
@@ -34,6 +35,7 @@ pub const AGGREGATE_MESSAGE_BYTES: usize = MESSAGE_HEADER_BYTES + 8;
 ///
 /// ```
 /// use prc_net::tree::TreeNetwork;
+/// use prc_net::Network;
 ///
 /// let partitions: Vec<Vec<f64>> = (0..7).map(|i| vec![f64::from(i); 10]).collect();
 /// let mut tree = TreeNetwork::from_partitions(partitions, 2, 42);
@@ -43,10 +45,7 @@ pub const AGGREGATE_MESSAGE_BYTES: usize = MESSAGE_HEADER_BYTES + 8;
 /// assert_eq!(count, 40); // values 2, 3, 4, 5 × 10 records
 /// assert_eq!(messages, 7); // one partial sum per node
 /// ```
-#[derive(Debug)]
-pub struct TreeNetwork {
-    fleet: Fleet,
-}
+pub type TreeNetwork = SensorNetwork<Tree>;
 
 impl TreeNetwork {
     /// Builds a balanced tree with the given branching factor: node `i`'s
@@ -58,32 +57,9 @@ impl TreeNetwork {
     /// Panics if `partitions` is empty or `branching == 0`.
     pub fn from_partitions(partitions: Vec<Vec<f64>>, branching: usize, seed: u64) -> Self {
         assert!(branching > 0, "branching factor must be positive");
-        TreeNetwork {
-            fleet: Fleet::new(partitions, seed, |i| {
-                i.checked_sub(1).map(|j| j / branching)
-            }),
-        }
-    }
-
-    /// Installs a failure plan (replacing any previous plan).
-    pub fn set_failure_plan(&mut self, plan: FailurePlan) {
-        self.fleet.failure = plan;
-    }
-
-    /// Attaches an event tracer; subsequent rounds emit
-    /// [`crate::trace::TraceEvent`]s.
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.fleet.tracer = Some(tracer);
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.fleet.nodes.len()
-    }
-
-    /// Total data elements across all nodes, `n = |D|`, in `O(1)`.
-    pub fn total_data_size(&self) -> usize {
-        self.fleet.total_data_size()
+        SensorNetwork::build(partitions, seed, |i| {
+            i.checked_sub(1).map(|j| j / branching)
+        })
     }
 
     /// Hop distance of node `i` from the base station.
@@ -92,47 +68,12 @@ impl TreeNetwork {
     ///
     /// Panics if `i` is out of range.
     pub fn depth(&self, i: usize) -> u32 {
-        self.fleet.hops[i]
+        self.hops[i]
     }
 
     /// Maximum depth of the tree.
     pub fn max_depth(&self) -> u32 {
-        self.fleet.hops.iter().copied().max().unwrap_or(0)
-    }
-
-    /// The base station's view of collected samples.
-    pub fn station(&self) -> &BaseStation {
-        &self.fleet.station
-    }
-
-    /// The cost meter.
-    pub fn meter(&self) -> &CostMeter {
-        &self.fleet.meter
-    }
-
-    /// Exact global range count — ground truth for evaluation.
-    pub fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        self.fleet.exact_range_count(l, u)
-    }
-
-    /// Runs one collection round with hop-multiplied costs.
-    ///
-    /// Every live node whose entire path to the root is alive raises its
-    /// sampling probability to `target`; its batch is charged once per
-    /// hop (and, under retransmission, once per attempt per hop). Nodes
-    /// cut off by a dead ancestor cannot deliver and are traced as
-    /// silent. A batch lost under [`crate::failure::LossMode::Drop`] dies
-    /// on its first link (one charged transmission); the node still
-    /// registers its population and probability claim with the station,
-    /// exactly like the flat driver.
-    ///
-    /// Returns the number of sample entries that reached the base station.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target` is not in `(0, 1]`.
-    pub fn collect_samples(&mut self, target: f64) -> usize {
-        self.fleet.collect(target)
+        self.hops.iter().copied().max().unwrap_or(0)
     }
 
     /// TAG-style in-network exact aggregation: every live, connected node
@@ -141,11 +82,11 @@ impl TreeNetwork {
     ///
     /// Returns `(count, messages, bytes)` for this single query.
     pub fn aggregate_exact_count(&mut self, l: f64, u: f64) -> (usize, u64, u64) {
-        let reachable = self.fleet.reachable();
+        let reachable = self.reachable();
         let mut count = 0usize;
         let mut messages = 0u64;
         let mut bytes = 0u64;
-        for (node, reachable) in self.fleet.nodes.iter().zip(reachable) {
+        for (node, reachable) in self.nodes.iter().zip(reachable) {
             if reachable {
                 count += node.exact_range_count(l, u);
                 // One partial-sum message on the edge toward the parent.
@@ -157,45 +98,13 @@ impl TreeNetwork {
     }
 }
 
-impl Network for TreeNetwork {
-    fn node_count(&self) -> usize {
-        TreeNetwork::node_count(self)
-    }
-
-    fn total_data_size(&self) -> usize {
-        TreeNetwork::total_data_size(self)
-    }
-
-    fn station(&self) -> &BaseStation {
-        TreeNetwork::station(self)
-    }
-
-    fn meter(&self) -> &CostMeter {
-        TreeNetwork::meter(self)
-    }
-
-    fn collect_samples(&mut self, target: f64) -> usize {
-        TreeNetwork::collect_samples(self, target)
-    }
-
-    fn set_failure_plan(&mut self, plan: FailurePlan) {
-        TreeNetwork::set_failure_plan(self, plan);
-    }
-
-    fn set_tracer(&mut self, tracer: Tracer) {
-        TreeNetwork::set_tracer(self, tracer);
-    }
-
-    fn exact_range_count(&self, l: f64, u: f64) -> usize {
-        TreeNetwork::exact_range_count(self, l, u)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::failure::LossMode;
+    use crate::failure::{FailurePlan, LossMode};
     use crate::message::NodeId;
+    use crate::network::Network;
+    use crate::trace::Tracer;
 
     fn partitions(k: usize, per_node: usize) -> Vec<Vec<f64>> {
         (0..k)
@@ -287,7 +196,7 @@ mod tests {
     #[test]
     fn tree_matches_flat_under_the_same_failure_plan() {
         // Leaf-only kills keep connectivity equal to liveness, so the
-        // tree must agree with the flat driver byte for byte.
+        // tree must agree with the flat topology byte for byte.
         let parts = partitions(7, 200);
         let mk_plan = || {
             let mut plan = FailurePlan::new(0.0, 0.3, LossMode::Drop, 23);

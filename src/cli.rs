@@ -28,7 +28,7 @@ use prc_data::record::{AirQualityIndex, Dataset};
 use prc_data::stats;
 use prc_dp::budget::Epsilon;
 use prc_dp::mechanism::Sensitivity;
-use prc_net::network::FlatNetwork;
+use prc_net::network::{FlatNetwork, Network};
 use prc_pricing::engine::PostedPriceEngine;
 use prc_pricing::functions::InverseVariancePricing;
 use prc_pricing::variance::ChebyshevVariance;

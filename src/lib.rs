@@ -10,7 +10,7 @@
 //! | module | crate | contents |
 //! |---|---|---|
 //! | [`data`] | `prc-data` | CityPulse-like pollution datasets, CSV I/O, partitioning |
-//! | [`net`] | `prc-net` | sensor nodes, base station, flat/tree drivers, cost metering, failure injection |
+//! | [`net`] | `prc-net` | sensor nodes, base station, one network type in flat/tree topologies, cost metering, failure injection |
 //! | [`dp`] | `prc-dp` | Laplace release, exponential mechanism, budgets, amplification by sampling |
 //! | [`core`] | `prc-core` | RankCounting estimator, (α, δ) calculus, perturbation optimizer, broker/consumer |
 //! | [`pricing`] | `prc-pricing` | variance models, arbitrage-avoiding pricing, Theorem 4.2 checker, attack simulator |

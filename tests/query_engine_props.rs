@@ -3,16 +3,14 @@
 //! The engine's contract is *bit-identity*: a single-query estimate, a
 //! batch estimate, the exact integer aggregates `(ΣA, ΣB)` an index
 //! accumulates, and the per-node scan oracle must agree on every query —
-//! so every released answer is independent of which path ran and of
-//! which network driver collected the samples. The sweep drives random
-//! stations (duplicate-heavy, zero-valued samples), batches whose bounds
-//! include explicit signed zeros, and the two network drivers against
-//! each other.
+//! so every released answer is independent of which path ran. The sweep
+//! drives random stations (duplicate-heavy, zero-valued samples) and
+//! batches whose bounds include explicit signed zeros; the flat and tree
+//! brokers are pinned to each other in `tests/rank_index_props.rs`.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
-use prc::core::broker::IndexPolicy;
 use prc::core::estimator::index::scan_rank_terms;
 use prc::net::base_station::BaseStation;
 use prc::prelude::*;
@@ -134,80 +132,5 @@ proptest! {
         prop_assume!(station.total_population() > 0);
         let index = RankIndex::build(&station).expect("uniform station");
         check_paths(&index, &station, &queries_from(&bounds))?;
-    }
-}
-
-proptest! {
-    // Fewer cases: each one runs four full broker batches.
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// End to end across drivers: flat and tree brokers
-    /// forced onto the indexed batch path release identical bits — and
-    /// identical bits to a scan-forced flat broker — while the counters
-    /// confirm which path each run took.
-    #[test]
-    fn drivers_release_identical_batch_bits(
-        seed in 0u64..1_000,
-        bounds in proptest::collection::vec(0.0f64..4_000.0, 2..10),
-    ) {
-        let partitions: Vec<Vec<f64>> = (0..6)
-            .map(|i| (0..700).map(|j| (i * 700 + j) as f64).collect())
-            .collect();
-        let workload: Vec<QueryRequest> = bounds
-            .chunks_exact(2)
-            .map(|pair| {
-                let (a, b) = (pair[0], pair[1]);
-                QueryRequest::new(
-                    RangeQuery::new(a.min(b), a.max(b)).unwrap(),
-                    Accuracy::new(0.15, 0.5).unwrap(),
-                )
-            })
-            .collect();
-        fn run<N: Network>(
-            net: N,
-            seed: u64,
-            policy: IndexPolicy,
-            workload: &[QueryRequest],
-        ) -> (Vec<u64>, StageCounters) {
-            let mut broker = DataBroker::new(net, seed);
-            broker.set_index_policy(policy);
-            let report = broker.answer_batch(workload);
-            let bits = report
-                .answers
-                .iter()
-                .map(|a| a.as_ref().expect("batch member released").value.to_bits())
-                .collect();
-            (bits, broker.counters())
-        }
-
-        let (flat, flat_counters) = run(
-            FlatNetwork::from_partitions(partitions.clone(), seed),
-            seed,
-            IndexPolicy::Always,
-            &workload,
-        );
-        let (tree, tree_counters) = run(
-            TreeNetwork::from_partitions(partitions.clone(), 2, seed),
-            seed,
-            IndexPolicy::Always,
-            &workload,
-        );
-        let (scanned, scan_counters) = run(
-            FlatNetwork::from_partitions(partitions, seed),
-            seed,
-            IndexPolicy::Never,
-            &workload,
-        );
-
-        prop_assert_eq!(&flat, &tree, "flat vs tree");
-        prop_assert_eq!(&flat, &scanned, "indexed vs scanned");
-
-        // Every indexed run answered every member through the index;
-        // the scan run never did.
-        let members = workload.len() as u64;
-        prop_assert_eq!(flat_counters.indexed_estimates, members);
-        prop_assert_eq!(tree_counters.indexed_estimates, members);
-        prop_assert_eq!(scan_counters.indexed_estimates, 0);
-        prop_assert_eq!(scan_counters.index_builds, 0);
     }
 }

@@ -7,8 +7,8 @@
 //! so any divergence would make released answers depend on an internal
 //! cutover. These properties drive both paths over random populations,
 //! sampling rates, duplicate-heavy and zero-valued samples, signed-zero
-//! bounds, and degenerate ranges — and pin the flat and tree drivers to
-//! each other on the indexed batch path.
+//! bounds, and degenerate ranges — and pin the flat and tree topologies
+//! to each other on the indexed batch path.
 
 use proptest::prelude::*;
 
@@ -259,13 +259,14 @@ proptest! {
 }
 
 proptest! {
-    // Fewer cases: each one runs four full broker batches.
+    // Fewer cases: each one runs three full broker batches.
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// End to end: flat and tree brokers forced onto the
     /// indexed batch path release the same bits as a flat broker forced
-    /// onto the scan path, over random workloads — and the plan cache
-    /// serves the members sharing one accuracy target.
+    /// onto the scan path, over random workloads, while the counters
+    /// confirm which path each run took — and the plan cache serves the
+    /// members sharing one accuracy target.
     #[test]
     fn indexed_brokers_release_identical_bits(
         seed in 0u64..1_000,
@@ -297,7 +298,7 @@ proptest! {
         }
         let flat_net = || FlatNetwork::from_partitions(partitions.clone(), seed);
         let (flat, flat_counters) = run(flat_net(), seed, IndexPolicy::Always, &workload);
-        let (tree, _) = run(
+        let (tree, tree_counters) = run(
             TreeNetwork::from_partitions(partitions.clone(), 2, seed),
             seed,
             IndexPolicy::Always,
@@ -307,8 +308,13 @@ proptest! {
 
         prop_assert_eq!(&flat, &tree, "flat vs tree");
         prop_assert_eq!(&flat, &scanned, "indexed vs scanned");
-        prop_assert_eq!(flat_counters.indexed_estimates, workload.len() as u64);
+        // Every indexed run answered every member through the index;
+        // the scan run never built one.
+        let members = workload.len() as u64;
+        prop_assert_eq!(flat_counters.indexed_estimates, members);
+        prop_assert_eq!(tree_counters.indexed_estimates, members);
         prop_assert_eq!(scan_counters.indexed_estimates, 0);
+        prop_assert_eq!(scan_counters.index_builds, 0);
         // All members share one accuracy target and one rate tier, so
         // after the first grid sweep the remaining plans are memo hits
         // (exact count left open: an infeasibility retry re-sweeps).
