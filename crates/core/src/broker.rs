@@ -119,7 +119,7 @@ pub struct StageCounters {
     pub indexed_estimates: u64,
     /// Optimizer grid sweeps skipped because the plan cache held a
     /// memoized plan for the same accuracy target, rate tier, and
-    /// station revision.
+    /// station shape.
     pub plan_cache_hits: u64,
     /// Always `0`: no index reports search steps and no stage adds to
     /// it. It stays only because the end-to-end benchmark reads it, and
@@ -129,6 +129,26 @@ pub struct StageCounters {
     pub settlements: u64,
     /// Budget reservations rolled back because a later stage failed.
     pub budget_rollbacks: u64,
+}
+
+impl StageCounters {
+    /// The work counted since `earlier`, an older snapshot of the same
+    /// counters.
+    pub(crate) fn since(self, earlier: StageCounters) -> StageCounters {
+        StageCounters {
+            collection_rounds: self.collection_rounds - earlier.collection_rounds,
+            samples_collected: self.samples_collected - earlier.samples_collected,
+            cache_hits: self.cache_hits - earlier.cache_hits,
+            cache_misses: self.cache_misses - earlier.cache_misses,
+            answers_released: self.answers_released - earlier.answers_released,
+            index_builds: self.index_builds - earlier.index_builds,
+            indexed_estimates: self.indexed_estimates - earlier.indexed_estimates,
+            plan_cache_hits: self.plan_cache_hits - earlier.plan_cache_hits,
+            gallop_steps: self.gallop_steps - earlier.gallop_steps,
+            settlements: self.settlements - earlier.settlements,
+            budget_rollbacks: self.budget_rollbacks - earlier.budget_rollbacks,
+        }
+    }
 }
 
 /// The outcome of one batched call: per-request results in input order.
@@ -196,6 +216,9 @@ pub struct DataBroker<E = RankCounting, N = FlatNetwork> {
     pub(crate) reuse_guard: Option<Box<dyn ReuseGuard>>,
     pub(crate) pricing: Option<Box<dyn PricingEngine>>,
     pub(crate) cache: BTreeMap<CacheKey, PrivateAnswer>,
+    /// The station's retirement count the cached answers were drawn
+    /// under; the cache empties when the count moves.
+    pub(crate) cache_retirements: u64,
     pub(crate) counters: StageCounters,
     /// The query index and the station revision it was built at.
     pub(crate) index: Option<(u64, Box<dyn QueryIndex>)>,
@@ -223,6 +246,7 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
             reuse_guard: None,
             pricing: None,
             cache: BTreeMap::new(),
+            cache_retirements: 0,
             counters: StageCounters::default(),
             index: None,
             index_policy: IndexPolicy::default(),
@@ -262,18 +286,6 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
         self.accountant.as_ref()
     }
 
-    /// Installs an existing accountant (e.g. a session-scoped budget a
-    /// monitor threads through its per-epoch brokers); subsequent answers
-    /// reserve and commit their effective `ε′` against it.
-    pub fn install_accountant(&mut self, accountant: BudgetAccountant) {
-        self.accountant = Some(accountant);
-    }
-
-    /// Removes and returns the accountant, leaving the broker unbudgeted.
-    pub fn take_accountant(&mut self) -> Option<BudgetAccountant> {
-        self.accountant.take()
-    }
-
     /// Installs a pricing engine. With one installed,
     /// [`DataBroker::answer_as`] quotes every admitted request against the
     /// posted curve (refusing arbitrageable demands) and settles each
@@ -295,7 +307,9 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// reuse — i.e. the pricing layer confirms that handing out the
     /// stored answer at the new request's posted price cannot undercut
     /// the price curve. Without a guard (the default) every request runs
-    /// the full pipeline.
+    /// the full pipeline. A resample of the network
+    /// ([`prc_net::network::SensorNetwork::resample`]) retires every
+    /// cached answer along with the sample it was drawn from.
     pub fn enable_answer_cache(&mut self, guard: Box<dyn ReuseGuard>) {
         self.reuse_guard = Some(guard);
     }
@@ -591,6 +605,49 @@ mod tests {
         let target = sampling_target(accuracy).unwrap();
         assert!(target.alpha() < accuracy.alpha());
         assert!(target.delta() > accuracy.delta());
+    }
+
+    #[test]
+    fn a_plan_served_across_a_resample_equals_a_fresh_sweep() {
+        use crate::optimizer::{optimize, NetworkShape};
+        use prc_net::network::DataEdit;
+
+        let mut broker = DataBroker::new(network(6, 400, 8), 8);
+        let req = request(100.0, 1_500.0, 0.1, 0.6);
+        broker.answer(&req).unwrap();
+        // One value moves within node 0: a new sample at the same shape.
+        broker.network_mut().resample(
+            21,
+            &[
+                DataEdit::Remove(NodeId(0), 5.0),
+                DataEdit::Insert(NodeId(0), 5.5),
+            ],
+        );
+        let hits = broker.counters().plan_cache_hits;
+        let served = broker.answer(&req).unwrap().plan;
+        assert_eq!(broker.counters().plan_cache_hits, hits + 1, "a cache hit");
+        let station = broker.network().station();
+        let fresh = optimize(
+            req.accuracy,
+            station.effective_probability(),
+            NetworkShape::from_station(station).unwrap(),
+            &OptimizerConfig::default(),
+        )
+        .unwrap();
+        let bits = |plan: PerturbationPlan| {
+            [
+                plan.alpha_prime,
+                plan.delta_prime,
+                plan.epsilon.value(),
+                plan.effective_epsilon.value(),
+                plan.sensitivity,
+                plan.noise_scale,
+                plan.probability,
+                plan.tail_probability,
+            ]
+            .map(f64::to_bits)
+        };
+        assert_eq!(bits(served), bits(fresh));
     }
 
     #[test]

@@ -1,32 +1,38 @@
-//! Memoized optimizer plans, pinned to a station revision.
+//! Memoized optimizer plans, kept while the station's shape holds.
 //!
 //! Solving problem (3) is a grid sweep over `grid_points` candidate
 //! `α′` values — pure, but not free — and a batch (or a run of single
 //! sessions inside one epoch) repeats it for every query that shares an
 //! accuracy target and rate tier. The result is a deterministic
-//! function of exactly three inputs: the customer accuracy `(α, δ)`,
-//! the tier's effective sampling probability, and the station's shape —
-//! and the shape is itself a function of the station state, which the
-//! revision journal stamps. So the cache key is the first two as exact
-//! bit patterns, and the whole cache is invalidated whenever the
-//! station's revision moves — the same revision stamp the query index
-//! is rebuilt on. Budget state never
-//! enters a plan (holds are taken *after* planning), so a hold or
-//! rollback cannot stale the cache; anything that does change the
-//! planning problem outside the station — swapping the
+//! function of exactly four inputs: the customer accuracy `(α, δ)`, the
+//! tier's effective sampling probability, the station's
+//! [`NetworkShape`] and the optimizer config. The cache key is the first
+//! two as exact bit patterns; the shape is the cache's own stamp.
+//!
+//! The shape is a function of the station state, which the revision
+//! journal stamps, so the cache also remembers the revision it last saw.
+//! While the revision stands, a lookup is one integer compare. Once it
+//! moves (a collection round, a resample), the next lookup reads the
+//! station's shape and clears every entry only if that shape differs
+//! from the one the plans were swept for: a resampled station with the
+//! same `(k, n, max n_i)` keeps its plans. Budget state never enters a
+//! plan (holds are taken *after* planning), so a hold or rollback cannot
+//! stale the cache; the one input outside the station — the
 //! [`crate::optimizer::OptimizerConfig`] — must call
-//! [`PlanCache::clear`].
+//! [`PlanCache::clear`] when it is swapped.
 
 use std::collections::BTreeMap;
 
-use crate::optimizer::PerturbationPlan;
+use prc_net::base_station::BaseStation;
+
+use crate::optimizer::{NetworkShape, PerturbationPlan};
 use crate::query::Accuracy;
 
-/// One planning problem inside an epoch: the accuracy target and rate
-/// tier as exact bit patterns.
+/// One planning problem at one shape: the accuracy target and rate tier
+/// as exact bit patterns.
 pub(crate) type PlanFingerprint = (u64, u64, u64);
 
-/// A revision-stamped memo of optimizer grid sweeps.
+/// A shape-stamped memo of optimizer grid sweeps.
 ///
 /// Deterministic by construction: a `BTreeMap` over exact bit-pattern
 /// keys, storing [`PerturbationPlan`]s that are themselves pure
@@ -34,8 +40,11 @@ pub(crate) type PlanFingerprint = (u64, u64, u64);
 /// would.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanCache {
-    /// Station revision the cached plans were swept at.
+    /// Station revision the cache last synchronized at.
     revision: Option<u64>,
+    /// Station shape the cached plans were swept for (`None` while the
+    /// station has no shape).
+    shape: Option<NetworkShape>,
     plans: BTreeMap<PlanFingerprint, PerturbationPlan>,
 }
 
@@ -49,22 +58,26 @@ impl PlanCache {
         )
     }
 
-    /// Looks a memoized plan up, first discarding every entry if the
-    /// station has moved past the cached revision.
-    pub fn lookup(&mut self, revision: u64, key: PlanFingerprint) -> Option<PerturbationPlan> {
-        self.synchronize(revision);
+    /// Looks a memoized plan up for the station's current state.
+    pub fn lookup(
+        &mut self,
+        station: &BaseStation,
+        key: PlanFingerprint,
+    ) -> Option<PerturbationPlan> {
+        self.synchronize(station);
         self.plans.get(&key).copied()
     }
 
-    /// Memoizes a freshly swept plan at the given revision.
-    pub fn insert(&mut self, revision: u64, key: PlanFingerprint, plan: PerturbationPlan) {
-        self.synchronize(revision);
+    /// Memoizes a plan swept for the station's current state.
+    pub fn insert(&mut self, station: &BaseStation, key: PlanFingerprint, plan: PerturbationPlan) {
+        self.synchronize(station);
         self.plans.insert(key, plan);
     }
 
-    /// Drops every entry (config swaps, policy changes).
+    /// Drops every entry (optimizer config swaps).
     pub fn clear(&mut self) {
         self.revision = None;
+        self.shape = None;
         self.plans.clear();
     }
 
@@ -74,10 +87,19 @@ impl PlanCache {
         self.plans.len()
     }
 
-    fn synchronize(&mut self, revision: u64) {
-        if self.revision != Some(revision) {
+    /// Catches the cache up with the station: nothing to do while the
+    /// revision stands; on a move, every entry goes if the shape moved
+    /// with it.
+    fn synchronize(&mut self, station: &BaseStation) {
+        let revision = station.revision();
+        if self.revision == Some(revision) {
+            return;
+        }
+        self.revision = Some(revision);
+        let shape = NetworkShape::from_station(station).ok();
+        if shape != self.shape {
             self.plans.clear();
-            self.revision = Some(revision);
+            self.shape = shape;
         }
     }
 }
@@ -85,6 +107,7 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prc_net::message::{NodeId, SampleEntry, SampleMessage};
 
     fn plan(alpha_prime: f64) -> PerturbationPlan {
         let epsilon = prc_dp::budget::Epsilon::new(0.5).expect("valid epsilon");
@@ -104,27 +127,80 @@ mod tests {
         PlanCache::fingerprint(Accuracy::new(alpha, 0.5).expect("valid accuracy"), 0.25)
     }
 
+    /// Node `node` reports population `n` at probability `p` with the
+    /// given ranks sampled.
+    fn report(station: &mut BaseStation, node: u32, n: usize, p: f64, ranks: &[u32]) {
+        station.ingest(SampleMessage {
+            node_id: NodeId(node),
+            population_size: n,
+            probability: p,
+            entries: ranks
+                .iter()
+                .map(|&rank| SampleEntry {
+                    value: f64::from(rank),
+                    rank,
+                })
+                .collect(),
+        });
+    }
+
+    /// Two nodes of ten records each, sampled at 0.25.
+    fn station() -> BaseStation {
+        let mut station = BaseStation::new();
+        report(&mut station, 0, 10, 0.25, &[2, 7]);
+        report(&mut station, 1, 10, 0.25, &[4]);
+        station
+    }
+
     #[test]
     fn hits_within_a_revision_return_the_inserted_plan() {
+        let station = station();
         let mut cache = PlanCache::default();
-        assert!(cache.lookup(7, key(0.1)).is_none());
-        cache.insert(7, key(0.1), plan(2.0));
-        cache.insert(7, key(0.2), plan(3.0));
+        assert!(cache.lookup(&station, key(0.1)).is_none());
+        cache.insert(&station, key(0.1), plan(2.0));
+        cache.insert(&station, key(0.2), plan(3.0));
         assert_eq!(cache.len(), 2);
-        let hit = cache.lookup(7, key(0.1)).expect("cached");
+        let hit = cache.lookup(&station, key(0.1)).expect("cached");
         assert_eq!(hit.alpha_prime.to_bits(), 2.0f64.to_bits());
     }
 
     #[test]
-    fn a_revision_move_discards_every_entry() {
+    fn a_revision_move_at_the_same_shape_keeps_every_entry() {
+        let mut station = station();
         let mut cache = PlanCache::default();
-        cache.insert(7, key(0.1), plan(2.0));
-        assert!(cache.lookup(8, key(0.1)).is_none());
-        assert_eq!(cache.len(), 0);
-        // Looking up at the old revision after the move also misses:
-        // the cache tracks one revision, never a history.
-        cache.insert(8, key(0.1), plan(4.0));
-        assert!(cache.lookup(7, key(0.1)).is_none());
+        cache.insert(&station, key(0.1), plan(2.0));
+        cache.insert(&station, key(0.2), plan(3.0));
+        // New entries move the revision but not (k, n, max n_i).
+        let before = station.revision();
+        report(&mut station, 0, 10, 0.5, &[1, 9]);
+        assert!(station.revision() > before);
+        let hit = cache.lookup(&station, key(0.1)).expect("the shape held");
+        assert_eq!(hit.alpha_prime.to_bits(), 2.0f64.to_bits());
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn a_shape_change_clears_every_entry() {
+        let changes: [fn(&mut BaseStation); 3] = [
+            // k: a third node reports.
+            |s: &mut BaseStation| report(s, 2, 10, 0.25, &[]),
+            // n and max n_i: a node's population grows.
+            |s: &mut BaseStation| report(s, 1, 12, 0.25, &[]),
+            // max n_i alone: one node gains what the other loses.
+            |s: &mut BaseStation| {
+                report(s, 0, 14, 0.25, &[]);
+                report(s, 1, 6, 0.25, &[]);
+            },
+        ];
+        for change in changes {
+            let mut cache = PlanCache::default();
+            let mut station = station();
+            cache.insert(&station, key(0.1), plan(2.0));
+            cache.insert(&station, key(0.2), plan(3.0));
+            change(&mut station);
+            assert!(cache.lookup(&station, key(0.1)).is_none());
+            assert_eq!(cache.len(), 0);
+        }
     }
 
     #[test]
@@ -134,17 +210,22 @@ mod tests {
         let c = PlanCache::fingerprint(Accuracy::new(0.1, 0.25).expect("valid"), 0.25);
         assert_ne!(a, b);
         assert_ne!(a, c);
+        let station = station();
         let mut cache = PlanCache::default();
-        cache.insert(1, a, plan(1.0));
-        assert!(cache.lookup(1, b).is_none());
-        assert!(cache.lookup(1, c).is_none());
+        cache.insert(&station, a, plan(1.0));
+        assert!(cache.lookup(&station, b).is_none());
+        assert!(cache.lookup(&station, c).is_none());
     }
 
     #[test]
     fn clear_empties_the_cache() {
+        // `set_optimizer_config` relies on this: the station has not
+        // moved, yet every plan must go.
+        let station = station();
         let mut cache = PlanCache::default();
-        cache.insert(3, key(0.1), plan(1.0));
+        cache.insert(&station, key(0.1), plan(1.0));
         cache.clear();
-        assert!(cache.lookup(3, key(0.1)).is_none());
+        assert_eq!(cache.len(), 0);
+        assert!(cache.lookup(&station, key(0.1)).is_none());
     }
 }

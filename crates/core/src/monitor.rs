@@ -3,29 +3,42 @@
 //! The paper's one-sample/many-queries design assumes a static dataset;
 //! real IoT deployments re-collect as data arrives (the "long-term
 //! queries via continuous data collection" line of its related work,
-//! §VI). [`ContinuousMonitor`] runs the full private pipeline once per
-//! *epoch* over a sliding window of recent records:
+//! §VI). [`ContinuousMonitor`] keeps one network of `nodes` sensors and
+//! one broker for as long as it lives, and runs the full private
+//! pipeline once per *epoch* over a sliding window of recent records:
 //!
-//! 1. the window advances and a fresh network is built over its contents;
-//! 2. the broker answers the standing query at the epoch's accuracy;
-//! 3. the epoch's effective budget is charged to a session accountant —
+//! 1. each record sits on one node for as long as it is in the window —
+//!    the record with stream sequence number `s` on node `s mod nodes` —
+//!    so an epoch only adds the records that arrived since the last one
+//!    and removes the ones the window evicted;
+//! 2. every node forgets its previous draws and the network collects a
+//!    fresh sample, independent of every earlier epoch's
+//!    ([`SensorNetwork::resample`](prc_net::network::SensorNetwork::resample));
+//! 3. the broker answers the standing query at the epoch's accuracy and
+//!    charges the epoch's effective budget to the session accountant —
 //!    the monitor stops (returns [`CoreError::Dp`]) when the session
 //!    budget is exhausted, making the privacy cost of *indefinite*
 //!    monitoring explicit.
 //!
-//! Because each epoch's window contains (mostly) fresh records, epochs
-//! over disjoint windows would compose in parallel; the accountant here
-//! is deliberately conservative and charges sequentially, which stays
-//! correct for overlapping windows.
+//! The network always has `nodes` nodes, so `k` is `nodes` in every
+//! epoch: while the window holds fewer records than that, the nodes
+//! without data report a population of zero.
+//!
+//! The accountant charges the epochs sequentially, and that is the sound
+//! charge, not merely a conservative one: consecutive windows overlap
+//! almost entirely (a one-week window of five-minute records that slides
+//! by one hour shares 2,004 of its 2,016 records with the previous
+//! epoch's), so parallel composition over disjoint data does not apply.
+//! Each epoch's sample is independent of the others, so their ε′ add up.
 
-use prc_data::partition::{partition_values, PartitionStrategy};
 use prc_data::record::{AirQualityIndex, PollutionRecord};
 use prc_data::stream::SlidingWindow;
-use prc_dp::budget::{BudgetAccountant, Epsilon};
+use prc_dp::budget::Epsilon;
 
-use prc_net::network::{FlatNetwork, Network};
+use prc_net::message::NodeId;
+use prc_net::network::{DataEdit, FlatNetwork, Network};
 
-use crate::broker::{DataBroker, PrivateAnswer, StageCounters};
+use crate::broker::{DataBroker, IndexPolicy, PrivateAnswer, StageCounters};
 use crate::error::CoreError;
 use crate::query::{Accuracy, QueryRequest, RangeQuery};
 
@@ -59,11 +72,11 @@ pub struct EpochResult {
     pub answer: PrivateAnswer,
     /// Session budget remaining after this epoch.
     pub budget_remaining: f64,
-    /// Per-stage pipeline counters for this epoch (collection rounds,
-    /// samples delivered, cache traffic, releases).
+    /// This epoch's per-stage pipeline counters (collection rounds,
+    /// samples delivered, plan-cache hits, releases).
     pub stages: StageCounters,
     /// Chargeable (non-piggybacked) messages this epoch's collection
-    /// cost, from the epoch network's `CostMeter`.
+    /// cost, read from the network's `CostMeter`.
     pub chargeable_messages: u64,
 }
 
@@ -102,7 +115,16 @@ pub struct EpochResult {
 pub struct ContinuousMonitor {
     config: MonitorConfig,
     window: SlidingWindow,
-    accountant: BudgetAccountant,
+    /// The one broker: it owns the network and the session accountant.
+    broker: DataBroker,
+    /// Records ingested so far: the next record's stream sequence number.
+    ingested: u64,
+    /// Records ingested when the nodes were last edited: a window record
+    /// with a smaller sequence number is on its node.
+    placed: u64,
+    /// Values the next epoch removes from the nodes, one per evicted
+    /// record that was on a node. The arrivals are read from the window.
+    edits: Vec<DataEdit>,
     epoch: u64,
 }
 
@@ -114,10 +136,19 @@ impl ContinuousMonitor {
     /// Panics if `nodes == 0` or `window_seconds <= 0`.
     pub fn new(config: MonitorConfig) -> Self {
         assert!(config.nodes > 0, "monitor needs at least one node");
+        let network = FlatNetwork::from_partitions(vec![Vec::new(); config.nodes], config.seed);
+        let mut broker = DataBroker::new(network, config.seed);
+        // Each sample answers one query, so an index would cost far more
+        // to build than it saves; index and scan release the same bits.
+        broker.set_index_policy(IndexPolicy::Never);
+        broker.set_privacy_budget(config.session_budget);
         ContinuousMonitor {
             window: SlidingWindow::new(config.window_seconds),
-            accountant: BudgetAccountant::new(config.session_budget),
+            broker,
             config,
+            ingested: 0,
+            placed: 0,
+            edits: Vec::new(),
             epoch: 0,
         }
     }
@@ -134,7 +165,10 @@ impl ContinuousMonitor {
 
     /// Session budget still available.
     pub fn budget_remaining(&self) -> Epsilon {
-        self.accountant.remaining()
+        // The broker holds the session accountant from `new` on.
+        self.broker
+            .accountant()
+            .map_or(self.config.session_budget, |session| session.remaining())
     }
 
     /// Records currently inside the window.
@@ -149,11 +183,27 @@ impl ContinuousMonitor {
     ///
     /// Panics when records arrive out of timestamp order.
     pub fn ingest(&mut self, records: impl IntoIterator<Item = PollutionRecord>) {
-        self.window.ingest_all(records);
+        let (nodes, index) = (self.config.nodes, self.config.index);
+        for record in records {
+            // The window holds sequence numbers `ingested − len ..
+            // ingested` and evicts from the oldest.
+            let mut leaving = self.ingested - self.window.len() as u64;
+            let (placed, edits) = (self.placed, &mut self.edits);
+            self.window.ingest_evicting(record, |old| {
+                // A record that arrived after the last epoch never
+                // reached its node.
+                if leaving < placed {
+                    edits.push(DataEdit::Remove(home(leaving, nodes), old.value(index)));
+                }
+                leaving += 1;
+            });
+            self.ingested += 1;
+        }
     }
 
-    /// Runs one epoch: answers the standing query over the current window
-    /// and charges the session budget.
+    /// Runs one epoch: moves the window's changes onto the nodes, draws a
+    /// fresh sample, answers the standing query over it and charges the
+    /// session budget.
     ///
     /// # Errors
     ///
@@ -162,41 +212,50 @@ impl ContinuousMonitor {
     ///   (nothing is released in that case);
     /// * any pipeline error from the underlying broker.
     pub fn answer_epoch(&mut self) -> Result<EpochResult, CoreError> {
-        let values = self.window.values(self.config.index);
-        if values.is_empty() {
+        if self.window.is_empty() {
             return Err(CoreError::NoSamples);
         }
-        let nodes = self.config.nodes.min(values.len());
-        let network = FlatNetwork::from_partitions(
-            partition_values(&values, nodes, PartitionStrategy::RoundRobin),
-            self.config.seed ^ self.epoch,
-        );
-        let mut broker = DataBroker::new(network, self.config.seed ^ (self.epoch << 17));
-        // Thread the session accountant through the epoch broker: the
-        // pipeline's Reserve stage holds this epoch's effective ε′
-        // against it before any noise is drawn, and Settle commits the
-        // hold — nothing is released when the session cannot pay.
-        let session = std::mem::replace(
-            &mut self.accountant,
-            BudgetAccountant::new(self.config.session_budget),
-        );
-        broker.install_accountant(session);
-        let outcome = broker.answer(&QueryRequest::new(self.config.query, self.config.accuracy));
-        if let Some(session) = broker.take_accountant() {
-            self.accountant = session;
+        let (nodes, index) = (self.config.nodes, self.config.index);
+        let arrived = (self.ingested - self.placed).min(self.window.len() as u64);
+        let arrivals = self.window.newest(arrived as usize);
+        for (sequence, record) in (self.ingested - arrived..).zip(arrivals) {
+            self.edits
+                .push(DataEdit::Insert(home(sequence, nodes), record.value(index)));
         }
-        let answer = outcome?;
+        self.broker
+            .network_mut()
+            .resample(self.config.seed ^ self.epoch, &self.edits);
+        self.edits.clear();
+        self.placed = self.ingested;
+
+        let (stages, messages) = (self.broker.counters(), self.chargeable_messages());
+        let request = QueryRequest::new(self.config.query, self.config.accuracy);
+        let answer = self.broker.answer(&request)?;
         let result = EpochResult {
             epoch: self.epoch,
-            window_size: values.len(),
+            window_size: self.window.len(),
             answer,
-            budget_remaining: self.accountant.remaining().value(),
-            stages: broker.counters(),
-            chargeable_messages: broker.network().meter().snapshot().chargeable_messages(),
+            budget_remaining: self.budget_remaining().value(),
+            stages: self.broker.counters().since(stages),
+            chargeable_messages: self.chargeable_messages() - messages,
         };
         self.epoch += 1;
         Ok(result)
     }
+
+    /// Chargeable messages the network has sent so far.
+    fn chargeable_messages(&self) -> u64 {
+        self.broker
+            .network()
+            .meter()
+            .snapshot()
+            .chargeable_messages()
+    }
+}
+
+/// The node a record lives on: its stream sequence number mod `nodes`.
+fn home(sequence: u64, nodes: usize) -> NodeId {
+    NodeId((sequence % nodes as u64) as u32)
 }
 
 #[cfg(test)]

@@ -363,12 +363,11 @@ fn plan_with_retry<E: RangeCountEstimator, N: Network>(
 /// Solves problem (3) at the currently achieved sampling probability,
 /// memoizing the grid sweep in the broker's plan cache.
 ///
-/// The cache key is the fingerprint of `(α, δ, p)`; everything else the
-/// optimizer reads — the network shape and the achieved rate — is a
-/// function of the station, so the cache synchronizes on the station's
-/// revision stamp (the same stamp the query index rebuilds on) and a
-/// stale epoch can never serve a plan. Budget state never enters the
-/// sweep (holds are placed *after* planning), so no budget-side
+/// The cache key is the fingerprint of `(α, δ, p)`; the one other input
+/// the optimizer reads from the station — its shape — is the cache's
+/// stamp, checked whenever the station's revision has moved, so a plan
+/// swept for another shape can never serve. Budget state never enters
+/// the sweep (holds are placed *after* planning), so no budget-side
 /// invalidation is needed; config swaps clear the cache at the setter.
 fn plan<E: RangeCountEstimator, N: Network>(
     broker: &mut DataBroker<E, N>,
@@ -379,15 +378,14 @@ fn plan<E: RangeCountEstimator, N: Network>(
     if p <= 0.0 {
         return Err(CoreError::NoSamples);
     }
-    let revision = station.revision();
     let key = PlanCache::fingerprint(accuracy, p);
-    if let Some(plan) = broker.plan_cache.lookup(revision, key) {
+    if let Some(plan) = broker.plan_cache.lookup(station, key) {
         broker.counters.plan_cache_hits += 1;
         return Ok(plan);
     }
     let shape = NetworkShape::from_station(station)?;
     let plan = optimize(accuracy, p, shape, &broker.optimizer_config)?;
-    broker.plan_cache.insert(revision, key, plan);
+    broker.plan_cache.insert(station, key, plan);
     Ok(plan)
 }
 
@@ -460,11 +458,21 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
 /// * a fixed-ε request reuses a fixed-ε answer at the *same* ε, sampled
 ///   at least as hard as requested — there is no accuracy demand for a
 ///   guard to price, so the match is exact.
-pub(crate) fn cache_lookup<E, N>(
+///
+/// A cached answer drawn from a sample the station has since retired
+/// ([`prc_net::network::SensorNetwork::resample`]) is never re-served:
+/// the cache empties first whenever the station's retirement count has
+/// moved since it last looked.
+pub(crate) fn cache_lookup<E, N: Network>(
     broker: &mut DataBroker<E, N>,
     request: &Request,
 ) -> Option<PrivateAnswer> {
     let guard = broker.reuse_guard.as_deref()?;
+    let retirements = broker.network.station().retirements();
+    if broker.cache_retirements != retirements {
+        broker.cache.clear();
+        broker.cache_retirements = retirements;
+    }
     let query = request.query();
     let mut candidates = broker
         .cache

@@ -1,4 +1,4 @@
-//! Summary statistics and histograms.
+//! Summary statistics.
 //!
 //! These utilities back the benchmark harness (relative-error metrics,
 //! workload construction from data quantiles) and the generator's tests.
@@ -65,64 +65,6 @@ pub fn quantile(values: &[f64], q: f64) -> Option<f64> {
     }
 }
 
-/// A fixed-width histogram over a closed value range.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    low: f64,
-    high: f64,
-    counts: Vec<u64>,
-    /// Number of observed values outside `[low, high]`.
-    outliers: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width buckets spanning `[low, high]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bins == 0`, the bounds are not finite, or `low >= high`.
-    pub fn new(low: f64, high: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(low.is_finite() && high.is_finite(), "bounds must be finite");
-        assert!(low < high, "bounds must satisfy low < high");
-        Histogram {
-            low,
-            high,
-            counts: vec![0; bins],
-            outliers: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: f64) {
-        if !value.is_finite() || value < self.low || value > self.high {
-            self.outliers += 1;
-            return;
-        }
-        let width = (self.high - self.low) / self.counts.len() as f64;
-        let mut idx = ((value - self.low) / width) as usize;
-        if idx >= self.counts.len() {
-            idx = self.counts.len() - 1; // value == high lands in the last bin
-        }
-        self.counts[idx] += 1;
-    }
-
-    /// Per-bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
-    /// Count of values that fell outside the histogram range.
-    pub fn outliers(&self) -> u64 {
-        self.outliers
-    }
-
-    /// Total in-range observations.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -153,34 +95,5 @@ mod tests {
         assert_eq!(quantile(&data, 2.0), Some(30.0));
         assert_eq!(quantile(&[], 0.5), None);
         assert_eq!(quantile(&[7.0], 0.3), Some(7.0));
-    }
-
-    #[test]
-    fn histogram_bins_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for v in [0.0, 1.0, 2.5, 9.9, 10.0] {
-            h.record(v);
-        }
-        // 0.0 and 1.0 land in bin 0, 2.5 in bin 1, 9.9 and 10.0 in bin 4.
-        assert_eq!(h.counts(), &[2, 1, 0, 0, 2]);
-        assert_eq!(h.total(), 5);
-        assert_eq!(h.outliers(), 0);
-    }
-
-    #[test]
-    fn histogram_counts_outliers() {
-        let mut h = Histogram::new(0.0, 1.0, 2);
-        h.record(-0.1);
-        h.record(1.1);
-        h.record(f64::NAN);
-        h.record(f64::INFINITY);
-        assert_eq!(h.total(), 0);
-        assert_eq!(h.outliers(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_zero_bins_panics() {
-        let _ = Histogram::new(0.0, 1.0, 0);
     }
 }

@@ -8,11 +8,12 @@
 //! * [`StreamReplayer`] — replays a recorded dataset in timestamp order,
 //!   batch by batch, for simulating live operation;
 //! * [`SlidingWindow`] — a time-based window that evicts records older
-//!   than its span, exposing a [`Dataset`] snapshot at any instant.
+//!   than its span, handing each evicted record to the caller that asks,
+//!   and exposing a [`Dataset`] snapshot at any instant.
 
 use std::collections::VecDeque;
 
-use crate::record::{AirQualityIndex, Dataset, PollutionRecord};
+use crate::record::{Dataset, PollutionRecord};
 use crate::time::Timestamp;
 
 /// Replays a dataset in timestamp order, in caller-controlled steps.
@@ -118,6 +119,24 @@ impl SlidingWindow {
     /// Panics when the record is older than the newest already ingested
     /// (out-of-order arrival).
     pub fn ingest(&mut self, record: PollutionRecord) -> usize {
+        let mut evicted = 0;
+        self.ingest_evicting(record, |_| evicted += 1);
+        evicted
+    }
+
+    /// [`SlidingWindow::ingest`] that hands each evicted record to
+    /// `evicted`, oldest first. The window holds the records in arrival
+    /// order and evicts only from the oldest end.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the record is older than the newest already ingested
+    /// (out-of-order arrival).
+    pub fn ingest_evicting(
+        &mut self,
+        record: PollutionRecord,
+        mut evicted: impl FnMut(PollutionRecord),
+    ) {
         if let Some(newest) = self.records.back() {
             assert!(
                 record.timestamp >= newest.timestamp,
@@ -126,16 +145,13 @@ impl SlidingWindow {
         }
         self.records.push_back(record);
         let horizon = record.timestamp.unix_seconds() - self.span_seconds;
-        let mut evicted = 0;
         while let Some(front) = self.records.front() {
-            if front.timestamp.unix_seconds() <= horizon {
-                self.records.pop_front();
-                evicted += 1;
-            } else {
+            if front.timestamp.unix_seconds() > horizon {
                 break;
             }
+            evicted(*front);
+            self.records.pop_front();
         }
-        evicted
     }
 
     /// Ingests a batch, returning the total evictions.
@@ -166,10 +182,11 @@ impl SlidingWindow {
         Dataset::from_records(self.records.iter().copied().collect())
     }
 
-    /// One air-quality index of every record in the window, oldest first:
-    /// `snapshot().values(index)` without copying the records.
-    pub fn values(&self, index: AirQualityIndex) -> Vec<f64> {
-        self.records.iter().map(|r| r.value(index)).collect()
+    /// The newest `count` records in the window (all of them when it
+    /// holds fewer), oldest first.
+    pub fn newest(&self, count: usize) -> impl Iterator<Item = &PollutionRecord> {
+        self.records
+            .range(self.records.len().saturating_sub(count)..)
     }
 }
 
@@ -253,10 +270,22 @@ mod tests {
             ds.values(crate::record::AirQualityIndex::Ozone),
             vec![0.0, 300.0, 600.0]
         );
-        assert_eq!(
-            window.values(crate::record::AirQualityIndex::Ozone),
-            ds.values(crate::record::AirQualityIndex::Ozone)
-        );
+    }
+
+    #[test]
+    fn evictions_reach_the_caller_oldest_first() {
+        let mut window = SlidingWindow::new(600);
+        let mut evicted = Vec::new();
+        for ts in [0, 100, 300, 650, 2_000] {
+            window.ingest_evicting(rec(ts), |old| evicted.push(old.timestamp.0));
+        }
+        assert_eq!(evicted, vec![0, 100, 300, 650]);
+        assert_eq!(window.len(), 1);
+        let stamps = |w: &SlidingWindow, n| w.newest(n).map(|r| r.timestamp.0).collect::<Vec<_>>();
+        window.ingest_all([rec(2_100), rec(2_200)]);
+        assert_eq!(stamps(&window, 2), vec![2_100, 2_200]);
+        assert_eq!(stamps(&window, 0), Vec::<i64>::new());
+        assert_eq!(stamps(&window, 9), vec![2_000, 2_100, 2_200]);
     }
 
     #[test]

@@ -199,27 +199,32 @@ impl Summary {
 /// so the station folds them once per revision: the first read after an
 /// [`BaseStation::ingest`] that changed a record computes all of them in
 /// one pass, and every later read until the next change is `O(1)`. The
-/// memo cannot go stale because `ingest` is the only mutation and drops
-/// it whenever it bumps the revision.
+/// memo cannot go stale because the only two mutations, `ingest` and a
+/// retirement, drop it whenever they bump the revision.
 #[derive(Debug, Clone, Default)]
 pub struct BaseStation {
     samples: BTreeMap<NodeId, NodeSample>,
     /// Monotone change counter: bumped once per [`BaseStation::ingest`]
-    /// that actually changes a node's record. Revision `0` is the empty
-    /// station. Every mutation of station state flows through `ingest`,
-    /// so `revision` is a sound validity token for any derived
-    /// structure (estimator indexes, answer caches): if the revision is
-    /// unchanged, the sample state is byte-identical.
+    /// that actually changes a node's record, and once per retirement of
+    /// the whole sample. Revision `0` is the empty station. Every
+    /// mutation of station state flows through one of the two, so
+    /// `revision` is a sound validity token for any derived structure
+    /// (estimator indexes, plan caches): if the revision is unchanged,
+    /// the sample state is byte-identical.
     revision: u64,
+    /// Retirements of the whole sample so far
+    /// ([`crate::network::SensorNetwork::resample`]).
+    retirements: u64,
     /// The aggregates of the current revision, folded on first read and
-    /// dropped by every `ingest` that changes a record.
+    /// dropped by every change.
     summary: OnceCell<Summary>,
 }
 
 /// Sample-state equality: two stations are equal when every node holds
 /// the same population claim, probability, and entry set. The revision
-/// journal is deliberately excluded — it counts ingest *events*, which
-/// differ across drivers delivering the same state.
+/// journal and the retirement count are deliberately excluded — they
+/// count *events*, which differ across drivers delivering the same state
+/// and between a resampled network and a fresh one.
 impl PartialEq for BaseStation {
     fn eq(&self, other: &Self) -> bool {
         self.samples == other.samples
@@ -269,6 +274,23 @@ impl BaseStation {
         self.summary = OnceCell::new();
     }
 
+    /// Retires the whole sample: every record goes, the revision moves
+    /// forward and the retirement count grows by one.
+    pub(crate) fn retire(&mut self) {
+        self.samples.clear();
+        self.revision += 1;
+        self.retirements += 1;
+        self.summary = OnceCell::new();
+    }
+
+    /// How many times the whole sample has been retired. An answer drawn
+    /// before the count last moved came from a sample the station no
+    /// longer holds, whatever the revision journal says about the nodes
+    /// that reported since.
+    pub fn retirements(&self) -> u64 {
+        self.retirements
+    }
+
     /// The aggregates of the current revision.
     fn summary(&self) -> &Summary {
         self.summary.get_or_init(|| Summary::of(&self.samples))
@@ -282,7 +304,7 @@ impl BaseStation {
     /// Nodes whose record changed strictly after revision `rev`, in
     /// node-id order.
     ///
-    /// `changed_since(0)` lists every node that has ever reported;
+    /// `changed_since(0)` lists every node the station holds a record of;
     /// `changed_since(self.revision())` is always empty. This is the
     /// pull side of the delta contract: a consumer remembers the
     /// revision it last synchronised at and asks the station for the

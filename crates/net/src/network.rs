@@ -164,8 +164,8 @@ pub trait Network {
 
     /// Total data elements across all nodes, `n = |D|`.
     ///
-    /// `O(1)` on a [`SensorNetwork`]: node data never changes after the
-    /// node is added, so the network keeps a running sum.
+    /// `O(1)` on a [`SensorNetwork`]: node data changes only when a node
+    /// is added or the network resamples, and both keep a running sum.
     fn total_data_size(&self) -> usize;
 
     /// The base station's view of collected samples.
@@ -253,14 +253,24 @@ pub struct SensorNetwork<T> {
     parent: Vec<Option<usize>>,
     /// `hops[i]` = number of links from node `i` to the base station (≥ 1).
     pub(crate) hops: Vec<u32>,
-    /// `Σ n_i` over `nodes`, kept by [`SensorNetwork::push`] (node data
-    /// never changes after construction).
+    /// `Σ n_i` over `nodes`, kept by [`SensorNetwork::push`] and
+    /// [`SensorNetwork::resample`], the only places node data changes.
     data_size: usize,
     station: BaseStation,
     meter: CostMeter,
     failure: FailurePlan,
     tracer: Option<Tracer>,
     topology: PhantomData<T>,
+}
+
+/// One change to one node's local data, applied by
+/// [`SensorNetwork::resample`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum DataEdit {
+    /// The value joins the node's data.
+    Insert(NodeId, f64),
+    /// One copy of the value (matched bit for bit) leaves the node's data.
+    Remove(NodeId, f64),
 }
 
 /// The flat topology: every node reports directly to the base station.
@@ -312,6 +322,52 @@ impl<T> SensorNetwork<T> {
         self.hops.push(hops);
         self.parent.push(parent);
         id
+    }
+
+    /// Starts a fresh, independent sample over edited node data.
+    ///
+    /// In one call:
+    ///
+    /// 1. applies `edits` in order; each node's data stays sorted as
+    ///    [`SensorNode::new`] sorts it, and
+    ///    [`Network::total_data_size`] follows the edits;
+    /// 2. retires the base station's sample: every record goes, and the
+    ///    revision moves forward, so an index, plan or answer derived
+    ///    from the old sample cannot pass for a current one;
+    /// 3. makes every node forget its draws and reseeds its RNG exactly
+    ///    as a node built with `seed` is seeded.
+    ///
+    /// Routes, the meter, the failure plan and the tracer stay. The next
+    /// round at `p` therefore delivers what a fresh network built over
+    /// the edited data with `seed` would deliver at `p` under the same
+    /// plan, and the meter grows by what that network's meter would
+    /// read. (A plan with random message loss keeps its per-node loss
+    /// streams where they stood, so its losses continue rather than
+    /// restart.) Node data changes nowhere else after a node exists, so
+    /// no rank a node shipped earlier ever refers to an edited array:
+    /// its sample was retired with the edit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edit names a node the network does not have, inserts
+    /// NaN, or removes a value its node does not hold.
+    pub fn resample(&mut self, seed: u64, edits: &[DataEdit]) {
+        for &edit in edits {
+            match edit {
+                DataEdit::Insert(id, value) => {
+                    self.nodes[id.0 as usize].insert(value);
+                    self.data_size += 1;
+                }
+                DataEdit::Remove(id, value) => {
+                    self.nodes[id.0 as usize].remove(value);
+                    self.data_size -= 1;
+                }
+            }
+        }
+        for node in &mut self.nodes {
+            node.reseed(seed);
+        }
+        self.station.retire();
     }
 
     /// Whether each node can reach the base station: it and every

@@ -68,7 +68,7 @@ impl SensorNode {
             data,
             sampled: vec![false; len],
             probability: 0.0,
-            rng: StdRng::seed_from_u64(seed ^ (u64::from(id.0) << 32 | 0x9e37_79b9)),
+            rng: seeded_rng(id, seed),
         }
     }
 
@@ -143,6 +143,52 @@ impl SensorNode {
         }
     }
 
+    /// Adds `value` to the local data at the position the sort in
+    /// [`SensorNode::new`] gives it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is NaN.
+    pub(crate) fn insert(&mut self, value: f64) {
+        assert!(!value.is_nan(), "node data must not contain NaN");
+        let at = self.position_of(value);
+        self.data.insert(at, value);
+    }
+
+    /// Removes one copy of `value` (matched bit for bit) from the local
+    /// data.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node holds no such value.
+    pub(crate) fn remove(&mut self, value: f64) {
+        let at = self.position_of(value);
+        assert!(
+            self.data
+                .get(at)
+                .is_some_and(|&held| held.to_bits() == value.to_bits()),
+            "node {} holds no value {value}",
+            self.id.0
+        );
+        self.data.remove(at);
+    }
+
+    /// The first position whose value does not order before `value`.
+    fn position_of(&self, value: f64) -> usize {
+        let key = order_key(value);
+        self.data.partition_point(|&held| order_key(held) < key)
+    }
+
+    /// Forgets every draw: no element counts as sampled, the cumulative
+    /// probability is back at 0, and the RNG is the one
+    /// [`SensorNode::new`] seeds from `seed`.
+    pub(crate) fn reseed(&mut self, seed: u64) {
+        self.sampled.clear();
+        self.sampled.resize(self.data.len(), false);
+        self.probability = 0.0;
+        self.rng = seeded_rng(self.id, seed);
+    }
+
     /// Exact local range count `γ(l, u, i) = |{x ∈ D_i : l ≤ x ≤ u}|`.
     ///
     /// Ground truth for evaluation; a real device would never be asked to
@@ -155,6 +201,11 @@ impl SensorNode {
         let hi = self.data.partition_point(|&v| v <= u);
         hi - lo
     }
+}
+
+/// A node's sampling RNG: a pure function of the seed and the node id.
+fn seeded_rng(id: NodeId, seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ (u64::from(id.0) << 32 | 0x9e37_79b9))
 }
 
 /// The integer form of the Bernoulli test `random::<f64>() < c` on the
@@ -300,6 +351,32 @@ mod tests {
         // Different ids diverge.
         let mut c = SensorNode::new(NodeId(5), (0..500).map(f64::from).collect(), 99);
         assert_ne!(a.sample_to(0.9).entries, c.sample_to(0.9).entries);
+    }
+
+    #[test]
+    fn edited_and_reseeded_node_equals_a_fresh_one() {
+        let mut edited = SensorNode::new(NodeId(3), vec![4.0, -0.0, 2.0, 2.0, 9.0], 1);
+        edited.sample_to(0.6);
+        for value in [2.0, 7.5, 0.0, -1.0] {
+            edited.insert(value);
+        }
+        edited.remove(2.0);
+        edited.remove(-0.0);
+        edited.remove(9.0);
+        edited.reseed(8);
+        let mut fresh = SensorNode::new(NodeId(3), vec![7.5, 2.0, 0.0, 2.0, 4.0, -1.0], 8);
+        assert_eq!(edited.data(), fresh.data());
+        assert_eq!(edited.sampled_count(), 0);
+        assert_eq!(edited.probability(), 0.0);
+        assert_eq!(edited.sample_to(0.5), fresh.sample_to(0.5));
+        assert_eq!(edited.sample_to(0.9), fresh.sample_to(0.9));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds no value")]
+    fn removing_an_absent_value_panics() {
+        // `0.0` and `-0.0` are different values to a node.
+        node(vec![-0.0, 1.0], 0).remove(0.0);
     }
 
     #[test]

@@ -8,15 +8,20 @@
 //! sequence and the station's sample state, for both loss modes, over
 //! three escalating rounds under dropout plus message loss.
 //!
+//! The resample scenarios pin `SensorNetwork::resample` to a fresh
+//! network over the edited data, and the broker's index and answer cache
+//! to the retired sample's absence.
+//!
 //! A plan with zero dropout and zero loss probability draws no
 //! randomness at all: only its killed nodes fail. The revival scenarios
 //! pin that case the way a ladder of rungs drives it — nodes killed
 //! before the schedule, then a fresh plan installed mid-schedule under
 //! which one of them revives.
 
+use prc::core::broker::IndexPolicy;
 use prc::net::conformance::station_fingerprint;
 use prc::net::message::NodeId;
-use prc::net::network::CostSnapshot;
+use prc::net::network::{CostSnapshot, DataEdit, SensorNetwork};
 use prc::net::trace::Tracer;
 use prc::prelude::*;
 
@@ -320,4 +325,170 @@ fn tree_round_matches_its_golden_under_a_zero_probability_revival() {
         revival(&[1, 11], &[11]),
         &TREE_REVIVAL,
     );
+}
+
+// ---------------------------------------------------------------------
+// Resample: a persistent network draws what a fresh one would.
+// ---------------------------------------------------------------------
+
+/// The edits every resample scenario applies to `partitions(k, 40)`: node
+/// 0 gains two values and loses one, node 1 gains a duplicate of a value
+/// it holds, and node 2 loses every value it holds (so it reports a
+/// population of zero afterwards).
+fn edits(k: usize) -> Vec<DataEdit> {
+    let mut edits = vec![
+        DataEdit::Insert(NodeId(0), 5.5),
+        DataEdit::Remove(NodeId(0), 7.0),
+        DataEdit::Insert(NodeId(0), -3.0),
+        DataEdit::Insert(NodeId(1), 41.0),
+    ];
+    edits.extend((80..120).map(|v| DataEdit::Remove(NodeId(2), f64::from(v))));
+    edits.push(DataEdit::Insert(NodeId(k as u32 - 1), 1e9));
+    edits
+}
+
+/// `partitions(k, 40)` with [`edits`] applied.
+fn edited_partitions(k: usize) -> Vec<Vec<f64>> {
+    let mut parts = partitions(k, 40);
+    for edit in edits(k) {
+        match edit {
+            DataEdit::Insert(NodeId(id), value) => parts[id as usize].push(value),
+            DataEdit::Remove(NodeId(id), value) => {
+                let part = &mut parts[id as usize];
+                let at = part.iter().position(|v| v.to_bits() == value.to_bits());
+                part.remove(at.expect("the edit removes a held value"));
+            }
+        }
+    }
+    parts
+}
+
+/// What the meter added between two snapshots.
+fn grown(after: CostSnapshot, before: CostSnapshot) -> CostSnapshot {
+    cost(
+        after.messages - before.messages,
+        after.free_messages - before.free_messages,
+        after.samples - before.samples,
+        after.bytes - before.bytes,
+        after.lost_messages - before.lost_messages,
+    )
+}
+
+/// Samples `build(partitions(k, 40), ·)` twice under `plan`, resamples it
+/// over [`edits`] and collects again; a fresh `build(edited, ·)` under
+/// the same plan must hold the same station, deliver the same count and
+/// cost the same traffic.
+fn assert_resample_matches_a_fresh_network<T>(
+    k: usize,
+    build: impl Fn(Vec<Vec<f64>>, u64) -> SensorNetwork<T>,
+    plan: FailurePlan,
+) {
+    const SEED: u64 = 0x7E5A;
+    let mut network = build(partitions(k, 40), 0xF1A7);
+    network.set_failure_plan(plan.clone());
+    network.collect_samples(0.3);
+    network.collect_samples(0.6);
+    let meter = network.meter().snapshot();
+    let bills = network.meter().per_node_bytes();
+
+    network.resample(SEED, &edits(k));
+    let mut fresh = build(edited_partitions(k), SEED);
+    fresh.set_failure_plan(plan);
+    assert_eq!(network.total_data_size(), fresh.total_data_size());
+    assert_eq!(network.node_count(), fresh.node_count());
+    for target in [0.25, 0.7] {
+        let delivered = network.collect_samples(target);
+        assert_eq!(
+            delivered,
+            fresh.collect_samples(target),
+            "delivered at {target}"
+        );
+        assert!(network.station() == fresh.station(), "station at {target}");
+    }
+    assert_eq!(
+        grown(network.meter().snapshot(), meter),
+        fresh.meter().snapshot(),
+        "the meter grows by the fresh network's traffic"
+    );
+    let mut grown_bills = network.meter().per_node_bytes();
+    for (node, bytes) in bills {
+        *grown_bills.get_mut(&node).expect("bills only grow") -= bytes;
+    }
+    grown_bills.retain(|_, bytes| *bytes > 0);
+    assert_eq!(grown_bills, fresh.meter().per_node_bytes());
+}
+
+#[test]
+fn a_resampled_flat_network_equals_a_fresh_one() {
+    let build = |parts, seed| FlatNetwork::from_partitions(parts, seed);
+    assert_resample_matches_a_fresh_network(10, build, FailurePlan::none());
+    assert_resample_matches_a_fresh_network(10, build, killing(&[2, 5]));
+}
+
+#[test]
+fn a_resampled_tree_network_equals_a_fresh_one() {
+    let build = |parts, seed| TreeNetwork::from_partitions(parts, 2, seed);
+    assert_resample_matches_a_fresh_network(15, build, FailurePlan::none());
+    // Interior node 1 cuts off {3, 4, 7, 8, 9, 10}.
+    assert_resample_matches_a_fresh_network(15, build, killing(&[1, 11]));
+}
+
+#[test]
+fn a_resample_moves_the_revision_forward_even_when_nothing_arrives() {
+    let mut network = flat();
+    network.collect_samples(0.3);
+    let before = network.station().revision();
+    network.resample(1, &[]);
+    assert!(network.station().revision() > before);
+    assert_eq!(network.station().node_count(), 0, "every record retired");
+    network.set_failure_plan(killing(&(0..10).collect::<Vec<_>>()));
+    assert_eq!(network.collect_samples(0.3), 0);
+    assert!(network.station().revision() > before);
+}
+
+fn request() -> QueryRequest {
+    QueryRequest::new(
+        RangeQuery::new(500.0, 2_000.0).expect("a valid range"),
+        Accuracy::new(0.2, 0.6).expect("a valid accuracy"),
+    )
+}
+
+#[test]
+fn a_stale_index_never_serves_after_a_resample() {
+    let mut broker = DataBroker::new(flat(), 3);
+    broker.set_index_policy(IndexPolicy::Always);
+    broker.answer(&request()).unwrap();
+    let builds = broker.counters().index_builds;
+    broker
+        .network_mut()
+        .resample(9, &[DataEdit::Insert(NodeId(0), 1_000.5)]);
+    let answer = broker.answer(&request()).unwrap();
+    assert_eq!(broker.counters().index_builds, builds + 1);
+    let scan = RankCounting.estimate(broker.network().station(), request().query);
+    assert_eq!(answer.sample_estimate.to_bits(), scan.to_bits());
+}
+
+#[test]
+fn a_stale_answer_never_serves_after_a_resample() {
+    let mut broker = DataBroker::new(flat(), 4);
+    let model = ChebyshevVariance::new(3_000);
+    broker.enable_answer_cache(Box::new(PostedPriceReuse::new(
+        InverseVariancePricing::new(1e7, model),
+        model,
+    )));
+    let first = broker.answer(&request()).unwrap();
+    // The guard re-serves the identical demand from the same sample…
+    assert_eq!(broker.answer(&request()).unwrap(), first);
+    let hits = broker.counters().cache_hits;
+    assert_eq!(hits, 1);
+    // …but not once the sample it was drawn from is retired.
+    broker.network_mut().resample(9, &[]);
+    let second = broker.answer(&request()).unwrap();
+    assert_eq!(broker.counters().cache_hits, hits, "a fresh answer");
+    assert_ne!(second.value.to_bits(), first.value.to_bits());
+    let scan = RankCounting.estimate(broker.network().station(), request().query);
+    assert_eq!(second.sample_estimate.to_bits(), scan.to_bits());
+    // The new answer is cached in turn.
+    assert_eq!(broker.answer(&request()).unwrap(), second);
+    assert_eq!(broker.counters().cache_hits, hits + 1);
 }

@@ -2,7 +2,7 @@
 //! monitoring under failure, and dynamic node membership end to end.
 
 use prc::core::estimator::{RangeCountEstimator, RankCounting};
-use prc::core::monitor::{ContinuousMonitor, MonitorConfig};
+use prc::core::monitor::{ContinuousMonitor, EpochResult, MonitorConfig};
 use prc::data::stream::{SlidingWindow, StreamReplayer};
 use prc::net::trace::Tracer;
 use prc::prelude::*;
@@ -157,4 +157,107 @@ fn windowed_broker_answers_match_window_truth() {
         checked += 1;
     }
     assert!(checked >= 3, "too few windows checked: {checked}");
+}
+
+/// Runs `epochs` monitor epochs of `per_epoch` replayed records each over
+/// a `window_seconds` window on 8 nodes, and rebuilds every epoch from
+/// public parts: a fresh flat network over the window's stable partition
+/// (stream sequence number mod 8), seeded with `seed ^ epoch` and
+/// collected at the answer's planned probability. The monitor's
+/// pre-noise estimate must be RankCounting's on that station, bit for
+/// bit, and the epoch's counters that network's. Returns the epochs.
+fn assert_epochs_rebuild(window_seconds: i64, per_epoch: usize, epochs: usize) -> Vec<EpochResult> {
+    const NODES: usize = 8;
+    const SEED: u64 = 42;
+    let query = RangeQuery::new(60.0, 140.0).expect("a valid range");
+    let dataset = CityPulseGenerator::new(5)
+        .record_count(per_epoch * epochs)
+        .generate();
+    let mut replay = StreamReplayer::new(&dataset);
+    let mut monitor = ContinuousMonitor::new(MonitorConfig {
+        query,
+        // Loose enough that a full window is sampled at p < 1.
+        accuracy: Accuracy::new(0.6, 0.2).expect("a valid accuracy"),
+        index: AirQualityIndex::Ozone,
+        window_seconds,
+        nodes: NODES,
+        session_budget: Epsilon::new(1e6).expect("a positive budget"),
+        seed: SEED,
+    });
+    let mut stream: Vec<f64> = Vec::new();
+    let mut results = Vec::new();
+    for epoch in 0..epochs as u64 {
+        let records = replay.advance_by(per_epoch);
+        stream.extend(records.iter().map(|r| r.value(AirQualityIndex::Ozone)));
+        monitor.ingest(records);
+        let result = monitor.answer_epoch().expect("the epoch is answered");
+
+        // The window is the newest `window_size` records of the stream.
+        let first = stream.len() - result.window_size;
+        let mut parts = vec![Vec::new(); NODES];
+        for (sequence, &value) in stream.iter().enumerate().skip(first) {
+            parts[sequence % NODES].push(value);
+        }
+        let mut fresh = FlatNetwork::from_partitions(parts, SEED ^ epoch);
+        let delivered = fresh.collect_samples(result.answer.plan.probability);
+        let estimate = RankCounting.estimate(fresh.station(), query);
+        assert_eq!(
+            result.answer.sample_estimate.to_bits(),
+            estimate.to_bits(),
+            "epoch {epoch}: the sample estimate"
+        );
+        assert_eq!(result.stages.samples_collected, delivered as u64);
+        assert_eq!(
+            result.chargeable_messages,
+            fresh.meter().snapshot().chargeable_messages(),
+            "epoch {epoch}: chargeable messages"
+        );
+        results.push(result);
+    }
+    results
+}
+
+#[test]
+fn monitor_epochs_rebuild_from_public_parts_on_a_sliding_window() {
+    // Five records (25 minutes) per epoch into a six-hour window: the
+    // early windows hold fewer records than nodes, the later ones slide
+    // by far less than their length.
+    let results = assert_epochs_rebuild(6 * 3_600, 5, 30);
+    assert!(results.first().unwrap().window_size < 8);
+    assert_eq!(results.last().unwrap().window_size, 72);
+}
+
+#[test]
+fn monitor_epochs_rebuild_from_public_parts_when_a_batch_overruns_the_window() {
+    // 200 records per epoch into a window of about 72: every epoch's
+    // arrivals overrun it, and most of them never reach a node.
+    let results = assert_epochs_rebuild(6 * 3_600, 200, 20);
+    assert!(results.iter().all(|r| r.window_size <= 73));
+}
+
+#[test]
+fn monitor_epoch_counters_count_one_epoch() {
+    let results = assert_epochs_rebuild(6 * 3_600, 5, 30);
+    let mut previous_window = None;
+    for result in &results {
+        assert_eq!(result.stages.collection_rounds, 1, "epoch {}", result.epoch);
+        assert_eq!(result.stages.answers_released, 1, "epoch {}", result.epoch);
+        // Once the window holds steady, so does the station's shape, and
+        // the epoch's plan comes from the cache.
+        let steady = previous_window == Some(result.window_size);
+        assert_eq!(
+            result.stages.plan_cache_hits,
+            u64::from(steady),
+            "epoch {}",
+            result.epoch
+        );
+        previous_window = Some(result.window_size);
+    }
+    assert!(
+        results
+            .iter()
+            .filter(|r| r.stages.plan_cache_hits == 1)
+            .count()
+            >= 10
+    );
 }
