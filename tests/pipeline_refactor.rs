@@ -82,9 +82,13 @@ const GOLDEN_EPS: [u64; 4] = [
 /// the retired threaded driver and now asserted on the tree driver.
 const GOLDEN_EPS_THREADED: [u64; 2] = [0x40a3a8e384782938, 0x40a280c1bd0ebba8];
 
-/// Pre-refactor bits: three monitor epochs over the CityPulse replay.
+/// Three monitor epochs over the CityPulse replay. Re-pinned when the
+/// monitor moved to one persistent network and one broker: each record
+/// keeps its node (sequence number mod `nodes`) and the epochs share one
+/// noise stream. The first epoch's partition and noise are unchanged, so
+/// its bits are too.
 const GOLDEN_MONITOR_EPOCHS: [u64; 3] =
-    [0x404e4fac71ed722b, 0x4050b59e1d561e52, 0x404b9f4f4e992208];
+    [0x404e4fac71ed722b, 0x404b2f178b71db46, 0x40435ea87c9cd0a4];
 
 fn seq_requests() -> [QueryRequest; 3] {
     [
