@@ -14,11 +14,13 @@
 //!
 //! When the estimator offers a [`QueryIndex`] (RankCounting's
 //! [`crate::estimator::RankIndex`]), the broker keeps it together with
-//! the station revision it was built at. Before every use the slot is
-//! checked against the station's revision; once a collection round moves
-//! it, the index is rebuilt from scratch. External mutation through
-//! [`DataBroker::network_mut`] moves the same revision, so a stale index
-//! can never serve.
+//! the identity and revision of the station it was built over. Before
+//! every use the slot is checked against the station's current pair;
+//! once a collection round moves the revision, the index is rebuilt from
+//! scratch. A change made through [`DataBroker::network_mut`] moves the
+//! same revision, and a network swapped in whole brings another station
+//! identity, so neither leaves the old index serving. The plan cache and
+//! the answer cache are stamped the same way.
 //!
 //! Whether to pay for the first build is decided by the [`IndexPolicy`]:
 //! the default [`IndexPolicy::Adaptive`] runs a ski-rental accrual over
@@ -167,11 +169,10 @@ impl BatchReport {
     }
 }
 
-/// Cache key: the queried range and the Laplace budget of the stored
-/// plan, all as exact bit patterns with `−0.0` bounds read as `+0.0`
-/// (grouped by range, so lookups scan the contiguous key span of one
-/// range).
-pub(crate) type CacheKey = (u64, u64, u64);
+/// Answer-cache key: the queried range's bounds as exact bit patterns
+/// ([`RangeQuery::new`] already reads a `−0.0` bound as `+0.0`, so one
+/// range has one key).
+pub(crate) type CacheKey = (u64, u64);
 
 /// When the broker pays for a query-index build.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -197,7 +198,8 @@ pub enum IndexPolicy {
 /// a thin wrapper over the staged [`crate::pipeline`]:
 /// Admit (quote + cache) → Collect (sample top-up to a target strictly
 /// tighter than the demand) → Reserve (plan + two-phase budget hold) →
-/// Estimate → Perturb (`Lap(Δγ̂/ε)`) → Settle (commit, cache, ledger).
+/// Estimate → Perturb (`Lap(Δγ̂/ε)`) → Settle (commit, ledger); a fresh
+/// answer is stored for reuse as it is released.
 ///
 /// An optional [`BudgetAccountant`] enforces a total privacy cap across
 /// queries (sequential composition of the *effective* budgets). An
@@ -215,13 +217,18 @@ pub struct DataBroker<E = RankCounting, N = FlatNetwork> {
     pub(crate) rng: StdRng,
     pub(crate) reuse_guard: Option<Box<dyn ReuseGuard>>,
     pub(crate) pricing: Option<Box<dyn PricingEngine>>,
-    pub(crate) cache: BTreeMap<CacheKey, PrivateAnswer>,
-    /// The station's retirement count the cached answers were drawn
-    /// under; the cache empties when the count moves.
-    pub(crate) cache_retirements: u64,
+    /// Released answers by range: each range's answers in ascending
+    /// bits of their plan's `ε`, the first one stored for each `ε`. A
+    /// range whose answers a collection round evicted keeps an empty
+    /// list.
+    pub(crate) cache: BTreeMap<CacheKey, Vec<PrivateAnswer>>,
+    /// The station identity and retirement count the cached answers were
+    /// drawn under; the cache empties when either moves.
+    pub(crate) cache_stamp: (u64, u64),
     pub(crate) counters: StageCounters,
-    /// The query index and the station revision it was built at.
-    pub(crate) index: Option<(u64, Box<dyn QueryIndex>)>,
+    /// The query index and the station identity and revision it was
+    /// built at.
+    pub(crate) index: Option<((u64, u64), Box<dyn QueryIndex>)>,
     pub(crate) index_policy: IndexPolicy,
     pub(crate) build_accrual: BuildAccrual,
     pub(crate) plan_cache: PlanCache,
@@ -237,6 +244,8 @@ impl<N: Network> DataBroker<RankCounting, N> {
 impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     /// Creates a broker with a custom estimator.
     pub fn with_estimator(network: N, estimator: E, seed: u64) -> Self {
+        let station = network.station();
+        let cache_stamp = (station.identity(), station.retirements());
         DataBroker {
             network,
             estimator,
@@ -246,7 +255,7 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
             reuse_guard: None,
             pricing: None,
             cache: BTreeMap::new(),
-            cache_retirements: 0,
+            cache_stamp,
             counters: StageCounters::default(),
             index: None,
             index_policy: IndexPolicy::default(),
@@ -322,7 +331,7 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
 
     /// Number of answers currently cached.
     pub fn cached_answers(&self) -> usize {
-        self.cache.len()
+        self.cache.values().map(Vec::len).sum()
     }
 
     /// Per-stage counters accumulated so far.
@@ -336,6 +345,9 @@ impl<E: RangeCountEstimator, N: Network> DataBroker<E, N> {
     }
 
     /// Mutable access to the underlying network (failure injection etc.).
+    /// Replacing it outright is safe too: the new network's station has
+    /// another identity, so the broker serves no index, plan or cached
+    /// answer derived from the old one.
     pub fn network_mut(&mut self) -> &mut N {
         &mut self.network
     }
@@ -707,6 +719,55 @@ mod tests {
         assert_eq!(broker.cached_answers(), 0);
     }
 
+    /// Allows every reuse it is asked about.
+    #[derive(Debug)]
+    struct AcceptAll;
+
+    impl ReuseGuard for AcceptAll {
+        fn allows_reuse(&self, _requested: Demand, _cached: Demand) -> bool {
+            true
+        }
+
+        fn posted_price(&self, _requested: Demand) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn cache_candidates_are_tried_in_ascending_epsilon_bits() {
+        // Ranges below the data's support: no collection round evicts
+        // them, so every answer stored stays stored.
+        let mut broker = DataBroker::new(network(5, 1_000, 19), 19);
+        broker.enable_answer_cache(guard(5_000));
+        let tight = broker.answer(&request(-10.0, -1.0, 0.05, 0.8)).unwrap();
+        let loose = broker.answer(&request(-10.0, -1.0, 0.2, 0.5)).unwrap();
+        let bits = |answer: &PrivateAnswer| answer.plan.epsilon.value().to_bits();
+        assert!(bits(&tight) > bits(&loose), "stored larger ε bits first");
+        assert_eq!(broker.cached_answers(), 2);
+
+        // Any demand may take either answer now; it gets the smaller ε
+        // bits, and the hit stores nothing.
+        broker.enable_answer_cache(Box::new(AcceptAll));
+        let hits = broker.counters().cache_hits;
+        let hit = broker.answer(&request(-10.0, -1.0, 0.1, 0.6)).unwrap();
+        assert_eq!(hit, loose);
+        assert_eq!(broker.counters().cache_hits, hits + 1);
+        assert_eq!(broker.cached_answers(), 2);
+
+        // A fixed-ε answer that misses only for its higher p is stored
+        // under bits already held: the first answer at that ε stays.
+        let q = RangeQuery::new(-20.0, -11.0).unwrap();
+        let epsilon = Epsilon::new(1.5).unwrap();
+        let p = broker.network().station().effective_probability();
+        let first = broker.answer_with_epsilon(q, epsilon, p).unwrap();
+        assert_eq!(broker.cached_answers(), 3);
+        let higher = (p + 1.0) / 2.0;
+        let second = broker.answer_with_epsilon(q, epsilon, higher).unwrap();
+        assert_ne!(second.value.to_bits(), first.value.to_bits(), "a miss");
+        assert_eq!(broker.cached_answers(), 3);
+        assert_eq!(broker.answer_with_epsilon(q, epsilon, p).unwrap(), first);
+    }
+
     #[test]
     fn answer_batch_matches_request_order_and_counts_stages() {
         let workload: Vec<QueryRequest> = vec![
@@ -965,6 +1026,7 @@ mod tests {
         // overlap the data's value range, so the in-range answer is
         // evicted while the below-support one survives the epoch.
         broker.answer(&request(0.0, 4_800.0, 0.03, 0.9)).unwrap();
+        assert_eq!(broker.cached_answers(), 2, "the survivor and the new");
         let second_untouched = broker.answer(&untouched).unwrap();
         assert_eq!(
             second_untouched.value.to_bits(),

@@ -9,15 +9,16 @@
 //! [`NetworkShape`] and the optimizer config. The cache key is the first
 //! two as exact bit patterns; the shape is the cache's own stamp.
 //!
-//! The shape is a function of the station state, which the revision
-//! journal stamps, so the cache also remembers the revision it last saw.
-//! While the revision stands, a lookup is one integer compare. Once it
-//! moves (a collection round, a resample), the next lookup reads the
-//! station's shape and clears every entry only if that shape differs
-//! from the one the plans were swept for: a resampled station with the
-//! same `(k, n, max n_i)` keeps its plans. Budget state never enters a
-//! plan (holds are taken *after* planning), so a hold or rollback cannot
-//! stale the cache; the one input outside the station — the
+//! The shape is a function of the station state, which the station's
+//! identity and revision journal stamp, so the cache also remembers the
+//! pair it last saw. While the pair stands, a lookup is two integer
+//! compares. Once either moves (a collection round, a resample, another
+//! network swapped in), the next lookup reads the station's shape and
+//! clears every entry only if that shape differs from the one the plans
+//! were swept for: a resampled station with the same `(k, n, max n_i)`
+//! keeps its plans. Budget state never enters a plan (holds are taken
+//! *after* planning), so a hold or rollback cannot stale the cache; the
+//! one input outside the station — the
 //! [`crate::optimizer::OptimizerConfig`] — must call
 //! [`PlanCache::clear`] when it is swapped.
 
@@ -40,8 +41,8 @@ pub(crate) type PlanFingerprint = (u64, u64, u64);
 /// would.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanCache {
-    /// Station revision the cache last synchronized at.
-    revision: Option<u64>,
+    /// Station identity and revision the cache last synchronized at.
+    stamp: Option<(u64, u64)>,
     /// Station shape the cached plans were swept for (`None` while the
     /// station has no shape).
     shape: Option<NetworkShape>,
@@ -76,7 +77,7 @@ impl PlanCache {
 
     /// Drops every entry (optimizer config swaps).
     pub fn clear(&mut self) {
-        self.revision = None;
+        self.stamp = None;
         self.shape = None;
         self.plans.clear();
     }
@@ -87,15 +88,15 @@ impl PlanCache {
         self.plans.len()
     }
 
-    /// Catches the cache up with the station: nothing to do while the
-    /// revision stands; on a move, every entry goes if the shape moved
-    /// with it.
+    /// Catches the cache up with the station: nothing to do while its
+    /// identity and revision stand; on a move of either, every entry goes
+    /// if the shape moved with it.
     fn synchronize(&mut self, station: &BaseStation) {
-        let revision = station.revision();
-        if self.revision == Some(revision) {
+        let stamp = (station.identity(), station.revision());
+        if self.stamp == Some(stamp) {
             return;
         }
-        self.revision = Some(revision);
+        self.stamp = Some(stamp);
         let shape = NetworkShape::from_station(station).ok();
         if shape != self.shape {
             self.plans.clear();
@@ -201,6 +202,20 @@ mod tests {
             assert!(cache.lookup(&station, key(0.1)).is_none());
             assert_eq!(cache.len(), 0);
         }
+    }
+
+    #[test]
+    fn another_station_at_the_same_revision_is_a_move() {
+        let station = station();
+        let mut cache = PlanCache::default();
+        cache.insert(&station, key(0.1), plan(2.0));
+        // The same revision on another station of another shape.
+        let mut other = BaseStation::new();
+        report(&mut other, 0, 40, 0.25, &[2, 7]);
+        report(&mut other, 1, 40, 0.25, &[4]);
+        assert_eq!(other.revision(), station.revision());
+        assert!(cache.lookup(&other, key(0.1)).is_none());
+        assert_eq!(cache.len(), 0);
     }
 
     #[test]

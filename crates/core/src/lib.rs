@@ -18,11 +18,11 @@
 //!    noisy answer still meets `(α, δ)`.
 //! 3. **The broker pipeline** (§II-A): every [`broker::DataBroker`]
 //!    entry point runs the staged [`pipeline`] — Admit (price quote,
-//!    cache), Collect (sample top-up), Reserve (plan + two-phase budget
-//!    hold), Estimate, Perturb, Settle (commit, cache, ledger) — and
-//!    returns a [`broker::PrivateAnswer`]; [`consumer`] provides the
-//!    client side, including the averaging combinator adversaries use in
-//!    arbitrage attacks (Eq. 4).
+//!    cache lookup), Collect (sample top-up), Reserve (plan + two-phase
+//!    budget hold), Estimate, Perturb (noise, then the cache store),
+//!    Settle (commit, ledger) — and returns a [`broker::PrivateAnswer`];
+//!    [`consumer`] provides the client side, including the averaging
+//!    combinator adversaries use in arbitrage attacks (Eq. 4).
 //!
 //! Pricing lives in the sibling crate `prc-pricing` and is wired into
 //! the broker through its [`prc_pricing::engine::PricingEngine`] seam:

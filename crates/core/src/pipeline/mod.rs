@@ -4,9 +4,10 @@
 //!
 //! ```text
 //!  Admit ──► Collect ──► Reserve ──► Estimate ──► Perturb ──► Settle
-//!  quote     sample      plan +      index or     Laplace     commit,
-//!  cache     top-up      budget      scan         noise       cache,
-//!  checks                hold                                 ledger
+//!  quote,    sample      plan +      index or     Laplace     commit,
+//!  cache     top-up      budget      scan         noise,      ledger
+//!  lookup                hold                     then the
+//!    │                      │                     cache store
 //!    │                      │                        │
 //!    └─ cached hit ─────────┼────────────────────────┼──────► Settle
 //!                           └─ any later failure ────┴──────► abort
@@ -26,6 +27,11 @@
 //! hold, Settle commits it, and any failure between the two rolls it
 //! back through the stages' `abort`, so a failed noise draw spends no ε.
 //!
+//! The answer cache is read once per request, by the driver's lookup,
+//! and written once per fresh answer, by the fresh half right after
+//! Perturb; Settle does not touch it, so a cache hit probes the map once
+//! and writes nothing to it.
+//!
 //! Pricing rides the same stages: a sale ([`DataBroker::answer_as`])
 //! quotes the demand at Admit through [`DataBroker::quote`] — refusing
 //! invalid or arbitrageable demands before any budget or sample moves —
@@ -37,10 +43,11 @@
 //! There is one request path. A single request runs `drive`; a batch
 //! ([`DataBroker::answer_batch`]) collects once per rate tier and then
 //! sends each member through the same cache lookup and the same fresh
-//! half, `release`. The six stage functions, `prepare_index` and
-//! `release` are `#[inline]`: a batch runs them once per member, and
-//! without the hints those calls cost `bench_e2e`'s `batch` workload
-//! about a seventh of its throughput (release build, 2 vCPUs).
+//! half, `release`. The six stage functions, `prepare_index`,
+//! `cache_store` and `release` are `#[inline]`: a batch runs them once
+//! per member, and without the hints those calls cost `bench_e2e`'s
+//! `batch` workload about a seventh of its throughput (release build,
+//! 2 vCPUs).
 
 pub(crate) mod batch;
 pub(crate) mod stages;
@@ -53,7 +60,8 @@ use crate::error::CoreError;
 use crate::estimator::RangeCountEstimator;
 
 use stages::{
-    abort, admit, cache_lookup, collect, estimate, perturb, reserve, sampling_rate, settle, Request,
+    abort, admit, cache_lookup, cache_store, collect, estimate, perturb, reserve, sampling_rate,
+    settle, Request,
 };
 
 /// A released answer plus the commercial half of its transaction.
@@ -97,10 +105,10 @@ pub(crate) fn drive<E: RangeCountEstimator, N: Network>(
 }
 
 /// The fresh half of every request, single or batched: Reserve →
-/// Estimate → Perturb → Settle, rolling the hold back if the release
-/// fails. `accrues` is the number of queries Estimate adds to the index
-/// policy's accrual: 1 for a single request, 0 for a batch member whose
-/// tier the batch driver already accrued.
+/// Estimate → Perturb, the cache store, then Settle, rolling the hold
+/// back if the release fails. `accrues` is the number of queries
+/// Estimate adds to the index policy's accrual: 1 for a single request,
+/// 0 for a batch member whose tier the batch driver already accrued.
 ///
 /// # Errors
 ///
@@ -117,7 +125,10 @@ pub(crate) fn release<E: RangeCountEstimator, N: Network>(
     let (plan, reservation) = reserve(broker, &request)?;
     let sample_estimate = estimate(broker, request.query(), accrues);
     match perturb(broker, &request, plan, sample_estimate) {
-        Ok(answer) => Ok(settle(broker, answer, reservation, quote, buyer)),
+        Ok(answer) => {
+            cache_store(broker, &answer);
+            Ok(settle(broker, answer, reservation, quote, buyer))
+        }
         Err(e) => {
             abort(broker, reservation);
             Err(e)

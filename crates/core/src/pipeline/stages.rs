@@ -15,7 +15,12 @@
 //! * [`estimate`] — index-or-scan sample estimate (index build or
 //!   rebuild);
 //! * [`perturb`] — the only stage that consumes broker randomness;
-//! * [`settle`] — budget commit, cache store, ledger settlement.
+//! * [`settle`] — budget commit and ledger settlement.
+//!
+//! Around them sit the answer cache's two halves: [`cache_lookup`],
+//! with which a driver chooses between a cached and a fresh answer, and
+//! [`cache_store`], which the fresh half ([`crate::pipeline::release`])
+//! calls on each answer it releases.
 //!
 //! A single request is either an `(α, δ)` demand or a fixed `(ε, p)`
 //! experiment request; both kinds run the same stages, and only Admit's
@@ -146,6 +151,12 @@ pub(crate) fn collect<E, N: Network>(broker: &mut DataBroker<E, N>, target_proba
 /// value span, so only answers the round could not have affected keep
 /// being re-served. A changed node without entries has no known span and
 /// is treated as touching everything (conservative full clear).
+///
+/// An evicted range keeps its emptied list, so the next fresh answer
+/// over it is stored without an allocation. `bench_e2e`'s `churn`
+/// workload evicts on every rung and then answers each range afresh;
+/// dropping the lists instead put its p50 about 8% higher (four
+/// alternating pairs on 2 vCPUs).
 fn evict_touched_answers<E, N: Network>(broker: &mut DataBroker<E, N>, changed: &[NodeId]) {
     if broker.cache.is_empty() || changed.is_empty() {
         return;
@@ -161,11 +172,13 @@ fn evict_touched_answers<E, N: Network>(broker: &mut DataBroker<E, N>, changed: 
             }
         }
     }
-    broker.cache.retain(|&(lower_bits, upper_bits, _), _| {
+    for (&(lower_bits, upper_bits), answers) in &mut broker.cache {
         let lower = f64::from_bits(lower_bits);
         let upper = f64::from_bits(upper_bits);
-        !spans.iter().any(|&(lo, hi)| lo <= upper && lower <= hi)
-    });
+        if spans.iter().any(|&(lo, hi)| lo <= upper && lower <= hi) {
+            answers.clear();
+        }
+    }
 }
 
 /// Stage 3 — Reserve: plan the perturbation and place a hold for its
@@ -290,9 +303,11 @@ pub(crate) fn perturb<E: RangeCountEstimator, N: Network>(
 }
 
 /// Stage 6 — Settle: commit the budget hold (`None`: unbudgeted, or a
-/// cached hit), store the answer for reuse, and (priced requests) record
-/// the sale in the engine's ledger. Infallible: everything that can
-/// refuse the transaction already has.
+/// cached hit) and (priced requests) record the sale in the engine's
+/// ledger. Infallible: everything that can refuse the transaction
+/// already has. Settle writes nothing to the answer cache: a fresh
+/// answer was stored by [`cache_store`] before it got here, and a cached
+/// one is there already.
 #[inline]
 pub(crate) fn settle<E, N: Network>(
     broker: &mut DataBroker<E, N>,
@@ -306,7 +321,6 @@ pub(crate) fn settle<E, N: Network>(
             accountant.commit(hold);
         }
     }
-    cache_store(broker, &answer);
     let (price, settlement) = match (quote, buyer, &mut broker.pricing) {
         (Some(quote), Some(buyer), Some(engine)) => {
             let query = answer.query;
@@ -365,10 +379,11 @@ fn plan_with_retry<E: RangeCountEstimator, N: Network>(
 ///
 /// The cache key is the fingerprint of `(α, δ, p)`; the one other input
 /// the optimizer reads from the station — its shape — is the cache's
-/// stamp, checked whenever the station's revision has moved, so a plan
-/// swept for another shape can never serve. Budget state never enters
-/// the sweep (holds are placed *after* planning), so no budget-side
-/// invalidation is needed; config swaps clear the cache at the setter.
+/// stamp, checked whenever the station's identity or revision has moved,
+/// so a plan swept for another shape can never serve. Budget state never
+/// enters the sweep (holds are placed *after* planning), so no
+/// budget-side invalidation is needed; config swaps clear the cache at
+/// the setter.
 fn plan<E: RangeCountEstimator, N: Network>(
     broker: &mut DataBroker<E, N>,
     accuracy: Accuracy,
@@ -395,11 +410,12 @@ fn plan<E: RangeCountEstimator, N: Network>(
 ///
 /// In order:
 ///
-/// 1. a live index built at the station's current revision is kept
-///    as-is (only the revision is read);
-/// 2. a live index whose revision moved is rebuilt from scratch; if the
-///    estimator declines (e.g. the station lost its uniform rate), the
-///    slot is emptied and falls through to 3;
+/// 1. a live index built over this station at its current revision is
+///    kept as-is (only the identity and the revision are read);
+/// 2. a live index whose stamp moved (a round or a resample moved the
+///    revision, or another network was swapped in) is rebuilt from
+///    scratch; if the estimator declines (e.g. the station lost its
+///    uniform rate), the slot is emptied and falls through to 3;
 /// 3. otherwise the [`IndexPolicy`] decides whether to build now: the
 ///    adaptive policy accrues the scanning cost of `upcoming_queries`
 ///    into its ski-rental meter and builds once scanning has foregone a
@@ -410,17 +426,17 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     upcoming_queries: u64,
 ) {
     let station = broker.network.station();
-    let revision = station.revision();
+    let stamp = (station.identity(), station.revision());
 
-    // 1 + 2: a live index is kept while the revision stands, rebuilt
-    // once it moves.
+    // 1 + 2: a live index is kept while its stamp stands, rebuilt once
+    // it moves.
     if let Some((built, _)) = &broker.index {
-        if *built == revision {
+        if *built == stamp {
             return;
         }
         if let Some(index) = broker.estimator.build_index(station) {
             broker.counters.index_builds += 1;
-            broker.index = Some((revision, index));
+            broker.index = Some((stamp, index));
             return;
         }
         broker.index = None;
@@ -444,13 +460,14 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
     if let Some(index) = broker.estimator.build_index(station) {
         broker.counters.index_builds += 1;
         broker.build_accrual = crate::estimator::BuildAccrual::default();
-        broker.index = Some((revision, index));
+        broker.index = Some((stamp, index));
     }
 }
 
 /// Looks a request up in the answer cache, if caching is enabled, and
-/// counts a hit as a released answer. Candidates are the answers over the
-/// same range, matched per kind:
+/// counts a hit as a released answer. The candidates are the answers
+/// stored under the request's range — one map probe — tried in ascending
+/// bits of their plan's `ε` until one matches, per kind:
 ///
 /// * a demand reuses a demand-path answer (one with a recorded accuracy)
 ///   when the guard decides re-serving it cannot undercut the posted
@@ -460,24 +477,27 @@ pub(crate) fn prepare_index<E: RangeCountEstimator, N: Network>(
 ///   guard to price, so the match is exact.
 ///
 /// A cached answer drawn from a sample the station has since retired
-/// ([`prc_net::network::SensorNetwork::resample`]) is never re-served:
-/// the cache empties first whenever the station's retirement count has
-/// moved since it last looked.
+/// ([`prc_net::network::SensorNetwork::resample`]), or from another
+/// station (a network swapped in through
+/// [`DataBroker::network_mut`]), is never re-served: the cache empties
+/// first whenever the station's identity or retirement count has moved
+/// since it last looked. A hit writes nothing to the cache.
 pub(crate) fn cache_lookup<E, N: Network>(
     broker: &mut DataBroker<E, N>,
     request: &Request,
 ) -> Option<PrivateAnswer> {
     let guard = broker.reuse_guard.as_deref()?;
-    let retirements = broker.network.station().retirements();
-    if broker.cache_retirements != retirements {
+    let station = broker.network.station();
+    let stamp = (station.identity(), station.retirements());
+    if broker.cache_stamp != stamp {
         broker.cache.clear();
-        broker.cache_retirements = retirements;
+        broker.cache_stamp = stamp;
     }
-    let query = request.query();
     let mut candidates = broker
         .cache
-        .range(cache_key(query, u64::MIN)..=cache_key(query, u64::MAX))
-        .map(|(_, answer)| answer);
+        .get(&cache_key(request.query()))
+        .map_or(&[][..], Vec::as_slice)
+        .iter();
     let hit = match *request {
         Request::Demand(request) => {
             let requested = Demand::new(request.accuracy.alpha(), request.accuracy.delta());
@@ -507,22 +527,24 @@ pub(crate) fn cache_lookup<E, N: Network>(
     hit
 }
 
-/// Stores a freshly released answer for future reuse.
-fn cache_store<E, N>(broker: &mut DataBroker<E, N>, answer: &PrivateAnswer) {
+/// Stores a freshly released answer for future reuse, if caching is
+/// enabled: into its range's list at the place its plan's `ε` bits sort
+/// to, unless the list already holds an answer at those bits (the first
+/// one stored for an `ε` stays).
+#[inline]
+pub(crate) fn cache_store<E, N>(broker: &mut DataBroker<E, N>, answer: &PrivateAnswer) {
     if broker.reuse_guard.is_none() {
         return;
     }
-    let key = cache_key(answer.query, answer.plan.epsilon.value().to_bits());
-    broker.cache.entry(key).or_insert(*answer);
+    let epsilon_bits = |answer: &PrivateAnswer| answer.plan.epsilon.value().to_bits();
+    let answers = broker.cache.entry(cache_key(answer.query)).or_default();
+    if let Err(slot) = answers.binary_search_by_key(&epsilon_bits(answer), epsilon_bits) {
+        answers.insert(slot, *answer);
+    }
 }
 
-/// The answer-cache key of a range and a plan's Laplace budget bits
-/// ([`RangeQuery::new`] already reads a `−0.0` bound as `+0.0`, so one
-/// range has one entry).
-fn cache_key(query: RangeQuery, epsilon_bits: u64) -> CacheKey {
-    (
-        query.lower().to_bits(),
-        query.upper().to_bits(),
-        epsilon_bits,
-    )
+/// The answer-cache key of a range ([`RangeQuery::new`] already reads a
+/// `−0.0` bound as `+0.0`, so one range has one key).
+fn cache_key(query: RangeQuery) -> CacheKey {
+    (query.lower().to_bits(), query.upper().to_bits())
 }

@@ -4,6 +4,7 @@
 use std::cell::OnceCell;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::message::{NodeId, SampleEntry, SampleMessage};
 
@@ -201,16 +202,19 @@ impl Summary {
 /// one pass, and every later read until the next change is `O(1)`. The
 /// memo cannot go stale because the only two mutations, `ingest` and a
 /// retirement, drop it whenever they bump the revision.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug)]
 pub struct BaseStation {
+    /// Process-unique identity, taken when the station is made
+    /// ([`BaseStation::identity`]).
+    identity: u64,
     samples: BTreeMap<NodeId, NodeSample>,
     /// Monotone change counter: bumped once per [`BaseStation::ingest`]
     /// that actually changes a node's record, and once per retirement of
     /// the whole sample. Revision `0` is the empty station. Every
     /// mutation of station state flows through one of the two, so
-    /// `revision` is a sound validity token for any derived structure
-    /// (estimator indexes, plan caches): if the revision is unchanged,
-    /// the sample state is byte-identical.
+    /// `(identity, revision)` is a sound validity token for any derived
+    /// structure (estimator indexes, plan caches): if neither moved, the
+    /// sample state is byte-identical.
     revision: u64,
     /// Retirements of the whole sample so far
     /// ([`crate::network::SensorNetwork::resample`]).
@@ -220,14 +224,45 @@ pub struct BaseStation {
     summary: OnceCell<Summary>,
 }
 
+/// The next station identity. The count publishes no other data, so
+/// `Relaxed` ordering is enough.
+static NEXT_IDENTITY: AtomicU64 = AtomicU64::new(0);
+
 /// Sample-state equality: two stations are equal when every node holds
-/// the same population claim, probability, and entry set. The revision
-/// journal and the retirement count are deliberately excluded — they
-/// count *events*, which differ across drivers delivering the same state
-/// and between a resampled network and a fresh one.
+/// the same population claim, probability, and entry set. The identity,
+/// the revision journal and the retirement count are deliberately
+/// excluded — they name a station and count its *events*, which differ
+/// across drivers delivering the same state and between a resampled
+/// network and a fresh one.
 impl PartialEq for BaseStation {
     fn eq(&self, other: &Self) -> bool {
         self.samples == other.samples
+    }
+}
+
+impl Default for BaseStation {
+    fn default() -> Self {
+        BaseStation {
+            identity: NEXT_IDENTITY.fetch_add(1, Ordering::Relaxed),
+            samples: BTreeMap::new(),
+            revision: 0,
+            retirements: 0,
+            summary: OnceCell::new(),
+        }
+    }
+}
+
+/// A clone is a new station: it holds the same sample state under a
+/// fresh identity, since the two may move apart from here.
+impl Clone for BaseStation {
+    fn clone(&self) -> Self {
+        BaseStation {
+            samples: self.samples.clone(),
+            revision: self.revision,
+            retirements: self.retirements,
+            summary: self.summary.clone(),
+            ..BaseStation::default()
+        }
     }
 }
 
@@ -235,6 +270,16 @@ impl BaseStation {
     /// Creates an empty base station.
     pub fn new() -> Self {
         BaseStation::default()
+    }
+
+    /// This station's identity: no other station this process has made
+    /// (a clone included) shares it, and it never changes. The revision
+    /// and the retirement count are counters *of one station*, so a
+    /// consumer that keeps derived state stamps it with the identity as
+    /// well: a network swapped in for another whose station stands at the
+    /// same counts then still reads as a change.
+    pub fn identity(&self) -> u64 {
+        self.identity
     }
 
     /// Ingests one sample message, merging it into the node's sample set.
@@ -553,6 +598,21 @@ mod tests {
             bs.node_sample(NodeId(1)).unwrap().value_span(),
             Some((2.0, 9.0))
         );
+    }
+
+    #[test]
+    fn identity_names_one_station_for_its_life() {
+        let mut bs = BaseStation::new();
+        let identity = bs.identity();
+        bs.ingest(msg(1, 10, 0.1, &[3]));
+        bs.retire();
+        assert_eq!(bs.identity(), identity, "mutation keeps the identity");
+        let other = BaseStation::new();
+        let copy = bs.clone();
+        assert_ne!(other.identity(), identity);
+        assert_ne!(copy.identity(), identity, "a clone is a new station");
+        assert_eq!(copy, bs, "equality reads sample state only");
+        assert_eq!(copy.revision(), bs.revision());
     }
 
     #[test]

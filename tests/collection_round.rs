@@ -10,7 +10,8 @@
 //!
 //! The resample scenarios pin `SensorNetwork::resample` to a fresh
 //! network over the edited data, and the broker's index and answer cache
-//! to the retired sample's absence.
+//! to the retired sample's absence. The swap scenario pins the index,
+//! the plan cache and the answer cache to a network replaced whole.
 //!
 //! A plan with zero dropout and zero loss probability draws no
 //! randomness at all: only its killed nodes fail. The revival scenarios
@@ -491,4 +492,84 @@ fn a_stale_answer_never_serves_after_a_resample() {
     // The new answer is cached in turn.
     assert_eq!(broker.answer(&request()).unwrap(), second);
     assert_eq!(broker.counters().cache_hits, hits + 1);
+}
+
+/// `k` flat nodes of `per_node` consecutive values each, from `offset` up.
+fn offset_network(k: usize, per_node: usize, offset: f64, seed: u64) -> FlatNetwork {
+    let parts = partitions(k, per_node)
+        .into_iter()
+        .map(|part| part.into_iter().map(|value| value + offset).collect())
+        .collect();
+    FlatNetwork::from_partitions(parts, seed)
+}
+
+/// Replaces the broker's network with `other`, first collected at the
+/// probability the broker's station stands at: the two stations then
+/// count the same revision and the same retirements.
+fn swap_in(broker: &mut DataBroker, mut other: FlatNetwork) {
+    let station = broker.network().station();
+    other.collect_samples(station.effective_probability());
+    assert_eq!(other.station().revision(), station.revision());
+    assert_eq!(other.station().retirements(), station.retirements());
+    *broker.network_mut() = other;
+}
+
+#[test]
+fn a_swapped_network_never_serves_stale_state() {
+    let request = QueryRequest::new(
+        RangeQuery::new(500.0, 1_500.0).expect("a valid range"),
+        Accuracy::new(0.2, 0.6).expect("a valid accuracy"),
+    );
+    let scan =
+        |broker: &DataBroker| RankCounting.estimate(broker.network().station(), request.query);
+
+    // (a) The index built over the old station does not answer for the
+    // new one.
+    let mut indexed = DataBroker::new(offset_network(4, 500, 0.0, 5), 5);
+    indexed.set_index_policy(IndexPolicy::Always);
+    indexed.answer(&request).unwrap();
+    swap_in(&mut indexed, offset_network(4, 500, 700.0, 6));
+    let answer = indexed.answer(&request).unwrap();
+    assert_eq!(answer.sample_estimate.to_bits(), scan(&indexed).to_bits());
+    assert_eq!(indexed.counters().index_builds, 2, "rebuilt for the swap");
+
+    // (b) A plan swept for the old station's shape does not price the
+    // noise for the new one.
+    let config = OptimizerConfig {
+        sensitivity: SensitivityPolicy::WorstCase,
+        ..OptimizerConfig::default()
+    };
+    let mut planned = DataBroker::new(offset_network(4, 500, 0.0, 7), 7);
+    planned.set_optimizer_config(config);
+    planned.answer(&request).unwrap();
+    swap_in(&mut planned, offset_network(4, 2_000, 0.0, 8));
+    let served = planned.answer(&request).unwrap().plan;
+    let station = planned.network().station();
+    let fresh = optimize(
+        request.accuracy,
+        station.effective_probability(),
+        NetworkShape::from_station(station).unwrap(),
+        &config,
+    )
+    .unwrap();
+    assert_eq!(served.noise_scale.to_bits(), fresh.noise_scale.to_bits());
+    assert_eq!(
+        served.epsilon.value().to_bits(),
+        fresh.epsilon.value().to_bits()
+    );
+
+    // (c) An answer cached from the old station is not re-served for the
+    // same range and demand.
+    let model = ChebyshevVariance::new(2_000);
+    let mut cached = DataBroker::new(offset_network(4, 500, 0.0, 9), 9);
+    cached.enable_answer_cache(Box::new(PostedPriceReuse::new(
+        InverseVariancePricing::new(1e7, model),
+        model,
+    )));
+    let first = cached.answer(&request).unwrap();
+    assert_eq!(cached.answer(&request).unwrap(), first, "a hit before");
+    swap_in(&mut cached, offset_network(4, 500, 700.0, 10));
+    let second = cached.answer(&request).unwrap();
+    assert_eq!(cached.counters().cache_hits, 1, "a fresh answer after");
+    assert_eq!(second.sample_estimate.to_bits(), scan(&cached).to_bits());
 }
